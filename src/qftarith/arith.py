@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import Circuit, Gate, RegisterLayout, concat, labeled
+from .circuit import Circuit, Gate, RegisterLayout, concat
 from .errors import ConstantTooWide, OverlappingRegisters
 from .qft import build_inverse_qft, build_qft
 
@@ -141,12 +141,11 @@ def build_decrement(
     """
     qs = layout[register]
     n = layout.num_qubits
-    circuit = concat([
-        build_qft(qs, n),
-        build_fourier_add_constant(qs, -1, controls, n),
-        build_inverse_qft(qs, n),
+    return concat([
+        build_qft(qs, n, label),
+        build_fourier_add_constant(qs, -1, controls, n, label),
+        build_inverse_qft(qs, n, label),
     ])
-    return labeled(circuit, label)
 
 
 def build_adder(layout: RegisterLayout, label: str | None = None) -> Circuit:
@@ -159,9 +158,8 @@ def build_adder(layout: RegisterLayout, label: str | None = None) -> Circuit:
     if len(a) != len(b):
         raise ValueError(f"register widths differ: a={len(a)}, b={len(b)}")
     n = layout.num_qubits
-    circuit = concat([
-        build_qft(b, n),
-        build_fourier_add_register(a, b, num_qubits=n),
-        build_inverse_qft(b, n),
+    return concat([
+        build_qft(b, n, label),
+        build_fourier_add_register(a, b, num_qubits=n, label=label),
+        build_inverse_qft(b, n, label),
     ])
-    return labeled(circuit, label)

@@ -25,6 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -140,23 +141,21 @@ class Circuit:
     def __add__(self, other: "Circuit") -> "Circuit":
         if not isinstance(other, Circuit):
             return NotImplemented
-        if self.num_qubits != other.num_qubits:
-            raise QubitCountMismatch(
-                f"cannot concatenate circuits on {self.num_qubits} and "
-                f"{other.num_qubits} qubits"
-            )
-        return Circuit(self.num_qubits, self.gates + other.gates)
+        return concat((self, other))
 
 
 def concat(circuits: Iterable[Circuit]) -> Circuit:
-    """Concatenate circuits of equal width into one."""
-    parts = list(circuits)
+    """Concatenate circuits of equal width into one, joining the gates once."""
+    parts = tuple(circuits)
     if not parts:
         raise ValueError("nothing to concatenate")
-    out = parts[0]
-    for c in parts[1:]:
-        out = out + c
-    return out
+    n = parts[0].num_qubits
+    for c in parts:
+        if c.num_qubits != n:
+            raise QubitCountMismatch(
+                f"cannot concatenate circuits on {n} and {c.num_qubits} qubits"
+            )
+    return Circuit(n, tuple(chain.from_iterable(c.gates for c in parts)))
 
 
 def labeled(circuit: Circuit, label: str | None) -> Circuit:

@@ -1,8 +1,12 @@
 """Command-line front end: run add / dec / mul on the simulator and verify
 every result against plain classical arithmetic.
 
+``verified`` means the whole register contract holds: the output register
+(``b``, ``v`` or ``accumulator``) equals :func:`oracle`, every other operand
+register is unchanged, and for ``mul`` the stop qubit ``control`` reads 1.
+
 Exit codes: 0 result verified, 1 simulator/oracle mismatch, 2 usage error
-(bad operands, qubit budget exceeded, unknown flags).
+(bad operands, bad multiplier sizing, qubit budget exceeded, unknown flags).
 
 The ``--json`` flag prints the run report as a single JSON object::
 
@@ -21,6 +25,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 from .arith import build_adder, build_decrement
 from .circuit import (
@@ -89,74 +94,60 @@ def _check_budget(total_qubits: int) -> None:
         )
 
 
-def _simulate(circuit: Circuit, layout: RegisterLayout, inputs: dict[str, int]):
-    state = new_basis_state(layout.num_qubits, encode_registers(layout, inputs))
-    run(circuit, state)
-    return decode_registers(layout, extract_basis_index(state, tol=1e-9))
-
-
-def _run_add(args) -> tuple[RunReport, Circuit]:
+def _mul_setup(args) -> tuple[RegisterLayout, MultiplierSpec]:
     n = args.n
-    _check_operands(n, a=args.a, b=args.b)
-    _check_budget(2 * n)
-    start = time.perf_counter()
-    layout = RegisterLayout([("a", n), ("b", n)])
-    circuit = build_adder(layout)
-    outputs = _simulate(circuit, layout, {"a": args.a, "b": args.b})
-    elapsed = time.perf_counter() - start
-    report = RunReport(
-        operation="add",
-        inputs={"a": args.a, "b": args.b},
-        widths=layout.widths(),
-        outputs=outputs,
-        gate_count=len(circuit),
-        wall_time=elapsed,
-        verified=outputs["b"] == oracle("add", (args.a, args.b), n),
+    spec = MultiplierSpec(
+        n=n,
+        m=args.acc_width if args.acc_width is not None else 2 * n,
+        iterations=args.iterations if args.iterations is not None else (1 << n) - 1,
     )
-    return report, circuit
+    return multiplier_layout(spec), spec
 
 
-def _run_dec(args) -> tuple[RunReport, Circuit]:
-    n = args.n
-    _check_operands(n, v=args.v)
-    _check_budget(n)
-    start = time.perf_counter()
-    layout = RegisterLayout([("v", n)])
-    circuit = build_decrement(layout, "v")
-    outputs = _simulate(circuit, layout, {"v": args.v})
-    elapsed = time.perf_counter() - start
-    report = RunReport(
-        operation="dec",
-        inputs={"v": args.v},
-        widths=layout.widths(),
-        outputs=outputs,
-        gate_count=len(circuit),
-        wall_time=elapsed,
-        verified=outputs["v"] == oracle("dec", (args.v,), n),
-    )
-    return report, circuit
+class _Command(NamedTuple):
+    operands: tuple[str, ...]  # registers loaded from the positional arguments
+    output: str                # the register oracle() predicts
+    setup: Callable            # args -> (layout, MultiplierSpec or None)
+    build: Callable            # (layout, spec) -> Circuit
+    ends: dict[str, int]       # required end values of the remaining registers
 
 
-def _run_mul(args) -> tuple[RunReport, Circuit]:
-    n = args.n
-    _check_operands(n, x=args.x, y=args.y)
-    m = args.acc_width if args.acc_width is not None else 2 * n
-    iterations = args.iterations if args.iterations is not None else (1 << n) - 1
-    spec = MultiplierSpec(n=n, m=m, iterations=iterations)
-    layout = multiplier_layout(spec)
+# The builders are called through this module's globals, not bound here, so
+# perfbench/worker.py can wrap them by name.
+_COMMANDS = {
+    "add": _Command(("a", "b"), "b",
+                    lambda args: (RegisterLayout([("a", args.n), ("b", args.n)]), None),
+                    lambda layout, _: build_adder(layout), {}),
+    "dec": _Command(("v",), "v",
+                    lambda args: (RegisterLayout([("v", args.n)]), None),
+                    lambda layout, _: build_decrement(layout, "v"), {}),
+    "mul": _Command(("x", "y"), "accumulator", _mul_setup,
+                    lambda _, spec: build_multiplier(spec), {"control": 1}),
+}
+
+
+def _run(args) -> tuple[RunReport, Circuit]:
+    command = _COMMANDS[args.command]
+    values = {name: getattr(args, name) for name in command.operands}
+    _check_operands(args.n, **values)
+    layout, spec = command.setup(args)
     _check_budget(layout.num_qubits)
     start = time.perf_counter()
-    circuit = build_multiplier(spec)
-    outputs = _simulate(circuit, layout, {"x": args.x, "y": args.y})
+    circuit = command.build(layout, spec)
+    state = new_basis_state(layout.num_qubits, encode_registers(layout, values))
+    run(circuit, state)
+    outputs = decode_registers(layout, extract_basis_index(state, tol=1e-9))
     elapsed = time.perf_counter() - start
+    expected = {**values, **command.ends,
+                command.output: oracle(args.command, tuple(values.values()), args.n)}
     report = RunReport(
-        operation="mul",
-        inputs={"x": args.x, "y": args.y, "iterations": iterations},
+        operation=args.command,
+        inputs=values if spec is None else {**values, "iterations": spec.iterations},
         widths=layout.widths(),
         outputs=outputs,
         gate_count=len(circuit),
         wall_time=elapsed,
-        verified=outputs["accumulator"] == oracle("mul", (args.x, args.y), n),
+        verified=all(outputs[name] == value for name, value in expected.items()),
     )
     return report, circuit
 
@@ -209,19 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("--acc-width", type=int, metavar="M",
                        help="accumulator width (default 2n)")
     p_mul.add_argument("--iterations", type=int, metavar="K",
-                       help="unroll count (default 2^n - 1); fewer iterations "
-                            "truncate the product to x * min(y, K)")
+                       help="unroll count, 0 <= K <= 2^n - 1 (default 2^n - 1); "
+                            "fewer iterations truncate the product to x * min(y, K)")
 
     return parser
-
-
-_RUNNERS = {"add": _run_add, "dec": _run_dec, "mul": _run_mul}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, circuit = _RUNNERS[args.command](args)
+        report, circuit = _run(args)
     except (OperandTooWide, QubitBudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,10 +51,12 @@ from .qstate import extract_basis_index, new_basis_state
 class MultiplierSpec:
     """Widths and unroll count for one multiplier circuit.
 
-    ``m >= 2n`` guarantees the product fits.  ``iterations`` defaults to
-    2**n - 1, the worst-case multiplier value; smaller counts build a
-    deliberately truncated circuit (the result becomes x * min(y, iters)),
-    which is how the tightness of the bound is demonstrated.
+    ``m >= 2n`` guarantees the product fits.  ``iterations`` lies in
+    0 <= K <= 2**n - 1 and defaults to 2**n - 1, the worst-case multiplier
+    value; smaller counts build a deliberately truncated circuit (the result
+    becomes x * min(y, iters)), which is how the tightness of the bound is
+    demonstrated.  Larger counts are rejected: the counter would pass
+    through zero twice and toggle the stop latch back off.
     """
 
     n: int
@@ -69,8 +71,10 @@ class MultiplierSpec:
                 f"accumulator width {self.m} cannot hold every {self.n}-bit product; "
                 f"need at least {2 * self.n}"
             )
-        if self.iterations < 0:
-            raise SpecInvariantViolation(f"iterations must be >= 0, got {self.iterations}")
+        if self.iterations < 0 or self.iterations.bit_length() > self.n:
+            raise SpecInvariantViolation(
+                f"iterations must lie in 0 <= K <= 2**{self.n} - 1, got {self.iterations}"
+            )
 
     @classmethod
     def for_width(cls, n: int) -> "MultiplierSpec":

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import circuit_matrix, random_state
-from qftarith.arith import build_decrement
+from qftarith.arith import build_adder, build_decrement
 from qftarith.circuit import (
     Circuit,
     CircuitStats,
@@ -237,6 +237,19 @@ class TestListing:
         circuit = labeled(Circuit(1, (Gate.hadamard(0),)), "stage[1]")
         assert circuit.gates[0].label == "stage[1]"
 
+    def test_labeled_without_label_is_the_same_circuit(self):
+        circuit = Circuit(1, (Gate.hadamard(0),))
+        assert labeled(circuit, None) is circuit
+
+    def test_decrement_label_matches_relabelled_circuit(self):
+        layout = RegisterLayout([("x", 2), ("y", 3)])
+        assert (build_decrement(layout, "y", label="dec[t]")
+                == labeled(build_decrement(layout, "y"), "dec[t]"))
+
+    def test_adder_label_matches_relabelled_circuit(self):
+        layout = RegisterLayout([("a", 3), ("b", 3)])
+        assert build_adder(layout, label="add") == labeled(build_adder(layout), "add")
+
 
 class TestConcat:
     def test_widths_must_match(self):
@@ -246,3 +259,31 @@ class TestConcat:
     def test_concat_orders_gates(self):
         c = concat([Circuit(1, (Gate.hadamard(0),)), Circuit(1, (Gate.x(0),))])
         assert [g.kind for g in c.gates] == [GateKind.HADAMARD, GateKind.X]
+
+
+class TestLinearAssembly:
+    """Building a circuit checks each gate's qubit range a bounded number of
+    times, so assembly stays linear in the gate count."""
+
+    @pytest.fixture
+    def max_qubit_calls(self, monkeypatch):
+        calls = [0]
+        original = Gate.max_qubit
+
+        def counting(gate):
+            calls[0] += 1
+            return original(gate)
+
+        monkeypatch.setattr(Gate, "max_qubit", counting)
+        return calls
+
+    def test_concat_checks_each_gate_once(self, max_qubit_calls):
+        parts = [Circuit(1, (Gate.hadamard(0),)) for _ in range(2000)]
+        max_qubit_calls[0] = 0
+        assert len(concat(parts)) == 2000
+        assert max_qubit_calls[0] == 2000
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_multiplier_build_is_linear(self, max_qubit_calls, n):
+        circuit = build_multiplier(MultiplierSpec.for_width(n))
+        assert max_qubit_calls[0] <= 3 * len(circuit)

@@ -1,7 +1,9 @@
 """Command-line interface: reports, oracle verification, exit codes,
 JSON round-trips, and circuit listings."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,13 @@ class TestCommands:
         assert "accumulator=2" in out
         assert "verified  : no" in out
 
+    def test_unrestored_y_is_not_verified(self, capsys):
+        # the product is right, but two iterations leave the y counter at 2
+        assert main(["mul", "3", "1", "--n", "2", "--iterations", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "accumulator=3" in out and "y=2" in out
+        assert "verified  : no" in out
+
     def test_acc_width_flag(self, capsys):
         assert main(["mul", "3", "3", "--n", "2", "--acc-width", "6"]) == 0
         assert "accumulator=9" in capsys.readouterr().out
@@ -73,6 +82,12 @@ class TestUsageErrors:
 
     def test_undersized_accumulator_is_usage_error(self, capsys):
         assert main(["mul", "1", "1", "--n", "2", "--acc-width", "3"]) == 2
+
+    def test_iterations_past_largest_multiplier_is_usage_error(self, capsys):
+        assert main(["mul", "3", "1", "--n", "2", "--iterations", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "verified" not in captured.out
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -130,3 +145,22 @@ class TestEmitCircuit:
         assert "# check[0]" in text
         assert "# add[iter 1]" in text
         assert "# dec[restore]" in text
+
+
+class TestBenchmarkHooks:
+    """perfbench/worker.py wraps names that qftarith.cli calls; a successful
+    run that bypasses them makes the worker raise BenchmarkBroken."""
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return importlib.import_module("worker")
+
+    @pytest.mark.parametrize("mode, argv", [
+        ("trace", ["add", "3", "4", "--n", "3", "--json"]),
+        ("trace", ["dec", "3", "--n", "4", "--json"]),
+        ("trace", ["mul", "3", "2", "--n", "2", "--json"]),
+        ("replay", ["mul", "3", "2", "--n", "2", "--json"]),
+    ])
+    def test_worker_reaches_every_hook(self, worker, mode, argv):
+        assert worker.serve({"mode": mode, "argv": argv})["rc"] == 0

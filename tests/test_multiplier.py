@@ -61,6 +61,12 @@ class TestSpec:
         with pytest.raises(SpecInvariantViolation):
             MultiplierSpec(n=2, m=4, iterations=-1)
 
+    def test_iterations_capped_at_largest_multiplier(self):
+        # a fourth pass would take the n=2 counter through zero a second time
+        with pytest.raises(SpecInvariantViolation):
+            MultiplierSpec(n=2, m=4, iterations=4)
+        assert MultiplierSpec(n=2, m=4, iterations=3).iterations == 3
+
     def test_default_sizing(self):
         spec = MultiplierSpec.for_width(3)
         assert (spec.n, spec.m, spec.iterations) == (3, 6, 7)
