@@ -6,7 +6,8 @@ every result against plain classical arithmetic.
 register is unchanged, and for ``mul`` the stop qubit ``control`` reads 1.
 
 Exit codes: 0 result verified, 1 simulator/oracle mismatch, 2 usage error
-(bad operands, bad multiplier sizing, qubit budget exceeded, unknown flags).
+(bad operands, a register width below 1, bad multiplier sizing, qubit budget
+exceeded, unknown flags).
 
 The ``--json`` flag prints the run report as a single JSON object::
 
@@ -36,7 +37,7 @@ from .circuit import (
     encode_registers,
     run,
 )
-from .errors import OperandTooWide, QubitBudgetExceeded
+from .errors import OperandTooWide, QubitBudgetExceeded, SpecInvariantViolation
 from .multiplier import MultiplierSpec, build_multiplier, multiplier_layout
 from .qstate import extract_basis_index, new_basis_state
 
@@ -129,6 +130,8 @@ _COMMANDS = {
 def _run(args) -> tuple[RunReport, Circuit]:
     command = _COMMANDS[args.command]
     values = {name: getattr(args, name) for name in command.operands}
+    if args.n < 1:
+        raise SpecInvariantViolation(f"--n must be at least 1, got {args.n}")
     _check_operands(args.n, **values)
     layout, spec = command.setup(args)
     _check_budget(layout.num_qubits)

@@ -34,7 +34,8 @@ class OverlappingRegisters(QuantumArithmeticError, ValueError):
 
 
 class SpecInvariantViolation(QuantumArithmeticError, ValueError):
-    """Multiplier parameters violate a sizing requirement."""
+    """Sizing parameters (register width, accumulator width, unroll count)
+    violate a requirement."""
 
 
 class OperandTooWide(QuantumArithmeticError, ValueError):

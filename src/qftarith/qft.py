@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import Circuit, Gate, inverse
+from .circuit import Circuit, Gate
 
 
 def _widen(qubits: Sequence[int] | range, num_qubits: int | None) -> tuple[list[int], int]:
@@ -35,6 +35,19 @@ def _widen(qubits: Sequence[int] | range, num_qubits: int | None) -> tuple[list[
     return qs, n
 
 
+def _qft_gates(qs: list[int], sign: int, label: str | None) -> list[Gate]:
+    """The forward transform's gates in order, every angle times ``sign``."""
+    gates: list[Gate] = []
+    for j in range(len(qs)):
+        gates.append(Gate.hadamard(qs[j], label=label))
+        for k in range(2, len(qs) - j + 1):
+            gates.append(
+                Gate.phase(Fraction(sign, 1 << k), qs[j], controls=((qs[j + k - 1], 1),),
+                           label=label)
+            )
+    return gates
+
+
 def build_qft(qubits: Sequence[int] | range, num_qubits: int | None = None,
               label: str | None = None) -> Circuit:
     """Fourier transform on the given qubits (most significant first).
@@ -43,19 +56,11 @@ def build_qft(qubits: Sequence[int] | range, num_qubits: int | None = None,
     rotations by exact dyadic angles 1/2**k turns.
     """
     qs, n = _widen(qubits, num_qubits)
-    w = len(qs)
-    gates: list[Gate] = []
-    for j in range(w):
-        gates.append(Gate.hadamard(qs[j], label=label))
-        for k in range(2, w - j + 1):
-            gates.append(
-                Gate.phase(Fraction(1, 1 << k), qs[j], controls=((qs[j + k - 1], 1),),
-                           label=label)
-            )
-    return Circuit(n, tuple(gates))
+    return Circuit(n, tuple(_qft_gates(qs, 1, label)))
 
 
 def build_inverse_qft(qubits: Sequence[int] | range, num_qubits: int | None = None,
                       label: str | None = None) -> Circuit:
     """Inverse transform: the reversed, phase-negated Fourier circuit."""
-    return inverse(build_qft(qubits, num_qubits, label))
+    qs, n = _widen(qubits, num_qubits)
+    return Circuit(n, tuple(reversed(_qft_gates(qs, -1, label))))

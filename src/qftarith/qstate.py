@@ -16,8 +16,17 @@ Controls are ``(qubit, polarity)`` pairs with polarity 1 ("active on |1>")
 or 0 ("active on |0>").  Amplitudes whose control bits do not match are
 never touched, so disabled gates leave them bitwise unchanged.
 
-All kernels mutate the state in place and return it.  Distinct states may
-be driven from distinct threads concurrently; nothing here is global.
+Each gate has two entry points.  The public ``apply_*`` functions check
+their qubits, polarities and angle against the state, then call a private
+kernel (``_phase``, ``_hadamard``, ``_x``, ``_swap``) that trusts its
+arguments and works on a bare ``(2,)*n`` array.  :func:`qftarith.circuit.run`
+calls the private kernels directly, because ``Gate`` and ``Circuit``
+already validated every gate on construction; that also lets it drive
+arrays that are only part of a state.
+
+All kernels mutate their amplitudes in place; the public ones return the
+state.  Distinct states may be driven from distinct threads concurrently;
+nothing here is global.
 """
 
 from __future__ import annotations
@@ -129,48 +138,75 @@ def _fixed_axes(num_qubits: int, fixed: Iterable[tuple[int, int]]):
     return tuple(idx)
 
 
-def apply_phase(
-    state: StateVector, target: int, phase_turns, controls: Controls = ()
-) -> StateVector:
-    """Multiply the target's |1> component by exp(2*pi*i*phase_turns)."""
-    n = state.num_qubits
-    _validate_qubits(n, (target,), controls)
-    turns = float(phase_turns)
-    if not math.isfinite(turns):
-        raise ValueError(f"phase must be finite, got {phase_turns!r}")
-    if phase_turns == 0:
-        return state  # exact identity, amplitudes untouched
-    factor = cmath.exp(2j * math.pi * turns)
-    psi = state.amplitudes.reshape((2,) * n)
-    psi[_fixed_axes(n, [(target, 1), *controls])] *= factor
-    return state
+def _phase_factor(phase_turns) -> complex:
+    return cmath.exp(2j * math.pi * float(phase_turns))
 
 
-def apply_hadamard(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
-    """Standard 2x2 Hadamard on the target, subject to controls."""
-    n = state.num_qubits
-    _validate_qubits(n, (target,), controls)
-    psi = state.amplitudes.reshape((2,) * n)
-    i0 = _fixed_axes(n, [(target, 0), *controls])
-    i1 = _fixed_axes(n, [(target, 1), *controls])
+# -- trusted kernels ---------------------------------------------------------
+# Each takes the amplitudes as an array of shape (2,)*n and applies the gate
+# in place.  They check nothing: callers pass distinct in-range qubits and
+# 0/1 polarities.
+
+
+def _phase(psi: np.ndarray, fixed: Controls, factor: complex) -> None:
+    """Multiply the amplitudes whose bits match every (qubit, bit) in ``fixed``."""
+    psi[_fixed_axes(psi.ndim, fixed)] *= factor
+
+
+def _hadamard(psi: np.ndarray, target: int, controls: Controls) -> None:
+    i0 = _fixed_axes(psi.ndim, [(target, 0), *controls])
+    i1 = _fixed_axes(psi.ndim, [(target, 1), *controls])
     a, b = psi[i0], psi[i1]
     s = (a + b) * _INV_SQRT2
     d = (a - b) * _INV_SQRT2
     psi[i0] = s
     psi[i1] = d
+
+
+def _x(psi: np.ndarray, target: int, controls: Controls) -> None:
+    i0 = _fixed_axes(psi.ndim, [(target, 0), *controls])
+    i1 = _fixed_axes(psi.ndim, [(target, 1), *controls])
+    tmp = psi[i0].copy()
+    psi[i0] = psi[i1]
+    psi[i1] = tmp
+
+
+def _swap(psi: np.ndarray, target_a: int, target_b: int, controls: Controls) -> None:
+    i01 = _fixed_axes(psi.ndim, [(target_a, 0), (target_b, 1), *controls])
+    i10 = _fixed_axes(psi.ndim, [(target_a, 1), (target_b, 0), *controls])
+    tmp = psi[i01].copy()
+    psi[i01] = psi[i10]
+    psi[i10] = tmp
+
+
+def _tensor(state: StateVector) -> np.ndarray:
+    return state.amplitudes.reshape((2,) * state.num_qubits)
+
+
+def apply_phase(
+    state: StateVector, target: int, phase_turns, controls: Controls = ()
+) -> StateVector:
+    """Multiply the target's |1> component by exp(2*pi*i*phase_turns)."""
+    _validate_qubits(state.num_qubits, (target,), controls)
+    if not math.isfinite(float(phase_turns)):
+        raise ValueError(f"phase must be finite, got {phase_turns!r}")
+    if phase_turns == 0:
+        return state  # exact identity, amplitudes untouched
+    _phase(_tensor(state), [(target, 1), *controls], _phase_factor(phase_turns))
+    return state
+
+
+def apply_hadamard(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
+    """Standard 2x2 Hadamard on the target, subject to controls."""
+    _validate_qubits(state.num_qubits, (target,), controls)
+    _hadamard(_tensor(state), target, controls)
     return state
 
 
 def apply_x(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """NOT on the target: swaps amplitude pairs differing in the target bit."""
-    n = state.num_qubits
-    _validate_qubits(n, (target,), controls)
-    psi = state.amplitudes.reshape((2,) * n)
-    i0 = _fixed_axes(n, [(target, 0), *controls])
-    i1 = _fixed_axes(n, [(target, 1), *controls])
-    tmp = psi[i0].copy()
-    psi[i0] = psi[i1]
-    psi[i1] = tmp
+    _validate_qubits(state.num_qubits, (target,), controls)
+    _x(_tensor(state), target, controls)
     return state
 
 
@@ -178,12 +214,6 @@ def apply_swap(
     state: StateVector, target_a: int, target_b: int, controls: Controls = ()
 ) -> StateVector:
     """Exchange two qubits: swaps amplitudes of the 01 and 10 target patterns."""
-    n = state.num_qubits
-    _validate_qubits(n, (target_a, target_b), controls)
-    psi = state.amplitudes.reshape((2,) * n)
-    i01 = _fixed_axes(n, [(target_a, 0), (target_b, 1), *controls])
-    i10 = _fixed_axes(n, [(target_a, 1), (target_b, 0), *controls])
-    tmp = psi[i01].copy()
-    psi[i01] = psi[i10]
-    psi[i10] = tmp
+    _validate_qubits(state.num_qubits, (target_a, target_b), controls)
+    _swap(_tensor(state), target_a, target_b, controls)
     return state

@@ -3,7 +3,9 @@
 These build gates and circuits as explicit dense matrices, index by index,
 on purpose: they share nothing with the view-slicing kernels under test
 except the bit-order convention (qubit 0 = most significant bit), so they
-serve as an independent cross-check.
+serve as an independent cross-check.  :func:`run_gate_by_gate` is the
+reference for ``run``: every gate through the public ``apply_*`` kernels on
+the whole state, with no slicing.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from qftarith.circuit import Circuit, Gate, GateKind
+from qftarith.qstate import StateVector, apply_hadamard, apply_phase, apply_swap, apply_x
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -77,3 +80,17 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random normalized amplitude vector."""
     amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
     return amps / np.linalg.norm(amps)
+
+
+def run_gate_by_gate(circuit: Circuit, state: StateVector) -> StateVector:
+    """Apply the gates in order, one validating public kernel call each."""
+    for g in circuit.gates:
+        if g.kind is GateKind.HADAMARD:
+            apply_hadamard(state, g.targets[0], g.controls)
+        elif g.kind is GateKind.PHASE:
+            apply_phase(state, g.targets[0], g.phase_turns, g.controls)
+        elif g.kind is GateKind.X:
+            apply_x(state, g.targets[0], g.controls)
+        else:
+            apply_swap(state, g.targets[0], g.targets[1], g.controls)
+    return state

@@ -33,7 +33,7 @@ from qftarith.errors import (
     ValueTooWide,
 )
 from qftarith.multiplier import MultiplierSpec, build_multiplier
-from qftarith.qft import build_qft
+from qftarith.qft import build_inverse_qft, build_qft
 from qftarith.qstate import StateVector, extract_basis_index, new_basis_state, norm
 
 
@@ -282,6 +282,11 @@ class TestLinearAssembly:
         max_qubit_calls[0] = 0
         assert len(concat(parts)) == 2000
         assert max_qubit_calls[0] == 2000
+
+    def test_inverse_qft_checks_each_gate_once(self, max_qubit_calls):
+        circuit = build_inverse_qft(range(3))
+        assert len(circuit) == 6
+        assert max_qubit_calls[0] == 6
 
     @pytest.mark.parametrize("n", [3, 5, 6])
     def test_multiplier_build_is_linear(self, max_qubit_calls, n):

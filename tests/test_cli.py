@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from qftarith.cli import RunReport, main, oracle
+from qftarith.cli import RunReport, _run, build_parser, main, oracle
+from qftarith.errors import SpecInvariantViolation
 
 
 class TestOracle:
@@ -88,6 +89,18 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "verified" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["add", "0", "0", "--n", "-1"],
+        ["mul", "0", "0", "--n", "-2"],
+        ["dec", "0", "--n", "0"],
+    ])
+    def test_width_below_one_is_typed_usage_error(self, capsys, argv):
+        bad = argv[-1]
+        with pytest.raises(SpecInvariantViolation):
+            _run(build_parser().parse_args(argv))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --n must be at least 1, got {bad}\n"
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,192 @@
+"""``run`` on slices of static qubits: equal to the gate-by-gate reference
+and to the dense matrices, and sized as the slicing promises.
+
+A static qubit is one that gates only control or phase, never move; ``run``
+simulates each populated value of those qubits on its own slice when its
+cost model says that pays.  The equivalence tests run every input twice:
+once as the cost model chooses, once with slicing forced, so the sliced
+path is also checked on dense inputs where the model would refuse it.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qftarith.circuit as circuit_module
+from conftest import circuit_matrix, random_state, run_gate_by_gate
+from qftarith.arith import build_adder, build_decrement
+from qftarith.circuit import (
+    Circuit,
+    Gate,
+    RegisterLayout,
+    decode_registers,
+    encode_registers,
+    run,
+)
+from qftarith.multiplier import MultiplierSpec, build_multiplier, multiplier_layout
+from qftarith.qstate import StateVector, extract_basis_index, new_basis_state
+
+ATOL = 1e-12
+PHASES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(3, 8)]),
+    st.floats(-1, 1, allow_nan=False),
+)
+
+
+@st.composite
+def circuits(draw):
+    """A circuit on 2..7 qubits whose 'static' qubits are only ever controls
+    (of either polarity) or PHASE targets; the rest may be moved too."""
+    n = draw(st.integers(2, 7))
+    static = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    moving = [q for q in range(n) if q not in static]
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["PHASE", "PHASE", "H", "X", "SWAP"]))
+        if kind == "SWAP" and len(moving) < 2:
+            kind = "PHASE"
+        if kind == "PHASE":
+            targets = [draw(st.integers(0, n - 1))]
+        else:
+            targets = draw(st.lists(st.sampled_from(moving), min_size=1 + (kind == "SWAP"),
+                                    max_size=1 + (kind == "SWAP"), unique=True))
+        others = [q for q in range(n) if q not in targets]
+        picked = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+        controls = tuple((q, draw(st.integers(0, 1))) for q in picked)
+        if kind == "PHASE":
+            gates.append(Gate.phase(draw(PHASES), targets[0], controls))
+        elif kind == "H":
+            gates.append(Gate.hadamard(targets[0], controls))
+        elif kind == "X":
+            gates.append(Gate.x(targets[0], controls))
+        else:
+            gates.append(Gate.swap(targets[0], targets[1], controls))
+    return Circuit(n, tuple(gates)), sorted(static)
+
+
+def _sparse_state(draw, n, static):
+    """2-3 basis states that differ in the static qubits, random weights."""
+    count = min(draw(st.integers(2, 3)), 1 << len(static))
+    values = draw(st.lists(st.integers(0, (1 << len(static)) - 1),
+                           min_size=count, max_size=count, unique=True))
+    amps = np.zeros(1 << n, dtype=complex)
+    for value in values:
+        index = draw(st.integers(0, (1 << n) - 1))
+        for j, q in enumerate(static):
+            bit = (value >> (len(static) - 1 - j)) & 1
+            mask = 1 << (n - 1 - q)
+            index = (index | mask) if bit else (index & ~mask)
+        amps[index] += complex(draw(st.floats(0.1, 1)), draw(st.floats(-1, 1)))
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def cases(draw, inputs):
+    circuit, static = draw(circuits())
+    n = circuit.num_qubits
+    if inputs == "basis":
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[draw(st.integers(0, (1 << n) - 1))] = 1.0
+    elif inputs == "sparse":
+        amps = _sparse_state(draw, n, static)
+    else:
+        amps = random_state(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return circuit, amps
+
+
+@pytest.mark.parametrize("path", ["cost model", "forced slicing"])
+@pytest.mark.parametrize("inputs", ["basis", "sparse", "dense"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_matches_gate_by_gate_and_dense_matrix(path, inputs, data):
+    circuit, amps = data.draw(cases(inputs))
+    expected = run_gate_by_gate(circuit, StateVector(circuit.num_qubits, amps)).amplitudes
+    state = StateVector(circuit.num_qubits, amps)
+    pays = (lambda *_: True) if path == "forced slicing" else circuit_module._slicing_pays
+    with mock.patch.object(circuit_module, "_slicing_pays", pays):
+        run(circuit, state)
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(state.amplitudes, circuit_matrix(circuit) @ amps, rtol=0, atol=ATOL)
+
+
+def _assert_run_matches_reference(circuit, index):
+    state = new_basis_state(circuit.num_qubits, index)
+    expected = run_gate_by_gate(circuit, new_basis_state(circuit.num_qubits, index))
+    run(circuit, state)
+    np.testing.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_multiplier_every_input_matches_reference(n):
+    spec = MultiplierSpec.for_width(n)
+    layout = multiplier_layout(spec)
+    circuit = build_multiplier(spec)
+    for x in range(1 << n):
+        for y in range(1 << n):
+            _assert_run_matches_reference(circuit, encode_registers(layout, {"x": x, "y": y}))
+
+
+def test_adder_and_decrement_every_input_match_reference():
+    adder_layout = RegisterLayout([("a", 3), ("b", 3)])
+    adder = build_adder(adder_layout)
+    for index in range(1 << 6):
+        _assert_run_matches_reference(adder, index)
+    decrement = build_decrement(RegisterLayout([("v", 3)]), "v")
+    for index in range(1 << 3):
+        _assert_run_matches_reference(decrement, index)
+
+
+class TestSliceSizes:
+    """Which arrays reach the kernels: a count, not a timing."""
+
+    @pytest.fixture
+    def kernel_sizes(self, monkeypatch):
+        sizes = []
+        for name in ("_phase", "_hadamard", "_x", "_swap"):
+            def recording(psi, *args, _kernel=getattr(circuit_module, name)):
+                sizes.append(psi.size)
+                return _kernel(psi, *args)
+            monkeypatch.setattr(circuit_module, name, recording)
+        return sizes
+
+    @staticmethod
+    def _run_in_place(circuit, state):
+        amplitudes = state.amplitudes
+        assert run(circuit, state) is state
+        assert state.amplitudes is amplitudes
+
+    def test_multiplier_runs_on_one_slice_per_x(self, kernel_sizes):
+        n = 4
+        spec = MultiplierSpec.for_width(n)
+        layout = multiplier_layout(spec)
+        state = new_basis_state(layout.num_qubits, encode_registers(layout, {"x": 13, "y": 11}))
+        self._run_in_place(build_multiplier(spec), state)
+        assert kernel_sizes and max(kernel_sizes) <= 1 << (3 * n + 1)
+        outputs = decode_registers(layout, extract_basis_index(state))
+        assert outputs == {"accumulator": 143, "x": 13, "y": 11, "control": 1}
+
+    def test_adder_runs_on_the_destination_register(self, kernel_sizes):
+        n = 6
+        layout = RegisterLayout([("a", n), ("b", n)])
+        state = new_basis_state(2 * n, encode_registers(layout, {"a": 45, "b": 30}))
+        self._run_in_place(build_adder(layout), state)
+        assert kernel_sizes and max(kernel_sizes) <= 1 << n
+        assert decode_registers(layout, extract_basis_index(state)) == {"a": 45, "b": 11}
+
+    def test_diagonal_circuit_on_dense_state_runs_whole(self, kernel_sizes):
+        n = 10
+        gates = tuple(
+            Gate.phase(Fraction(1, 1 << (q % 4 + 1)), q, controls=(((q + 1) % n, q % 2),))
+            for q in range(n)
+        )
+        circuit = Circuit(n, gates)
+        amps = random_state(n, np.random.default_rng(5))
+        state = StateVector(n, amps)
+        self._run_in_place(circuit, state)
+        assert kernel_sizes == [1 << n] * len(gates)
+        expected = run_gate_by_gate(circuit, StateVector(n, amps)).amplitudes
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
