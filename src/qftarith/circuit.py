@@ -6,16 +6,30 @@ via the primitive kernels.  Multi-controlled gates are first class: every
 gate carries a control list of ``(qubit, polarity)`` pairs of any fan-in,
 so "active on |0>" needs no X sandwich.
 
-Execution slices on static qubits.  A qubit that some gate uses but no H,
-X or SWAP targets (the multiplier's x register, the adder's source
-register) never changes its basis populations, so :func:`run` simulates
-each populated value of those qubits on its own 2^r-amplitude slice, with
-the static controls and targets resolved per slice.  A cost model (one
-pass to find the slices, plus a fixed cost per kernel call) falls back to
-the whole state when slicing would not pay.  Either way every amplitude
-sees the same operations in the same order as in a gate-by-gate run of the
-public ``apply_*`` kernels, which remains the reference: the tests hold
-``run`` to it.  ``run`` calls the trusted private kernels of
+Execution runs a compiled program on slices of static qubits.
+:func:`run` cuts the gate list into blocks at label changes and compiles
+each distinct block (labels aside) once into one step:
+
+* a *shift* for a Fourier sandwich, the transform on a register, one
+  phase kick per wire adding a constant c, and the inverse transform:
+  Draper's adder, which is exactly v -> v + c mod 2^w.  It runs as one
+  cyclic roll of the register's axis where the kick's controls hold.  The
+  match compares exact angles against the rule written out here, so any
+  other angle keeps the gates;
+* a *diagonal* for a block of PHASE gates only: one multiply by a table of
+  the product of their phases;
+* *gates* for anything else, one kernel call each.
+
+Circuits on fewer than ``_FUSE_FROM_QUBITS`` qubits run every block as
+gates.  A qubit that some gate uses but no H, X or SWAP targets (the
+multiplier's x register, the adder's source register) never changes its
+basis populations, so ``run`` executes the program on each populated
+value of those qubits on its own 2^r-amplitude slice, with the static
+controls and targets resolved per slice.  A cost model (one pass to find
+the slices, plus a fixed cost per kernel call) falls back to the whole
+state when slicing would not pay.  A gate-by-gate run of the public
+``apply_*`` kernels remains the reference: the tests hold ``run`` to it
+within rounding.  ``run`` calls the trusted private kernels of
 :mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated every gate on
 construction.
 
@@ -38,8 +52,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain, groupby
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,14 +64,33 @@ from .errors import (
     QubitCountMismatch,
     ValueTooWide,
 )
-from .qstate import StateVector, _hadamard, _phase, _phase_factor, _swap, _x
+from .qstate import (
+    StateVector,
+    _diagonal,
+    _fixed_axes,
+    _hadamard,
+    _phase,
+    _phase_factor,
+    _shift,
+    _swap,
+    _x,
+)
 
 # What one kernel call costs beyond the amplitudes it is given, in units of
 # the time a kernel spends per amplitude: Python dispatch and numpy's
-# indexing set-up.  Fitted over the multiplier (n = 2..5) and decrement
-# (w = 4..18) runs on a 2-core x86 machine with numpy 2.4: about 9 us per
-# call against 1.8 ns per amplitude, or 4,900 amplitudes; rounded to 2^12.
+# indexing set-up.  The cost model counts one call per shift or diagonal
+# step and one per gate of any other step.  Fitted per kernel (relative
+# error, arrays of 2^4..2^18 amplitudes) on a 2-core x86 machine with
+# numpy 2.4: H 11 us per call and 4.4 ns per amplitude, a controlled PHASE
+# 4 us and 0.3 ns, a shift 12 us and 1.8 ns, a diagonal 2 us and 0.8 ns,
+# i.e. 2,500 to 15,000 amplitudes per call; 2^12 sits in that range.
 _CALL_COST = 1 << 12
+
+# Circuits on fewer qubits than this run every block gate by gate, so that
+# their results stay bitwise equal to a gate-by-gate replay of the public
+# kernels.  Fusion would still save a little there: 0.1-0.3 ms of a
+# 0.6-0.9 ms run of the 9-qubit multiplier, on the machine above.
+_FUSE_FROM_QUBITS = 10
 
 
 class GateKind(enum.Enum):
@@ -184,34 +218,45 @@ def labeled(circuit: Circuit, label: str | None) -> Circuit:
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the gates in order.  Mutates ``state`` in place and returns it.
 
+    ``run`` first compiles the circuit once into steps, one per distinct
+    block of one label (see :func:`_compile`): a Fourier sandwich on a
+    register, which adds a constant to it (see :func:`_sandwich`), runs as
+    one cyclic shift; a block of PHASE gates only, as one diagonal; any
+    other block, and every block of a circuit on fewer than
+    ``_FUSE_FROM_QUBITS`` qubits, gate by gate.
+
     A qubit is *static* when some gate uses it and no H, X or SWAP targets
     it: it is only ever a control or a PHASE target, so every gate maps each
     value of the static qubits to itself and the circuit is block-diagonal
-    over those values.  ``run`` therefore simulates each populated value on
-    its own *slice*: the static qubits fixed, the r free ones spanning 2^r
-    amplitudes.  Within a slice a gate whose static control does not match
-    is dropped, a matching static control is removed, and a PHASE on a
-    static qubit holding 1 multiplies the amplitudes that meet its free
-    controls (the whole slice when it has none).  Each amplitude therefore
-    goes through the same arithmetic, in the same gate order, as in a
-    gate-by-gate run of the public ``apply_*`` kernels on the whole state,
-    which stays the reference the tests compare against.
+    over those values.  ``run`` therefore runs the program on each populated
+    value on its own *slice*: the static qubits fixed, the r free ones
+    spanning 2^r amplitudes.  Within a slice a gate or a shift whose static
+    control does not match is dropped, a matching static control is
+    removed, and a PHASE on a static qubit holding 1 multiplies the
+    amplitudes that meet its free controls (the whole slice when it has
+    none).  Each step is resolved this way once per slice, however often
+    the program repeats it.
+
+    The result equals a gate-by-gate run of the public ``apply_*`` kernels
+    on the whole state, which the tests compare against, up to rounding: a
+    phase table multiplies once by a product of factors, and a shift moves
+    whole amplitudes where the gates mix them through Hadamards.
 
     Finding the populated slices costs one pass over the state, and each
     kernel call costs ``_CALL_COST`` amplitudes beyond the array it is
     given.  Slicing is used only when that model says it pays (see
     :func:`_slicing_pays`); otherwise the one slice is the whole state and
-    the same loop runs on it in place.
+    the same program runs on it in place.
     """
     if state.num_qubits != circuit.num_qubits:
         raise QubitCountMismatch(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    static, grouped, static_axes, populated = _plan(circuit, state.amplitudes)
+    steps, program = _compile(circuit.gates, circuit.num_qubits >= _FUSE_FROM_QUBITS)
+    calls = sum(steps[i].calls for i in program)
+    static, grouped, static_axes, populated = _plan(circuit, state.amplitudes, calls)
     free = [q for q in range(circuit.num_qubits) if q not in static]
     pos = {q: i for i, q in enumerate(free)}
-    factors = [_phase_factor(g.phase_turns) if g.kind is GateKind.PHASE else None
-               for g in circuit.gates]
     for value in populated:
         bits = {q: (value >> (len(static) - 1 - j)) & 1 for j, q in enumerate(static)}
         index = [slice(None)] * grouped.ndim
@@ -222,11 +267,110 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
         block = grouped[tuple(index)]
         psi = np.ascontiguousarray(block)  # a copy only when the slice is strided
         tensor = psi.reshape((2,) * len(free))
-        for kernel, *args in _slice_kernels(circuit.gates, factors, bits, pos):
-            kernel(tensor, *args)
+        kernels = [step.resolve(bits, pos) for step in steps]
+        for i in program:
+            for kernel, *args in kernels[i]:
+                kernel(tensor, *args)
         if psi is not block:
             block[...] = psi
     return state
+
+
+class _Step(NamedTuple):
+    resolve: Callable  # (bits, pos) -> [(kernel, *args), ...] for one slice
+    calls: int         # kernel calls per slice, at most
+
+
+def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int]]:
+    """The distinct steps, and the program as indices into them.
+
+    Blocks are runs of gates with one label; two blocks with the same
+    gates, labels aside, compile to one step.  Unless ``fuse``, every step
+    runs its gates one by one.
+    """
+    steps: list[_Step] = []
+    seen: dict[tuple, int] = {}
+    program: list[int] = []
+    for _, group in groupby(gates, key=lambda g: g.label):
+        block = tuple(group)
+        key = tuple(map(_gate_key, block))
+        index = seen.setdefault(key, len(steps))
+        if index == len(steps):
+            steps.append(_block_step(block, key, fuse))
+        program.append(index)
+    return steps, program
+
+
+def _gate_key(g: Gate) -> tuple:
+    """``(kind, targets, turns, controls)`` with the turns as an exact
+    integer ratio: cheap to hash, and equal for equal angles."""
+    turns = None if g.phase_turns is None else g.phase_turns.as_integer_ratio()
+    return g.kind, g.targets, turns, g.controls
+
+
+def _block_step(block: tuple[Gate, ...], key: tuple, fuse: bool) -> _Step:
+    shift = _sandwich(key) if fuse else None
+    if shift is not None:
+        return _Step(partial(_shift_kernels, *shift), 1)
+    factors = [_phase_factor(g.phase_turns) if g.kind is GateKind.PHASE else None
+               for g in block]
+    if fuse and all(g.kind is GateKind.PHASE for g in block):
+        return _Step(partial(_diagonal_kernels, block, factors), 1)
+    return _Step(partial(_slice_kernels, block, factors), len(block))
+
+
+def _qft_key(qs: Sequence[int], sign: int) -> list[tuple]:
+    """The forward transform on ``qs`` (see :mod:`qftarith.qft`), every
+    angle times ``sign``, as ``(kind, targets, turns, controls)`` tuples."""
+    key = []
+    for j in range(len(qs)):
+        key.append((GateKind.HADAMARD, (qs[j],), None, ()))
+        for k in range(2, len(qs) - j + 1):
+            key.append((GateKind.PHASE, (qs[j],), (sign, 1 << k), ((qs[j + k - 1], 1),)))
+    return key
+
+
+def _sandwich(key: tuple) -> tuple[int, int, int, tuple] | None:
+    """``(first, width, amount, controls)`` when the block is a Fourier
+    sandwich, else None.
+
+    A sandwich is the Fourier transform on the register ``first`` ..
+    ``first + width - 1``, one phase kick of amount/2^(width-j) turns
+    (taken mod 1 with the amount's sign, zero kicks left out) on each wire
+    j under the same controls, and the inverse transform: Draper's
+    constant adder, v -> v + amount mod 2^width where the controls hold.
+    The rule is written out here from the transform's definition, not taken
+    from the builders, and angles are compared exactly, so a builder that
+    emits a wrong angle falls back to the gates and still fails its tests.
+    """
+    hs = [targets[0] for kind, targets, _, _ in key if kind is GateKind.HADAMARD]
+    width = len(hs) // 2
+    qs = list(range(hs[0], hs[0] + width)) if hs else []
+    if not qs or hs != qs + qs[::-1]:
+        return None
+    edge = width * (width + 1) // 2
+    kicks = key[edge:len(key) - edge]
+    amount, controls = 0, ()
+    if kicks:
+        kind, targets, turns, controls = kicks[0]
+        if kind is not GateKind.PHASE or targets != (qs[0],):
+            return None
+        if any(q in qs for q, _ in controls):
+            return None  # a kick controlled from inside the register adds nothing
+        amount = Fraction(*turns) * (1 << width)
+        if amount.denominator != 1 or abs(amount) >= 1 << width:
+            return None
+    sign, magnitude = (-1 if amount < 0 else 1), abs(int(amount))
+    wire_turns = [(q, Fraction(magnitude, 1 << (width - j)) % 1) for j, q in enumerate(qs)]
+    expected = [
+        *_qft_key(qs, 1),
+        *((GateKind.PHASE, (q,), (sign * t).as_integer_ratio(), controls)
+          for q, t in wire_turns if t),
+        *reversed(_qft_key(qs, -1)),
+    ]
+    if list(key) != expected:
+        return None
+    return qs[0], width, int(amount), controls
 
 
 def _static_qubits(circuit: Circuit) -> set[int]:
@@ -241,17 +385,18 @@ def _static_qubits(circuit: Circuit) -> set[int]:
     return used - moved
 
 
-def _slicing_pays(num_qubits: int, free_qubits: int, gates: int, slices: int) -> bool:
-    """Whether one pass to find the slices, then every gate on each of
-    ``slices`` slices of 2^free_qubits amplitudes, costs less than every
-    gate on the whole state."""
-    whole = gates * ((1 << num_qubits) + _CALL_COST)
-    sliced = (1 << num_qubits) + slices * gates * ((1 << free_qubits) + _CALL_COST)
+def _slicing_pays(num_qubits: int, free_qubits: int, calls: int, slices: int) -> bool:
+    """Whether one pass to find the slices, then ``calls`` kernel calls on
+    each of ``slices`` slices of 2^free_qubits amplitudes, costs less than
+    the same calls on the whole state."""
+    whole = calls * ((1 << num_qubits) + _CALL_COST)
+    sliced = (1 << num_qubits) + slices * calls * ((1 << free_qubits) + _CALL_COST)
     return sliced < whole
 
 
-def _plan(circuit: Circuit, amplitudes: np.ndarray):
-    """How ``run`` cuts the state into slices.
+def _plan(circuit: Circuit, amplitudes: np.ndarray, calls: int):
+    """How ``run`` cuts the state into slices, for a program of ``calls``
+    kernel calls per slice.
 
     Returns the static qubits sliced on (ascending); the amplitudes viewed
     with adjacent static and adjacent free qubits merged into single axes;
@@ -262,43 +407,101 @@ def _plan(circuit: Circuit, amplitudes: np.ndarray):
     n = circuit.num_qubits
     static = sorted(_static_qubits(circuit))
     free_qubits = n - len(static)
-    if static and _slicing_pays(n, free_qubits, len(circuit), 1):
+    if static and _slicing_pays(n, free_qubits, calls, 1):
         runs = [(flag, len(list(group)))
                 for flag, group in groupby(q in static for q in range(n))]
         grouped = amplitudes.reshape([1 << width for _, width in runs])
         static_axes = [axis for axis, (flag, _) in enumerate(runs) if flag]
         mask = np.moveaxis(grouped != 0, static_axes, range(len(static_axes)))
         populated = np.flatnonzero(mask.reshape(1 << len(static), -1).any(axis=1))
-        if _slicing_pays(n, free_qubits, len(circuit), len(populated)):
+        if _slicing_pays(n, free_qubits, calls, len(populated)):
             return static, grouped, static_axes, populated.tolist()
     return [], amplitudes, [], [0]
+
+
+def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):
+    """The controls on free qubits, renumbered by ``pos``; None when a
+    static control does not hold ``bits``."""
+    fixed = []
+    for q, pol in controls:
+        if q not in bits:
+            fixed.append((pos[q], pol))
+        elif bits[q] != pol:
+            return None
+    return fixed
+
+
+def _phase_fixed(g: Gate, bits: dict[int, int], pos: dict[int, int]):
+    """The free (axis, bit) pairs a PHASE multiplies at on the slice, or
+    None when it acts as the identity there."""
+    fixed = _free_controls(g.controls, bits, pos)
+    if fixed is None or g.phase_turns == 0:  # a zero turn is an exact identity
+        return None
+    t = g.targets[0]
+    if t not in bits:
+        return [(pos[t], 1), *fixed]
+    return fixed if bits[t] else None
 
 
 def _slice_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int]):
     """``(kernel, *args)`` for each gate that acts on the slice where the
     static qubits hold ``bits``, with free qubits renumbered by ``pos``."""
+    kernels = []
     for g, factor in zip(gates, factors):
-        fixed = []
-        for q, pol in g.controls:
-            if q not in bits:
-                fixed.append((pos[q], pol))
-            elif bits[q] != pol:
-                break
+        if g.kind is GateKind.PHASE:
+            fixed = _phase_fixed(g, bits, pos)
+            if fixed is not None:
+                kernels.append((_phase, fixed, factor))
+            continue
+        fixed = _free_controls(g.controls, bits, pos)
+        if fixed is None:
+            continue
+        t = g.targets[0]
+        if g.kind is GateKind.HADAMARD:
+            kernels.append((_hadamard, pos[t], fixed))
+        elif g.kind is GateKind.X:
+            kernels.append((_x, pos[t], fixed))
         else:
-            t = g.targets[0]
-            if g.kind is GateKind.PHASE:
-                if g.phase_turns == 0:
-                    continue  # exact identity
-                if t not in bits:
-                    yield _phase, [(pos[t], 1), *fixed], factor
-                elif bits[t]:
-                    yield _phase, fixed, factor
-            elif g.kind is GateKind.HADAMARD:
-                yield _hadamard, pos[t], fixed
-            elif g.kind is GateKind.X:
-                yield _x, pos[t], fixed
-            else:
-                yield _swap, pos[t], pos[g.targets[1]], fixed
+            kernels.append((_swap, pos[t], pos[g.targets[1]], fixed))
+    return kernels
+
+
+def _diagonal_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int]):
+    """One multiply by the product of a PHASE block's factors on the slice;
+    none if no phase acts there.
+
+    The product is tabulated over the free axes the phases depend on, then
+    repeated along the axes between and after them, so that it covers every
+    axis from the first one it depends on to the last and multiplies whole
+    contiguous rows: broadcasting a short inner axis is several times slower.
+    """
+    kicks = [(fixed, factor) for g, factor in zip(gates, factors)
+             if (fixed := _phase_fixed(g, bits, pos)) is not None]
+    if not kicks:
+        return []
+    ndim = len(pos)
+    axes = {axis for fixed, _ in kicks for axis, _ in fixed}
+    table = np.ones([2 if axis in axes else 1 for axis in range(ndim)], dtype=np.complex128)
+    for fixed, factor in kicks:
+        table[_fixed_axes(ndim, fixed)] *= factor
+    first = min(axes, default=ndim)
+    runs = [(used, len(list(group)))
+            for used, group in groupby(axis in axes for axis in range(first, ndim))]
+    table = table.reshape([1 << count if used else 1 for used, count in runs])
+    for axis, (used, count) in enumerate(runs):
+        if not used:
+            table = table.repeat(1 << count, axis=axis)
+    return [(_diagonal, table.reshape(-1))]
+
+
+def _shift_kernels(first: int, width: int, amount: int, controls,
+                   bits: dict[int, int], pos: dict[int, int]):
+    """The sandwich's one shift on the slice, or none where a static
+    control fails."""
+    fixed = _free_controls(controls, bits, pos)
+    if fixed is None:
+        return []
+    return [(_shift, pos[first], width, amount, fixed)]
 
 
 def inverse(circuit: Circuit) -> Circuit:

@@ -89,26 +89,22 @@ def _check_operands(n: int, **operands: int) -> None:
 def _check_budget(total_qubits: int) -> None:
     if total_qubits > MAX_QUBITS:
         raise QubitBudgetExceeded(
-            f"{total_qubits} qubits would need 2^{total_qubits} = "
-            f"{1 << total_qubits:,} complex amplitudes "
-            f"(~{(16 << total_qubits) / 2**20:,.0f} MiB); the budget is {MAX_QUBITS} qubits"
+            f"{total_qubits} qubits would need 2^{total_qubits} complex amplitudes "
+            f"(2^{total_qubits + 4} bytes); the budget is {MAX_QUBITS} qubits"
         )
 
 
-def _mul_setup(args) -> tuple[RegisterLayout, MultiplierSpec]:
+def _mul_spec(args, iterations: int) -> MultiplierSpec:
     n = args.n
-    spec = MultiplierSpec(
-        n=n,
-        m=args.acc_width if args.acc_width is not None else 2 * n,
-        iterations=args.iterations if args.iterations is not None else (1 << n) - 1,
-    )
-    return multiplier_layout(spec), spec
+    return MultiplierSpec(n=n, m=args.acc_width if args.acc_width is not None else 2 * n,
+                          iterations=iterations)
 
 
 class _Command(NamedTuple):
     operands: tuple[str, ...]  # registers loaded from the positional arguments
     output: str                # the register oracle() predicts
-    setup: Callable            # args -> (layout, MultiplierSpec or None)
+    layout: Callable           # args -> RegisterLayout, computing nothing of size 2^n
+    spec: Callable             # args -> MultiplierSpec or None, once the budget holds
     build: Callable            # (layout, spec) -> Circuit
     ends: dict[str, int]       # required end values of the remaining registers
 
@@ -117,12 +113,18 @@ class _Command(NamedTuple):
 # perfbench/worker.py can wrap them by name.
 _COMMANDS = {
     "add": _Command(("a", "b"), "b",
-                    lambda args: (RegisterLayout([("a", args.n), ("b", args.n)]), None),
+                    lambda args: RegisterLayout([("a", args.n), ("b", args.n)]),
+                    lambda args: None,
                     lambda layout, _: build_adder(layout), {}),
     "dec": _Command(("v",), "v",
-                    lambda args: (RegisterLayout([("v", args.n)]), None),
+                    lambda args: RegisterLayout([("v", args.n)]),
+                    lambda args: None,
                     lambda layout, _: build_decrement(layout, "v"), {}),
-    "mul": _Command(("x", "y"), "accumulator", _mul_setup,
+    "mul": _Command(("x", "y"), "accumulator",
+                    # the unroll count does not shape the layout
+                    lambda args: multiplier_layout(_mul_spec(args, 0)),
+                    lambda args: _mul_spec(args, (1 << args.n) - 1 if args.iterations is None
+                                           else args.iterations),
                     lambda _, spec: build_multiplier(spec), {"control": 1}),
 }
 
@@ -132,9 +134,10 @@ def _run(args) -> tuple[RunReport, Circuit]:
     values = {name: getattr(args, name) for name in command.operands}
     if args.n < 1:
         raise SpecInvariantViolation(f"--n must be at least 1, got {args.n}")
+    layout = command.layout(args)
+    _check_budget(layout.num_qubits)  # before anything computes 1 << n
     _check_operands(args.n, **values)
-    layout, spec = command.setup(args)
-    _check_budget(layout.num_qubits)
+    spec = command.spec(args)
     start = time.perf_counter()
     circuit = command.build(layout, spec)
     state = new_basis_state(layout.num_qubits, encode_registers(layout, values))

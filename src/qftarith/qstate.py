@@ -19,10 +19,13 @@ never touched, so disabled gates leave them bitwise unchanged.
 Each gate has two entry points.  The public ``apply_*`` functions check
 their qubits, polarities and angle against the state, then call a private
 kernel (``_phase``, ``_hadamard``, ``_x``, ``_swap``) that trusts its
-arguments and works on a bare ``(2,)*n`` array.  :func:`qftarith.circuit.run`
-calls the private kernels directly, because ``Gate`` and ``Circuit``
-already validated every gate on construction; that also lets it drive
-arrays that are only part of a state.
+arguments and works on a bare ``(2,)*n`` array.  Two more private kernels
+apply a whole block of gates at once: ``_shift`` adds a constant to a
+register of adjacent qubits with one cyclic roll, and ``_diagonal``
+multiplies by a table of phases that depends on the last k qubits.
+:func:`qftarith.circuit.run` calls the private kernels directly, because
+``Gate`` and ``Circuit`` already validated every gate on construction;
+that also lets it drive arrays that are only part of a state.
 
 All kernels mutate their amplitudes in place; the public ones return the
 state.  Distinct states may be driven from distinct threads concurrently;
@@ -177,6 +180,31 @@ def _swap(psi: np.ndarray, target_a: int, target_b: int, controls: Controls) -> 
     tmp = psi[i01].copy()
     psi[i01] = psi[i10]
     psi[i10] = tmp
+
+
+def _shift(psi: np.ndarray, start: int, width: int, amount: int, controls: Controls) -> None:
+    """Add ``amount`` modulo 2^width to the register on axes ``start`` ..
+    ``start + width - 1`` (most significant first), where ``controls`` hold.
+
+    With the register's axes merged into one, the axes before it into L
+    rows and the axes after it into R columns, value v sits at v*R + r
+    (r < R) of its row, so the addition is one cyclic roll of every row by
+    amount*R.
+    """
+    sub = psi[_fixed_axes(psi.ndim, controls)]
+    lead = start - sum(1 for q, _ in controls if q < start)
+    rows = sub.reshape(1 << lead, -1)
+    step = (amount % (1 << width)) * (rows.shape[1] >> width)
+    sub[...] = np.roll(rows, step, axis=1).reshape(sub.shape)
+
+
+def _diagonal(psi: np.ndarray, table: np.ndarray) -> None:
+    """Multiply by a diagonal that depends on the last k axes only: ``table``
+    holds its 2^k factors in index order, and every row of 2^k amplitudes
+    is multiplied by it.  ``psi`` must be C-contiguous, so the rows are a
+    view of it."""
+    rows = psi.reshape(-1, table.size)
+    rows *= table
 
 
 def _tensor(state: StateVector) -> np.ndarray:

@@ -3,6 +3,7 @@ JSON round-trips, and circuit listings."""
 
 import importlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,23 @@ class TestUsageErrors:
         # 4n + 1 qubits: n = 6 needs 25, one past the cap
         assert main(["mul", "0", "0", "--n", "6"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mul", "0", "0", "--n", "100000000"],
+        ["mul", "0", "0", "--n", "4000"],
+        ["dec", "0", "--n", "20000"],
+    ])
+    def test_huge_width_is_rejected_by_budget_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "budget" in err and "2^" in err
+        assert peak < 1 << 20
 
     def test_undersized_accumulator_is_usage_error(self, capsys):
         assert main(["mul", "1", "1", "--n", "2", "--acc-width", "3"]) == 2

@@ -8,7 +8,9 @@ once as the cost model chooses, once with slicing forced, so the sliced
 path is also checked on dense inputs where the model would refuse it.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -27,10 +29,18 @@ from qftarith.circuit import (
     encode_registers,
     run,
 )
+from qftarith.cli import main
 from qftarith.multiplier import MultiplierSpec, build_multiplier, multiplier_layout
 from qftarith.qstate import StateVector, extract_basis_index, new_basis_state
 
 ATOL = 1e-12
+
+
+@pytest.fixture(autouse=True)
+def fuse_small_circuits(monkeypatch):
+    """Fuse at every size, so the random circuits below, all smaller than
+    the size below which ``run`` keeps to the gates, test the fused steps."""
+    monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
 PHASES = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(3, 8)]),
     st.floats(-1, 1, allow_nan=False),
@@ -40,12 +50,17 @@ PHASES = st.one_of(
 @st.composite
 def circuits(draw):
     """A circuit on 2..7 qubits whose 'static' qubits are only ever controls
-    (of either polarity) or PHASE targets; the rest may be moved too."""
+    (of either polarity) or PHASE targets; the rest may be moved too.
+
+    Gates carry random labels, so ``run`` cuts the circuit into blocks of
+    one label: some are PHASE-only and run as one diagonal, and repeated
+    blocks share one compiled step."""
     n = draw(st.integers(2, 7))
     static = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     moving = [q for q in range(n) if q not in static]
     gates = []
     for _ in range(draw(st.integers(1, 12))):
+        label = draw(st.sampled_from([None, "p", "q"]))
         kind = draw(st.sampled_from(["PHASE", "PHASE", "H", "X", "SWAP"]))
         if kind == "SWAP" and len(moving) < 2:
             kind = "PHASE"
@@ -58,13 +73,15 @@ def circuits(draw):
         picked = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
         controls = tuple((q, draw(st.integers(0, 1))) for q in picked)
         if kind == "PHASE":
-            gates.append(Gate.phase(draw(PHASES), targets[0], controls))
+            gates.append(Gate.phase(draw(PHASES), targets[0], controls, label))
         elif kind == "H":
-            gates.append(Gate.hadamard(targets[0], controls))
+            gates.append(Gate.hadamard(targets[0], controls, label))
         elif kind == "X":
-            gates.append(Gate.x(targets[0], controls))
+            gates.append(Gate.x(targets[0], controls, label))
         else:
-            gates.append(Gate.swap(targets[0], targets[1], controls))
+            gates.append(Gate.swap(targets[0], targets[1], controls, label))
+    if draw(st.booleans()):  # a repeated block, compiled once
+        gates += gates[-draw(st.integers(1, len(gates))):]
     return Circuit(n, tuple(gates)), sorted(static)
 
 
@@ -130,6 +147,22 @@ def test_multiplier_every_input_matches_reference(n):
             _assert_run_matches_reference(circuit, encode_registers(layout, {"x": x, "y": y}))
 
 
+def test_small_circuit_stays_bitwise_equal_to_reference(monkeypatch):
+    """Below ``_FUSE_FROM_QUBITS`` every block runs as gates, through the
+    same arithmetic as the public kernels."""
+    monkeypatch.undo()
+    spec = MultiplierSpec.for_width(2)
+    layout = multiplier_layout(spec)
+    assert layout.num_qubits < circuit_module._FUSE_FROM_QUBITS
+    circuit = build_multiplier(spec)
+    for x, y, stop in product(range(4), range(4), range(2)):
+        index = encode_registers(layout, {"x": x, "y": y, "control": stop})
+        state = new_basis_state(circuit.num_qubits, index)
+        run(circuit, state)
+        expected = run_gate_by_gate(circuit, new_basis_state(circuit.num_qubits, index))
+        np.testing.assert_array_equal(state.amplitudes, expected.amplitudes)
+
+
 def test_adder_and_decrement_every_input_match_reference():
     adder_layout = RegisterLayout([("a", 3), ("b", 3)])
     adder = build_adder(adder_layout)
@@ -141,17 +174,18 @@ def test_adder_and_decrement_every_input_match_reference():
 
 
 class TestSliceSizes:
-    """Which arrays reach the kernels: a count, not a timing."""
+    """Which arrays reach the kernels, and which kernels: counts, not timings."""
 
     @pytest.fixture
-    def kernel_sizes(self, monkeypatch):
-        sizes = []
-        for name in ("_phase", "_hadamard", "_x", "_swap"):
-            def recording(psi, *args, _kernel=getattr(circuit_module, name)):
-                sizes.append(psi.size)
+    def kernel_calls(self, monkeypatch):
+        """``(kernel name, psi.size)`` for every kernel call ``run`` makes."""
+        calls = []
+        for name in ("_phase", "_hadamard", "_x", "_swap", "_shift", "_diagonal"):
+            def recording(psi, *args, _kernel=getattr(circuit_module, name), _name=name):
+                calls.append((_name, psi.size))
                 return _kernel(psi, *args)
             monkeypatch.setattr(circuit_module, name, recording)
-        return sizes
+        return calls
 
     @staticmethod
     def _run_in_place(circuit, state):
@@ -159,25 +193,49 @@ class TestSliceSizes:
         assert run(circuit, state) is state
         assert state.amplitudes is amplitudes
 
-    def test_multiplier_runs_on_one_slice_per_x(self, kernel_sizes):
+    def test_multiplier_runs_on_one_slice_per_x(self, kernel_calls):
         n = 4
         spec = MultiplierSpec.for_width(n)
         layout = multiplier_layout(spec)
         state = new_basis_state(layout.num_qubits, encode_registers(layout, {"x": 13, "y": 11}))
         self._run_in_place(build_multiplier(spec), state)
-        assert kernel_sizes and max(kernel_sizes) <= 1 << (3 * n + 1)
+        assert kernel_calls and max(size for _, size in kernel_calls) <= 1 << (3 * n + 1)
         outputs = decode_registers(layout, extract_basis_index(state))
         assert outputs == {"accumulator": 143, "x": 13, "y": 11, "control": 1}
 
-    def test_adder_runs_on_the_destination_register(self, kernel_sizes):
+    def test_multiplier_fuses_every_add_and_dec_block(self, kernel_calls):
+        """Each ``add[...]`` block is one diagonal and each ``dec[...]`` block
+        one shift; only the accumulator's two transforms and the zero checks
+        run gate by gate."""
+        n = 4
+        spec = MultiplierSpec.for_width(n)
+        layout = multiplier_layout(spec)
+        state = new_basis_state(layout.num_qubits, encode_registers(layout, {"x": 9, "y": 14}))
+        self._run_in_place(build_multiplier(spec), state)
+        m, blocks = spec.m, 1 << n
+        assert Counter(name for name, _ in kernel_calls) == {
+            "_diagonal": blocks - 1,     # add[iter 1..15]
+            "_shift": blocks,            # dec[iter 1..15], dec[restore]
+            "_x": blocks,                # check[0..15]
+            "_hadamard": 2 * m,          # qft and iqft on the accumulator
+            "_phase": m * (m - 1),
+        }
+        assert decode_registers(layout, extract_basis_index(state))["accumulator"] == 126
+
+    def test_decrement_makes_no_per_gate_kernel_call(self, kernel_calls, capsys):
+        assert main(["dec", "5", "--n", "12"]) == 0
+        assert "v=4" in capsys.readouterr().out
+        assert kernel_calls == [("_shift", 1 << 12)]
+
+    def test_adder_runs_on_the_destination_register(self, kernel_calls):
         n = 6
         layout = RegisterLayout([("a", n), ("b", n)])
         state = new_basis_state(2 * n, encode_registers(layout, {"a": 45, "b": 30}))
         self._run_in_place(build_adder(layout), state)
-        assert kernel_sizes and max(kernel_sizes) <= 1 << n
+        assert kernel_calls and max(size for _, size in kernel_calls) <= 1 << n
         assert decode_registers(layout, extract_basis_index(state)) == {"a": 45, "b": 11}
 
-    def test_diagonal_circuit_on_dense_state_runs_whole(self, kernel_sizes):
+    def test_diagonal_circuit_on_dense_state_runs_whole(self, kernel_calls):
         n = 10
         gates = tuple(
             Gate.phase(Fraction(1, 1 << (q % 4 + 1)), q, controls=(((q + 1) % n, q % 2),))
@@ -187,6 +245,6 @@ class TestSliceSizes:
         amps = random_state(n, np.random.default_rng(5))
         state = StateVector(n, amps)
         self._run_in_place(circuit, state)
-        assert kernel_sizes == [1 << n] * len(gates)
+        assert kernel_calls == [("_diagonal", 1 << n)]  # the phase-only block, once
         expected = run_gate_by_gate(circuit, StateVector(n, amps)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
