@@ -58,12 +58,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateQubit,
-    IndexOutOfRange,
-    QubitCountMismatch,
-    ValueTooWide,
-)
+from .errors import IndexOutOfRange, QubitCountMismatch, ValueTooWide
 from .qstate import (
     StateVector,
     _diagonal,
@@ -73,6 +68,7 @@ from .qstate import (
     _phase_factor,
     _shift,
     _swap,
+    _validate_qubits,
     _x,
 )
 
@@ -119,16 +115,7 @@ class Gate:
                 raise ValueError(f"PHASE needs a finite angle, got {self.phase_turns!r}")
         elif self.phase_turns is not None:
             raise ValueError(f"{self.kind.value} takes no phase")
-        seen: set[int] = set()
-        for q in (*self.targets, *(q for q, _ in self.controls)):
-            if q < 0:
-                raise IndexOutOfRange(f"negative qubit index {q}")
-            if q in seen:
-                raise DuplicateQubit(f"qubit {q} used more than once in one gate")
-            seen.add(q)
-        for _, pol in self.controls:
-            if pol not in (0, 1):
-                raise ValueError(f"control polarity must be 0 or 1, got {pol!r}")
+        _validate_qubits(None, self.targets, self.controls)
 
     # -- constructors ---------------------------------------------------
 
@@ -229,13 +216,15 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     it: it is only ever a control or a PHASE target, so every gate maps each
     value of the static qubits to itself and the circuit is block-diagonal
     over those values.  ``run`` therefore runs the program on each populated
-    value on its own *slice*: the static qubits fixed, the r free ones
-    spanning 2^r amplitudes.  Within a slice a gate or a shift whose static
+    value on its own *slice*: the state's ``(2,)*n`` tensor indexed at the
+    static qubits' bits, leaving the r free axes and 2^r amplitudes (a
+    0-d view when r = 0).  A slice is copied only when it is strided, and
+    the copy is written back.  Within a slice a gate or a shift whose static
     control does not match is dropped, a matching static control is
     removed, and a PHASE on a static qubit holding 1 multiplies the
     amplitudes that meet its free controls (the whole slice when it has
-    none).  Each step is resolved this way once per slice, however often
-    the program repeats it.
+    none).  Each step is resolved this way once per slice, however many
+    times the program runs it.
 
     The result equals a gate-by-gate run of the public ``apply_*`` kernels
     on the whole state, which the tests compare against, up to rounding: a
@@ -252,25 +241,21 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
         raise QubitCountMismatch(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    steps, program = _compile(circuit.gates, circuit.num_qubits >= _FUSE_FROM_QUBITS)
+    n = circuit.num_qubits
+    steps, program = _compile(circuit.gates, n >= _FUSE_FROM_QUBITS)
     calls = sum(steps[i].calls for i in program)
-    static, grouped, static_axes, populated = _plan(circuit, state.amplitudes, calls)
-    free = [q for q in range(circuit.num_qubits) if q not in static]
+    tensor = state.amplitudes.reshape((2,) * n)
+    static, rows = _plan(circuit, tensor, calls)
+    free = [q for q in range(n) if q not in static]
     pos = {q: i for i, q in enumerate(free)}
-    for value in populated:
-        bits = {q: (value >> (len(static) - 1 - j)) & 1 for j, q in enumerate(static)}
-        index = [slice(None)] * grouped.ndim
-        rest = value
-        for axis in reversed(static_axes):
-            rest, v = divmod(rest, grouped.shape[axis])
-            index[axis] = slice(v, v + 1)
-        block = grouped[tuple(index)]
-        psi = np.ascontiguousarray(block)  # a copy only when the slice is strided
-        tensor = psi.reshape((2,) * len(free))
+    for row in rows:
+        bits = dict(zip(static, row))
+        block = tensor[(*(bits.get(q, slice(None)) for q in range(n)), ...)]
+        psi = block if block.flags.c_contiguous else block.copy()
         kernels = [step.resolve(bits, pos) for step in steps]
         for i in program:
             for kernel, *args in kernels[i]:
-                kernel(tensor, *args)
+                kernel(psi, *args)
         if psi is not block:
             block[...] = psi
     return state
@@ -394,29 +379,23 @@ def _slicing_pays(num_qubits: int, free_qubits: int, calls: int, slices: int) ->
     return sliced < whole
 
 
-def _plan(circuit: Circuit, amplitudes: np.ndarray, calls: int):
-    """How ``run`` cuts the state into slices, for a program of ``calls``
-    kernel calls per slice.
+def _plan(circuit: Circuit, tensor: np.ndarray, calls: int):
+    """How ``run`` cuts the state, given as its ``(2,)*n`` tensor, into
+    slices, for a program of ``calls`` kernel calls per slice.
 
-    Returns the static qubits sliced on (ascending); the amplitudes viewed
-    with adjacent static and adjacent free qubits merged into single axes;
-    the static axes of that view; and the populated slices, each as the
-    value of the static qubits read most significant first.  When slicing
-    does not pay, no qubit is sliced on and the one slice is the whole state.
+    Returns the static qubits sliced on (ascending) and the populated
+    slices, each as the bits those qubits hold there, in ascending order.
+    When slicing does not pay, no qubit is sliced on and the one slice,
+    with no bits fixed, is the whole state.
     """
     n = circuit.num_qubits
     static = sorted(_static_qubits(circuit))
-    free_qubits = n - len(static)
-    if static and _slicing_pays(n, free_qubits, calls, 1):
-        runs = [(flag, len(list(group)))
-                for flag, group in groupby(q in static for q in range(n))]
-        grouped = amplitudes.reshape([1 << width for _, width in runs])
-        static_axes = [axis for axis, (flag, _) in enumerate(runs) if flag]
-        mask = np.moveaxis(grouped != 0, static_axes, range(len(static_axes)))
-        populated = np.flatnonzero(mask.reshape(1 << len(static), -1).any(axis=1))
-        if _slicing_pays(n, free_qubits, calls, len(populated)):
-            return static, grouped, static_axes, populated.tolist()
-    return [], amplitudes, [], [0]
+    free = tuple(q for q in range(n) if q not in static)
+    if static and _slicing_pays(n, len(free), calls, 1):
+        rows = np.argwhere(np.any(tensor, axis=free)).tolist()
+        if _slicing_pays(n, len(free), calls, len(rows)):
+            return static, rows
+    return [], [()]
 
 
 def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):
@@ -471,9 +450,9 @@ def _diagonal_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int])
     none if no phase acts there.
 
     The product is tabulated over the free axes the phases depend on, then
-    repeated along the axes between and after them, so that it covers every
-    axis from the first one it depends on to the last and multiplies whole
-    contiguous rows: broadcasting a short inner axis is several times slower.
+    broadcast to every axis from the first of those to the last axis of the
+    slice and laid out contiguously, so that it multiplies whole contiguous
+    rows: broadcasting a short inner axis is several times slower.
     """
     kicks = [(fixed, factor) for g, factor in zip(gates, factors)
              if (fixed := _phase_fixed(g, bits, pos)) is not None]
@@ -485,12 +464,7 @@ def _diagonal_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int])
     for fixed, factor in kicks:
         table[_fixed_axes(ndim, fixed)] *= factor
     first = min(axes, default=ndim)
-    runs = [(used, len(list(group)))
-            for used, group in groupby(axis in axes for axis in range(first, ndim))]
-    table = table.reshape([1 << count if used else 1 for used, count in runs])
-    for axis, (used, count) in enumerate(runs):
-        if not used:
-            table = table.repeat(1 << count, axis=axis)
+    table = np.broadcast_to(table.reshape(table.shape[first:]), (2,) * (ndim - first))
     return [(_diagonal, table.reshape(-1))]
 
 

@@ -7,7 +7,7 @@ register is unchanged, and for ``mul`` the stop qubit ``control`` reads 1.
 
 Exit codes: 0 result verified, 1 simulator/oracle mismatch, 2 usage error
 (bad operands, a register width below 1, bad multiplier sizing, qubit budget
-exceeded, unknown flags).
+exceeded, unknown flags, an ``--emit-circuit`` path that cannot be written).
 
 The ``--json`` flag prints the run report as a single JSON object::
 
@@ -39,9 +39,7 @@ from .circuit import (
 )
 from .errors import OperandTooWide, QubitBudgetExceeded, SpecInvariantViolation
 from .multiplier import MultiplierSpec, build_multiplier, multiplier_layout
-from .qstate import extract_basis_index, new_basis_state
-
-MAX_QUBITS = 24
+from .qstate import MAX_QUBITS, _check_budget, extract_basis_index, new_basis_state  # noqa: F401
 
 
 @dataclass
@@ -84,14 +82,6 @@ def _check_operands(n: int, **operands: int) -> None:
             raise OperandTooWide(
                 f"operand {name}={value} does not fit in {n} bits (max {(1 << n) - 1})"
             )
-
-
-def _check_budget(total_qubits: int) -> None:
-    if total_qubits > MAX_QUBITS:
-        raise QubitBudgetExceeded(
-            f"{total_qubits} qubits would need 2^{total_qubits} complex amplitudes "
-            f"(2^{total_qubits + 4} bytes); the budget is {MAX_QUBITS} qubits"
-        )
 
 
 def _mul_spec(args, iterations: int) -> MultiplierSpec:
@@ -216,12 +206,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, circuit = _run(args)
-    except (OperandTooWide, QubitBudgetExceeded, ValueError) as exc:
+        if args.emit_circuit:
+            with open(args.emit_circuit, "w", encoding="utf-8") as fh:
+                fh.write(circuit_listing(circuit) + "\n")
+    except (QubitBudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.emit_circuit:
-        with open(args.emit_circuit, "w", encoding="utf-8") as fh:
-            fh.write(circuit_listing(circuit) + "\n")
     print(report.to_json() if args.json else _format_report(report))
     return 0 if report.verified else 1
 

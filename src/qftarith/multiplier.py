@@ -44,7 +44,7 @@ from .circuit import (
 )
 from .errors import SpecInvariantViolation
 from .qft import build_inverse_qft, build_qft
-from .qstate import extract_basis_index, new_basis_state
+from .qstate import _check_budget, extract_basis_index, new_basis_state
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,17 @@ def multiply(x: int, y: int, n: int) -> int:
 
     Builds the standard circuit (accumulator width 2n, 2**n - 1 iterations),
     runs it on the encoded input, extracts the final basis state, and
-    decodes the accumulator.  Raises NotBasisState if the circuit ever
-    fails to produce a deterministic output (which would be a bug).
+    decodes the accumulator.  Before building anything it raises
+    SpecInvariantViolation for n < 1, ValueTooWide for an operand that does
+    not fit in n bits, and QubitBudgetExceeded for a state past the budget.
+    Raises NotBasisState if the circuit ever fails to produce a
+    deterministic output (which would be a bug).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= x < (1 << n) or not 0 <= y < (1 << n):
-        raise ValueError(f"operands must fit in {n} bits, got x={x}, y={y}")
-    spec = MultiplierSpec.for_width(n)
-    layout = multiplier_layout(spec)
-    circuit = build_multiplier(spec)
-    state = new_basis_state(layout.num_qubits, encode_registers(layout, {"x": x, "y": y}))
+    layout = multiplier_layout(MultiplierSpec(n, 2 * n, 0))  # the unroll count does not shape it
+    _check_budget(layout.num_qubits)
+    index = encode_registers(layout, {"x": x, "y": y})
+    circuit = build_multiplier(MultiplierSpec.for_width(n))
+    state = new_basis_state(layout.num_qubits, index)
     run(circuit, state)
     final = extract_basis_index(state, tol=1e-9)
     return decode_register(layout, "accumulator", final)

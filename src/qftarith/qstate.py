@@ -40,9 +40,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateQubit, IndexOutOfRange, NotBasisState
+from .errors import DuplicateQubit, IndexOutOfRange, NotBasisState, QubitBudgetExceeded
 
 Controls = Sequence[tuple[int, int]]
+
+# The most qubits the CLI and ``multiply`` simulate: 2^24 amplitudes take
+# 256 MiB.
+MAX_QUBITS = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -74,6 +78,14 @@ class StateVector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(num_qubits={self.num_qubits})"
+
+
+def _check_budget(total_qubits: int) -> None:
+    if total_qubits > MAX_QUBITS:
+        raise QubitBudgetExceeded(
+            f"{total_qubits} qubits would need 2^{total_qubits} complex amplitudes "
+            f"(2^{total_qubits + 4} bytes); the budget is {MAX_QUBITS} qubits"
+        )
 
 
 def new_basis_state(num_qubits: int, index: int) -> StateVector:
@@ -121,11 +133,14 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
     return best
 
 
-def _validate_qubits(num_qubits: int, targets: Sequence[int], controls: Controls) -> None:
+def _validate_qubits(num_qubits: int | None, targets: Sequence[int], controls: Controls) -> None:
+    """Distinct qubits in range, polarities 0 or 1.  With ``num_qubits``
+    None, any non-negative qubit index is in range."""
     seen: set[int] = set()
     for q in (*targets, *(q for q, _ in controls)):
-        if not 0 <= q < num_qubits:
-            raise IndexOutOfRange(f"qubit {q} out of range for {num_qubits} qubits")
+        if q < 0 or num_qubits is not None and q >= num_qubits:
+            bound = "" if num_qubits is None else f" for {num_qubits} qubits"
+            raise IndexOutOfRange(f"qubit {q} out of range{bound}")
         if q in seen:
             raise DuplicateQubit(f"qubit {q} used more than once in one gate")
         seen.add(q)

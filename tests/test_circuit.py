@@ -58,6 +58,11 @@ class TestGateModel:
         with pytest.raises(ValueError):
             Gate.x(0, controls=((1, 2),))
 
+    def test_negative_index_rejected_and_no_upper_bound_before_a_circuit(self):
+        with pytest.raises(IndexOutOfRange):
+            Gate.phase(Fraction(1, 2), 0, controls=((-1, 1),))
+        assert Gate.x(1000).max_qubit() == 1000
+
     def test_circuit_rejects_out_of_range_gate(self):
         with pytest.raises(IndexOutOfRange):
             Circuit(2, (Gate.x(2),))

@@ -120,6 +120,13 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: --n must be at least 1, got {bad}\n"
 
+    def test_unwritable_listing_path_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "dec.txt"
+        assert main(["dec", "3", "--n", "2", "--emit-circuit", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert "verified" not in captured.out
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])

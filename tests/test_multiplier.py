@@ -1,6 +1,7 @@
 """Multiplier network: zero checks, the one-way latch control flow,
 exhaustive products against the classical oracle, and the unroll bound."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ from qftarith.circuit import (
     encode_registers,
     run,
 )
-from qftarith.errors import SpecInvariantViolation
+from qftarith.errors import QubitBudgetExceeded, SpecInvariantViolation
 from qftarith.multiplier import (
     MultiplierSpec,
     build_multiplier,
@@ -160,6 +161,21 @@ class TestMultiplyFunction:
             multiply(4, 0, 2)
         with pytest.raises(ValueError):
             multiply(0, -1, 2)
+
+    def test_width_below_one_is_rejected(self):
+        with pytest.raises(SpecInvariantViolation):
+            multiply(0, 0, 0)
+
+    def test_budget_is_checked_before_building(self):
+        """n = 6 needs 25 qubits, one past the budget: nothing is built."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(QubitBudgetExceeded):
+                multiply(1, 1, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_parallel_runs_agree_with_serial(self):
         pairs = [(x, y) for x in range(4) for y in range(4)]

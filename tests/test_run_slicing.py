@@ -248,3 +248,59 @@ class TestSliceSizes:
         assert kernel_calls == [("_diagonal", 1 << n)]  # the phase-only block, once
         expected = run_gate_by_gate(circuit, StateVector(n, amps)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+
+    @staticmethod
+    def _weighted(n, indices, seed):
+        """Random complex weights on the given basis indices, normalised."""
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[indices] = rng.standard_normal(len(indices)) + 1j * rng.standard_normal(len(indices))
+        return amps / np.linalg.norm(amps)
+
+    @pytest.mark.parametrize("fuse_from", [1, 100])
+    def test_all_static_circuit_runs_on_zero_qubit_slices(self, kernel_calls, monkeypatch,
+                                                          fuse_from):
+        """PHASE gates only, so every qubit is static and each slice is one
+        amplitude: a 0-d view of the state."""
+        monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", fuse_from)
+        monkeypatch.setattr(circuit_module, "_slicing_pays", lambda *_: True)
+        n = 5
+        circuit = Circuit(n, (
+            Gate.phase(Fraction(1, 4), 0, ((1, 1),), "a"),
+            Gate.phase(Fraction(-3, 8), 2, ((0, 0), (4, 1)), "b"),
+            Gate.phase(0.3, 3, (), "a"),
+            Gate.phase(Fraction(1, 2), 1, ((3, 1),), "c"),
+            Gate.phase(Fraction(1, 8), 4, ((2, 0),), "b"),
+            Gate.phase(Fraction(1, 16), 0, (), "b"),
+        ))
+        amps = self._weighted(n, [0b00011, 0b01010, 0b10110, 0b11111], seed=7)
+        state = StateVector(n, amps)
+        self._run_in_place(circuit, state)
+        assert kernel_calls and {size for _, size in kernel_calls} == {1}
+        expected = run_gate_by_gate(circuit, StateVector(n, amps)).amplitudes
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+
+    def test_one_slice_per_populated_value_of_split_static_qubits(self, kernel_calls,
+                                                                   monkeypatch):
+        """Static qubits 0, 1 and 4 form two runs apart; each of the k
+        populated values of their bits runs the four H gates once, on a
+        strided slice of the four free qubits."""
+        monkeypatch.setattr(circuit_module, "_slicing_pays", lambda *_: True)
+        n = 7
+        circuit = Circuit(n, (
+            *(Gate.hadamard(q, label="h") for q in (2, 3, 5, 6)),
+            Gate.phase(Fraction(1, 4), 0, ((5, 1),), "p"),
+            Gate.phase(Fraction(-1, 8), 4, ((1, 0), (2, 1)), "p"),
+            Gate.x(6, ((1, 1),), "x"),
+            Gate.phase(Fraction(3, 8), 3, ((4, 1),), "p"),
+        ))
+        # static bits (q0, q1, q4): 011, 100 and 111, two amplitudes each
+        indices = [0b0100100, 0b0100111, 0b1001001, 0b1010000, 0b1101110, 0b1111111]
+        k = 3
+        amps = self._weighted(n, indices, seed=11)
+        state = StateVector(n, amps)
+        self._run_in_place(circuit, state)
+        hadamards = [size for name, size in kernel_calls if name == "_hadamard"]
+        assert hadamards == [1 << 4] * (4 * k)
+        expected = run_gate_by_gate(circuit, StateVector(n, amps)).amplitudes
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
