@@ -23,15 +23,16 @@ each distinct block (labels aside) once into one step:
 Circuits on fewer than ``_FUSE_FROM_QUBITS`` qubits run every block as
 gates.  A qubit that some gate uses but no H, X or SWAP targets (the
 multiplier's x register, the adder's source register) never changes its
-basis populations, so ``run`` executes the program on each populated
-value of those qubits on its own 2^r-amplitude slice, with the static
-controls and targets resolved per slice.  A cost model (one pass to find
-the slices, plus a fixed cost per kernel call) falls back to the whole
-state when slicing would not pay.  A gate-by-gate run of the public
-``apply_*`` kernels remains the reference: the tests hold ``run`` to it
-within rounding.  ``run`` calls the trusted private kernels of
-:mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated every gate on
-construction.
+basis populations.  The compiler collects those static qubits from each
+distinct block as it compiles it, so a repeated block is read once, and
+``run`` executes the program on each populated value of those qubits on
+its own 2^r-amplitude slice, with the static controls and targets resolved
+per slice.  A cost model (one pass to find the slices, plus a fixed cost
+per kernel call) falls back to the whole state when slicing would not
+pay.  A gate-by-gate run of the public ``apply_*`` kernels remains the
+reference: the tests hold ``run`` to it within rounding.  ``run`` calls
+the trusted private kernels of :mod:`qftarith.qstate`: ``Gate`` and
+``Circuit`` validated every gate on construction.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -48,7 +49,6 @@ Examples::
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -69,6 +69,7 @@ from .qstate import (
     _shift,
     _swap,
     _validate_qubits,
+    _validate_turns,
     _x,
 )
 
@@ -82,10 +83,13 @@ from .qstate import (
 # i.e. 2,500 to 15,000 amplitudes per call; 2^12 sits in that range.
 _CALL_COST = 1 << 12
 
-# Circuits on fewer qubits than this run every block gate by gate, so that
-# their results stay bitwise equal to a gate-by-gate replay of the public
-# kernels.  Fusion would still save a little there: 0.1-0.3 ms of a
-# 0.6-0.9 ms run of the 9-qubit multiplier, on the machine above.
+# Circuits on fewer qubits than this run every block gate by gate.  That
+# keeps the 9-qubit multiplier in perfbench/test_perfbench.py bitwise equal
+# to a gate-by-gate replay of the public kernels; other results agree with
+# the replay within rounding, because numpy may round a multiply on a
+# strided slice differently from one on the contiguous state.  Fusion would
+# still save a little there: 0.1-0.3 ms of a 0.6-0.9 ms run of the 9-qubit
+# multiplier, on the machine above.
 _FUSE_FROM_QUBITS = 10
 
 
@@ -111,8 +115,7 @@ class Gate:
         if len(self.targets) != arity:
             raise ValueError(f"{self.kind.value} takes {arity} target(s), got {self.targets}")
         if self.kind is GateKind.PHASE:
-            if self.phase_turns is None or not math.isfinite(float(self.phase_turns)):
-                raise ValueError(f"PHASE needs a finite angle, got {self.phase_turns!r}")
+            _validate_turns(self.phase_turns)
         elif self.phase_turns is not None:
             raise ValueError(f"{self.kind.value} takes no phase")
         _validate_qubits(None, self.targets, self.controls)
@@ -215,10 +218,12 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     A qubit is *static* when some gate uses it and no H, X or SWAP targets
     it: it is only ever a control or a PHASE target, so every gate maps each
     value of the static qubits to itself and the circuit is block-diagonal
-    over those values.  ``run`` therefore runs the program on each populated
-    value on its own *slice*: the state's ``(2,)*n`` tensor indexed at the
-    static qubits' bits, leaving the r free axes and 2^r amplitudes (a
-    0-d view when r = 0).  A slice is copied only when it is strided, and
+    over those values.  :func:`_compile` finds the static qubits from the
+    distinct blocks it compiles, and :func:`_plan` picks the slices from
+    them.  ``run`` therefore runs the program on each populated value on
+    its own *slice*: the state's ``(2,)*n`` tensor indexed at the static
+    qubits' bits, leaving the r free axes and 2^r amplitudes (a 0-d view
+    when r = 0).  A slice is copied only when it is strided, and
     the copy is written back.  Within a slice a gate or a shift whose static
     control does not match is dropped, a matching static control is
     removed, and a PHASE on a static qubit holding 1 multiplies the
@@ -228,8 +233,11 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
 
     The result equals a gate-by-gate run of the public ``apply_*`` kernels
     on the whole state, which the tests compare against, up to rounding: a
-    phase table multiplies once by a product of factors, and a shift moves
-    whole amplitudes where the gates mix them through Hadamards.
+    phase table multiplies once by a product of factors, a shift moves
+    whole amplitudes where the gates mix them through Hadamards, and numpy
+    may round a multiply on a strided slice differently from one on the
+    contiguous state, so even a block run gate by gate can differ in the
+    last bit.
 
     Finding the populated slices costs one pass over the state, and each
     kernel call costs ``_CALL_COST`` amplitudes beyond the array it is
@@ -242,11 +250,10 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
     n = circuit.num_qubits
-    steps, program = _compile(circuit.gates, n >= _FUSE_FROM_QUBITS)
+    steps, program, static = _compile(circuit.gates, n >= _FUSE_FROM_QUBITS)
     calls = sum(steps[i].calls for i in program)
     tensor = state.amplitudes.reshape((2,) * n)
-    static, rows = _plan(circuit, tensor, calls)
-    free = [q for q in range(n) if q not in static]
+    static, free, rows = _plan(tensor, static, calls)
     pos = {q: i for i, q in enumerate(free)}
     for row in rows:
         bits = dict(zip(static, row))
@@ -266,24 +273,33 @@ class _Step(NamedTuple):
     calls: int         # kernel calls per slice, at most
 
 
-def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int]]:
-    """The distinct steps, and the program as indices into them.
+def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int], list[int]]:
+    """The distinct steps, the program as indices into them, and the static
+    qubits in ascending order.
 
     Blocks are runs of gates with one label; two blocks with the same
     gates, labels aside, compile to one step.  Unless ``fuse``, every step
-    runs its gates one by one.
+    runs its gates one by one.  A qubit is static when some gate uses it
+    and no H, X or SWAP targets it; a repeated block uses and moves the
+    same qubits each time, so only each distinct block's key is read.
     """
     steps: list[_Step] = []
     seen: dict[tuple, int] = {}
     program: list[int] = []
+    used: set[int] = set()
+    moved: set[int] = set()
     for _, group in groupby(gates, key=lambda g: g.label):
         block = tuple(group)
         key = tuple(map(_gate_key, block))
         index = seen.setdefault(key, len(steps))
         if index == len(steps):
             steps.append(_block_step(block, key, fuse))
+            for kind, targets, _, controls in key:
+                used.update(targets, (q for q, _ in controls))
+                if kind is not GateKind.PHASE:
+                    moved.update(targets)
         program.append(index)
-    return steps, program
+    return steps, program, sorted(used - moved)
 
 
 def _gate_key(g: Gate) -> tuple:
@@ -358,18 +374,6 @@ def _sandwich(key: tuple) -> tuple[int, int, int, tuple] | None:
     return qs[0], width, int(amount), controls
 
 
-def _static_qubits(circuit: Circuit) -> set[int]:
-    """Qubits that some gate uses and no H, X or SWAP targets."""
-    used: set[int] = set()
-    moved: set[int] = set()
-    for g in circuit.gates:
-        used.update(g.targets)
-        used.update(q for q, _ in g.controls)
-        if g.kind is not GateKind.PHASE:
-            moved.update(g.targets)
-    return used - moved
-
-
 def _slicing_pays(num_qubits: int, free_qubits: int, calls: int, slices: int) -> bool:
     """Whether one pass to find the slices, then ``calls`` kernel calls on
     each of ``slices`` slices of 2^free_qubits amplitudes, costs less than
@@ -379,23 +383,24 @@ def _slicing_pays(num_qubits: int, free_qubits: int, calls: int, slices: int) ->
     return sliced < whole
 
 
-def _plan(circuit: Circuit, tensor: np.ndarray, calls: int):
+def _plan(tensor: np.ndarray, static: list[int], calls: int):
     """How ``run`` cuts the state, given as its ``(2,)*n`` tensor, into
-    slices, for a program of ``calls`` kernel calls per slice.
+    slices of the ``static`` qubits that :func:`_compile` found (ascending),
+    for a program of ``calls`` kernel calls per slice.
 
-    Returns the static qubits sliced on (ascending) and the populated
-    slices, each as the bits those qubits hold there, in ascending order.
-    When slicing does not pay, no qubit is sliced on and the one slice,
-    with no bits fixed, is the whole state.
+    Returns the qubits sliced on and the free qubits, both ascending, and
+    the populated slices, each as the bits the sliced qubits hold there, in
+    ascending order.  When slicing does not pay, no qubit is sliced on,
+    every qubit is free and the one slice, with no bits fixed, is the whole
+    state.
     """
-    n = circuit.num_qubits
-    static = sorted(_static_qubits(circuit))
+    n = tensor.ndim
     free = tuple(q for q in range(n) if q not in static)
     if static and _slicing_pays(n, len(free), calls, 1):
         rows = np.argwhere(np.any(tensor, axis=free)).tolist()
         if _slicing_pays(n, len(free), calls, len(rows)):
-            return static, rows
-    return [], [()]
+            return static, free, rows
+    return [], tuple(range(n)), [()]
 
 
 def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):

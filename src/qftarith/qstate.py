@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import suppress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -149,6 +150,17 @@ def _validate_qubits(num_qubits: int | None, targets: Sequence[int], controls: C
             raise ValueError(f"control polarity must be 0 or 1, got {pol!r}")
 
 
+def _validate_turns(phase_turns) -> None:
+    """A PHASE angle must convert to a finite float.  None, NaN, +-inf and
+    exact numbers too large for a float raise ValueError; a value that is
+    no number at all raises ``float``'s TypeError.  The message leaves the
+    value out: ``repr`` of an int of more than 4,300 digits raises."""
+    with suppress(OverflowError):
+        if phase_turns is not None and math.isfinite(float(phase_turns)):
+            return
+    raise ValueError("PHASE needs an angle that is a finite float")
+
+
 def _fixed_axes(num_qubits: int, fixed: Iterable[tuple[int, int]]):
     idx: list[object] = [slice(None)] * num_qubits
     for q, bit in fixed:
@@ -231,8 +243,7 @@ def apply_phase(
 ) -> StateVector:
     """Multiply the target's |1> component by exp(2*pi*i*phase_turns)."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    if not math.isfinite(float(phase_turns)):
-        raise ValueError(f"phase must be finite, got {phase_turns!r}")
+    _validate_turns(phase_turns)
     if phase_turns == 0:
         return state  # exact identity, amplitudes untouched
     _phase(_tensor(state), [(target, 1), *controls], _phase_factor(phase_turns))

@@ -34,7 +34,13 @@ from qftarith.errors import (
 )
 from qftarith.multiplier import MultiplierSpec, build_multiplier
 from qftarith.qft import build_inverse_qft, build_qft
-from qftarith.qstate import StateVector, extract_basis_index, new_basis_state, norm
+from qftarith.qstate import (
+    StateVector,
+    apply_phase,
+    extract_basis_index,
+    new_basis_state,
+    norm,
+)
 
 
 class TestGateModel:
@@ -45,6 +51,19 @@ class TestGateModel:
     def test_phase_needs_angle(self):
         with pytest.raises(ValueError):
             Gate(GateKind.PHASE, (0,))
+
+    def test_angle_too_large_for_a_float_is_a_value_error(self):
+        """Gate and apply_phase share one angle check: an exact angle that
+        overflows a float is a ValueError, not an OverflowError, while a
+        value that is no number still fails in ``float``."""
+        with pytest.raises(ValueError, match="finite"):
+            Gate.phase(10**400, 0)
+        with pytest.raises(ValueError, match="finite"):
+            Gate.phase(Fraction(10**400, 3), 0)
+        with pytest.raises(ValueError, match="finite"):
+            apply_phase(new_basis_state(1, 1), 0, 10**400)
+        with pytest.raises(TypeError):
+            Gate.phase(object(), 0)
 
     def test_non_phase_rejects_angle(self):
         with pytest.raises(ValueError):

@@ -43,7 +43,7 @@ def fuse_small_circuits(monkeypatch):
 
 def _shift_steps(circuit):
     """The block indices of ``circuit``'s program that compiled to a shift."""
-    steps, program = circuit_module._compile(circuit.gates, True)
+    steps, program, _ = circuit_module._compile(circuit.gates, True)
     return [i for i in program if steps[i].resolve.func is circuit_module._shift_kernels]
 
 

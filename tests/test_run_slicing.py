@@ -24,6 +24,7 @@ from qftarith.arith import build_adder, build_decrement
 from qftarith.circuit import (
     Circuit,
     Gate,
+    GateKind,
     RegisterLayout,
     decode_registers,
     encode_registers,
@@ -83,6 +84,29 @@ def circuits(draw):
     if draw(st.booleans()):  # a repeated block, compiled once
         gates += gates[-draw(st.integers(1, len(gates))):]
     return Circuit(n, tuple(gates)), sorted(static)
+
+
+@pytest.mark.parametrize("fuse", [False, True])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=circuits())
+def test_compile_finds_the_static_qubits(fuse, case):
+    """``_compile`` reads only each distinct block, yet finds the qubits
+    that some gate uses and no H, X or SWAP targets, over every gate."""
+    circuit, _ = case
+    used = {q for g in circuit.gates for q in (*g.targets, *(c for c, _ in g.controls))}
+    moved = {q for g in circuit.gates if g.kind is not GateKind.PHASE for q in g.targets}
+    static = circuit_module._compile(circuit.gates, fuse)[2]
+    assert static == sorted(used - moved)
+
+
+@pytest.mark.parametrize("fuse", [False, True])
+def test_static_qubits_of_the_paper_circuits(fuse):
+    """The multiplier's x register and the adder's source register a."""
+    spec = MultiplierSpec.for_width(4)
+    static = circuit_module._compile(build_multiplier(spec).gates, fuse)[2]
+    assert static == list(multiplier_layout(spec)["x"])
+    layout = RegisterLayout([("a", 3), ("b", 3)])
+    assert circuit_module._compile(build_adder(layout).gates, fuse)[2] == list(layout["a"])
 
 
 def _sparse_state(draw, n, static):
