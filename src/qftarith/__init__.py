@@ -2,7 +2,8 @@
 
 The package has three layers:
 
-* :mod:`qftarith.qstate` - dense amplitudes and primitive gate kernels;
+* :mod:`qftarith.qstate` - amplitudes, dense or compact, and primitive gate
+  kernels;
 * :mod:`qftarith.circuit` - the gate/circuit data model, register layouts,
   execution, statistics, and the text listing format;
 * :mod:`qftarith.qft`, :mod:`qftarith.arith`, :mod:`qftarith.multiplier` -

@@ -27,10 +27,13 @@ basis populations.  The compiler collects those static qubits from each
 distinct block as it compiles it, so a repeated block is read once, and
 ``run`` executes the program on each populated value of those qubits on
 its own 2^r-amplitude slice, with the static controls and targets resolved
-per slice.  A cost model (one pass to find the slices, plus a fixed cost
-per kernel call) falls back to the whole state when slicing would not
-pay.  A gate-by-gate run of the public ``apply_*`` kernels remains the
-reference: the tests hold ``run`` to it within rounding.  ``run`` calls
+per slice.  Static qubits that a compact state fixes stay fixed, so a
+basis-state input to a circuit with static qubits never has its full 2^n
+vector built.  A cost model (one
+pass to find the slices, plus a fixed cost per kernel call) falls back to
+the whole state when slicing on the other static qubits would not pay.  A
+gate-by-gate run of the public ``apply_*`` kernels remains the reference:
+the tests hold ``run`` to it within rounding.  ``run`` calls
 the trusted private kernels of :mod:`qftarith.qstate`: ``Gate`` and
 ``Circuit`` validated every gate on construction.
 
@@ -62,6 +65,7 @@ from .errors import IndexOutOfRange, QubitCountMismatch, ValueTooWide
 from .qstate import (
     StateVector,
     _diagonal,
+    _expand,
     _fixed_axes,
     _hadamard,
     _phase,
@@ -195,7 +199,11 @@ def concat(circuits: Iterable[Circuit]) -> Circuit:
             raise QubitCountMismatch(
                 f"cannot concatenate circuits on {n} and {c.num_qubits} qubits"
             )
-    return Circuit(n, tuple(chain.from_iterable(c.gates for c in parts)))
+    # Each part checked its gates against n when it was built.
+    joined = object.__new__(Circuit)
+    object.__setattr__(joined, "num_qubits", n)
+    object.__setattr__(joined, "gates", tuple(chain.from_iterable(c.gates for c in parts)))
+    return joined
 
 
 def labeled(circuit: Circuit, label: str | None) -> Circuit:
@@ -219,11 +227,25 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     it: it is only ever a control or a PHASE target, so every gate maps each
     value of the static qubits to itself and the circuit is block-diagonal
     over those values.  :func:`_compile` finds the static qubits from the
-    distinct blocks it compiles, and :func:`_plan` picks the slices from
-    them.  ``run`` therefore runs the program on each populated value on
-    its own *slice*: the state's ``(2,)*n`` tensor indexed at the static
-    qubits' bits, leaving the r free axes and 2^r amplitudes (a 0-d view
-    when r = 0).  A slice is copied only when it is strided, and
+    distinct blocks it compiles.  ``run`` therefore runs the program on each
+    populated value on its own *slice*: a tensor over the qubits indexed at
+    the static qubits' bits, leaving the r free axes and 2^r amplitudes (a
+    0-d view when r = 0).
+
+    The static qubits that a compact state (see :mod:`qftarith.qstate`)
+    fixes are *kept*: they stay fixed, and the state's block is expanded to
+    the other qubits only, which allocates nothing when those are all the
+    qubits it already covers.  A state from ``new_basis_state`` fixes every
+    qubit, so its one populated slice is built directly and needs no scan,
+    no copy and no write-back; the multiplier then holds 2^(3n+1)
+    amplitudes, not 2^(4n+1).  A dense state keeps nothing.  On the
+    expanded tensor, :func:`_plan` picks slices of the remaining static
+    qubits, and each slice's bits include the kept ones.  The state is left
+    compact on the kept qubits; the full vector appears only when something
+    reads ``state.amplitudes`` or calls a public ``apply_*``, or when no
+    qubit is kept.
+
+    A slice is copied only when it is strided, and
     the copy is written back.  Within a slice a gate or a shift whose static
     control does not match is dropped, a matching static control is
     removed, and a PHASE on a static qubit holding 1 multiplies the
@@ -239,11 +261,11 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     contiguous state, so even a block run gate by gate can differ in the
     last bit.
 
-    Finding the populated slices costs one pass over the state, and each
-    kernel call costs ``_CALL_COST`` amplitudes beyond the array it is
-    given.  Slicing is used only when that model says it pays (see
-    :func:`_slicing_pays`); otherwise the one slice is the whole state and
-    the same program runs on it in place.
+    Finding the populated slices costs one pass over the expanded tensor,
+    and each kernel call costs ``_CALL_COST`` amplitudes beyond the array it
+    is given.  Slicing on the remaining static qubits is used only when that
+    model says it pays (see :func:`_slicing_pays`); otherwise the one slice
+    is the whole tensor and the same program runs on it in place.
     """
     if state.num_qubits != circuit.num_qubits:
         raise QubitCountMismatch(
@@ -252,12 +274,14 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     n = circuit.num_qubits
     steps, program, static = _compile(circuit.gates, n >= _FUSE_FROM_QUBITS)
     calls = sum(steps[i].calls for i in program)
-    tensor = state.amplitudes.reshape((2,) * n)
-    static, free, rows = _plan(tensor, static, calls)
+    kept = {q: bit for q, bit in state._fixed if q in static}
+    tensor = _expand(state, tuple(kept.items()))
+    qubits = [q for q in range(n) if q not in kept]
+    sliced, free, rows = _plan(tensor, qubits, [q for q in static if q not in kept], calls)
     pos = {q: i for i, q in enumerate(free)}
     for row in rows:
-        bits = dict(zip(static, row))
-        block = tensor[(*(bits.get(q, slice(None)) for q in range(n)), ...)]
+        bits = {**kept, **dict(zip(sliced, row))}
+        block = tensor[(*(bits.get(q, slice(None)) for q in qubits), ...)]
         psi = block if block.flags.c_contiguous else block.copy()
         kernels = [step.resolve(bits, pos) for step in steps]
         for i in program:
@@ -383,24 +407,24 @@ def _slicing_pays(num_qubits: int, free_qubits: int, calls: int, slices: int) ->
     return sliced < whole
 
 
-def _plan(tensor: np.ndarray, static: list[int], calls: int):
-    """How ``run`` cuts the state, given as its ``(2,)*n`` tensor, into
-    slices of the ``static`` qubits that :func:`_compile` found (ascending),
-    for a program of ``calls`` kernel calls per slice.
+def _plan(tensor: np.ndarray, qubits: list[int], static: list[int], calls: int):
+    """How ``run`` cuts a tensor, whose axes are ``qubits`` (ascending), into
+    slices of the ``static`` qubits among them (ascending), for a program
+    of ``calls`` kernel calls per slice.
 
     Returns the qubits sliced on and the free qubits, both ascending, and
     the populated slices, each as the bits the sliced qubits hold there, in
     ascending order.  When slicing does not pay, no qubit is sliced on,
     every qubit is free and the one slice, with no bits fixed, is the whole
-    state.
+    tensor.
     """
-    n = tensor.ndim
-    free = tuple(q for q in range(n) if q not in static)
-    if static and _slicing_pays(n, len(free), calls, 1):
-        rows = np.argwhere(np.any(tensor, axis=free)).tolist()
-        if _slicing_pays(n, len(free), calls, len(rows)):
+    free = tuple(q for q in qubits if q not in static)
+    if static and _slicing_pays(tensor.ndim, len(free), calls, 1):
+        axes = tuple(i for i, q in enumerate(qubits) if q not in static)
+        rows = np.argwhere(np.any(tensor, axis=axes)).tolist()
+        if _slicing_pays(tensor.ndim, len(free), calls, len(rows)):
             return static, free, rows
-    return [], tuple(range(n)), [()]
+    return [], tuple(qubits), [()]
 
 
 def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):

@@ -1,4 +1,4 @@
-"""Dense state-vector storage and primitive gate kernels.
+"""State-vector storage and primitive gate kernels.
 
 Bit order: qubit 0 is the MOST significant bit of a basis index, so the
 n-qubit basis state |b1 b2 ... bn> sits at index sum(b_j * 2**(n-j)).
@@ -27,6 +27,17 @@ multiplies by a table of phases that depends on the last k qubits.
 ``Gate`` and ``Circuit`` already validated every gate on construction;
 that also lets it drive arrays that are only part of a state.
 
+A :class:`StateVector` may be *compact*: a tuple of fixed ``(qubit, bit)``
+pairs, outside which every amplitude is exactly 0, plus a block of 2^r
+amplitudes over the r other qubits, in index order.  ``new_basis_state``
+fixes every qubit and holds one amplitude, so it allocates nothing of size
+2^n; the public constructor builds a dense state, with no qubit fixed.
+``norm``, ``amplitude``, ``extract_basis_index`` and ``StateVector.copy``
+read the block as it is.  Reading ``amplitudes`` expands the block into the
+full 2^n vector once, and the state stays dense from then on, so every
+public ``apply_*`` works on the full vector.  ``run`` expands the block only
+to the qubits it must (see :func:`qftarith.circuit.run`).
+
 All kernels mutate their amplitudes in place; the public ones return the
 state.  Distinct states may be driven from distinct threads concurrently;
 nothing here is global.
@@ -53,9 +64,21 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class StateVector:
-    """2^n complex amplitudes over ``num_qubits`` qubits, unit norm."""
+    """2^n complex amplitudes over ``num_qubits`` qubits, unit norm.
 
-    __slots__ = ("num_qubits", "amplitudes")
+    Stored as the fixed ``(qubit, bit)`` pairs and a block: the amplitudes
+    where every fixed qubit holds its bit, over the other qubits in
+    ascending order, as a flat C-contiguous array.  Every amplitude outside
+    the block is exactly 0.  The constructor copies and checks a full
+    vector and fixes no qubit; ``new_basis_state`` fixes every qubit.
+
+    ``amplitudes`` is the full vector.  On a compact state the first read
+    expands the block into it, allocating 2^n amplitudes once; the state is
+    dense from then on, and every later read returns the same array, which
+    the caller may modify in place.
+    """
+
+    __slots__ = ("num_qubits", "_fixed", "_block")
 
     def __init__(self, num_qubits: int, amplitudes: Iterable[complex]):
         if num_qubits < 1:
@@ -66,19 +89,50 @@ class StateVector:
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
+        total = float(np.vdot(amps, amps).real)
+        if not math.isfinite(total) and not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        total = float(np.sum(np.abs(amps) ** 2))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"state must be normalized: sum |amp|^2 = {total!r}")
         self.num_qubits = num_qubits
-        self.amplitudes = amps
+        self._fixed = ()
+        self._block = amps
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        _expand(self, ())
+        return self._block
 
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes)
+        return _compact(self.num_qubits, self._fixed, self._block.copy())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(num_qubits={self.num_qubits})"
+
+
+def _compact(num_qubits: int, fixed: tuple, block: np.ndarray) -> StateVector:
+    """A state from trusted parts, with no copy and no check: ``fixed``
+    sorted by qubit, ``block`` flat with one amplitude per value of the
+    other qubits."""
+    state = object.__new__(StateVector)
+    state.num_qubits, state._fixed, state._block = num_qubits, fixed, block
+    return state
+
+
+def _expand(state: StateVector, keep: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Widen the block to every qubit outside ``keep``, a subset of the
+    fixed pairs, and return it as a ``(2,)*r`` tensor over those qubits.
+    Nothing is allocated when ``keep`` is every fixed pair."""
+    n = state.num_qubits
+    if len(keep) < len(state._fixed):
+        kept = dict(keep)
+        spread = {q: bit for q, bit in state._fixed if q not in kept}
+        rest = [q for q in range(n) if q not in kept]
+        block = np.zeros(1 << len(rest), dtype=np.complex128)
+        block.reshape((2,) * len(rest))[tuple(spread.get(q, slice(None)) for q in rest)] = (
+            state._block.reshape((2,) * (len(rest) - len(spread))))
+        state._fixed, state._block = tuple(keep), block
+    return state._block.reshape((2,) * (n - len(keep)))
 
 
 def _check_budget(total_qubits: int) -> None:
@@ -90,30 +144,33 @@ def _check_budget(total_qubits: int) -> None:
 
 
 def new_basis_state(num_qubits: int, index: int) -> StateVector:
-    """Computational-basis state |index> on ``num_qubits`` qubits."""
+    """Computational-basis state |index> on ``num_qubits`` qubits: compact,
+    with every qubit fixed and one amplitude."""
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
     if not 0 <= index < (1 << num_qubits):
         raise IndexOutOfRange(
             f"basis index {index} out of range for {num_qubits} qubits"
         )
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    fixed = tuple((q, index >> (num_qubits - 1 - q) & 1) for q in range(num_qubits))
+    return _compact(num_qubits, fixed, np.ones(1, dtype=np.complex128))
 
 
 def norm(state: StateVector) -> float:
     """Euclidean norm of the amplitude vector."""
-    return float(np.linalg.norm(state.amplitudes))
+    return float(np.linalg.norm(state._block))
 
 
 def amplitude(state: StateVector, index: int) -> complex:
     """Amplitude at one basis index."""
-    if not 0 <= index < state.amplitudes.size:
-        raise IndexOutOfRange(
-            f"basis index {index} out of range for {state.num_qubits} qubits"
-        )
-    return complex(state.amplitudes[index])
+    n = state.num_qubits
+    if not 0 <= index < 1 << n:
+        raise IndexOutOfRange(f"basis index {index} out of range for {n} qubits")
+    bits, fixed = [index >> (n - 1 - q) & 1 for q in range(n)], dict(state._fixed)
+    if any(bits[q] != bit for q, bit in fixed.items()):
+        return 0j
+    free_bits = tuple(bit for q, bit in enumerate(bits) if q not in fixed)
+    return complex(state._block.reshape((2,) * len(free_bits))[free_bits])
 
 
 def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
@@ -124,11 +181,16 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
     """
     if not 0.0 < tol < 0.5:
         raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
-    probs = np.abs(state.amplitudes) ** 2
-    best = int(np.argmax(probs))
-    if probs[best] < 1.0 - tol:
+    magnitudes = np.abs(state._block)
+    position = int(np.argmax(magnitudes))
+    n, bits = state.num_qubits, dict(state._fixed)
+    free = [q for q in range(n) if q not in bits]
+    bits.update((q, position >> (len(free) - 1 - k) & 1) for k, q in enumerate(free))
+    best = sum(bit << (n - 1 - q) for q, bit in bits.items())
+    prob = float(magnitudes[position]) ** 2
+    if prob < 1.0 - tol:
         raise NotBasisState(
-            f"no dominant basis amplitude: max |amp|^2 = {probs[best]:.6f} "
+            f"no dominant basis amplitude: max |amp|^2 = {prob:.6f} "
             f"at index {best} (threshold {1.0 - tol})"
         )
     return best
@@ -234,10 +296,6 @@ def _diagonal(psi: np.ndarray, table: np.ndarray) -> None:
     rows *= table
 
 
-def _tensor(state: StateVector) -> np.ndarray:
-    return state.amplitudes.reshape((2,) * state.num_qubits)
-
-
 def apply_phase(
     state: StateVector, target: int, phase_turns, controls: Controls = ()
 ) -> StateVector:
@@ -246,21 +304,21 @@ def apply_phase(
     _validate_turns(phase_turns)
     if phase_turns == 0:
         return state  # exact identity, amplitudes untouched
-    _phase(_tensor(state), [(target, 1), *controls], _phase_factor(phase_turns))
+    _phase(_expand(state, ()), [(target, 1), *controls], _phase_factor(phase_turns))
     return state
 
 
 def apply_hadamard(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """Standard 2x2 Hadamard on the target, subject to controls."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _hadamard(_tensor(state), target, controls)
+    _hadamard(_expand(state, ()), target, controls)
     return state
 
 
 def apply_x(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """NOT on the target: swaps amplitude pairs differing in the target bit."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _x(_tensor(state), target, controls)
+    _x(_expand(state, ()), target, controls)
     return state
 
 
@@ -269,5 +327,5 @@ def apply_swap(
 ) -> StateVector:
     """Exchange two qubits: swaps amplitudes of the 01 and 10 target patterns."""
     _validate_qubits(state.num_qubits, (target_a, target_b), controls)
-    _swap(_tensor(state), target_a, target_b, controls)
+    _swap(_expand(state, ()), target_a, target_b, controls)
     return state

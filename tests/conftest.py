@@ -9,8 +9,10 @@ the whole state, with no slicing.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qftarith.circuit import Circuit, Gate, GateKind
 from qftarith.qstate import StateVector, apply_hadamard, apply_phase, apply_swap, apply_x
@@ -94,3 +96,47 @@ def run_gate_by_gate(circuit: Circuit, state: StateVector) -> StateVector:
         else:
             apply_swap(state, g.targets[0], g.targets[1], g.controls)
     return state
+
+
+PHASES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(3, 8)]),
+    st.floats(-1, 1, allow_nan=False),
+)
+
+
+@st.composite
+def circuits(draw):
+    """A circuit on 2..7 qubits whose 'static' qubits are only ever controls
+    (of either polarity) or PHASE targets; the rest may be moved too.
+
+    Gates carry random labels, so ``run`` cuts the circuit into blocks of
+    one label: some are PHASE-only and run as one diagonal, and repeated
+    blocks share one compiled step."""
+    n = draw(st.integers(2, 7))
+    static = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    moving = [q for q in range(n) if q not in static]
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        label = draw(st.sampled_from([None, "p", "q"]))
+        kind = draw(st.sampled_from(["PHASE", "PHASE", "H", "X", "SWAP"]))
+        if kind == "SWAP" and len(moving) < 2:
+            kind = "PHASE"
+        if kind == "PHASE":
+            targets = [draw(st.integers(0, n - 1))]
+        else:
+            targets = draw(st.lists(st.sampled_from(moving), min_size=1 + (kind == "SWAP"),
+                                    max_size=1 + (kind == "SWAP"), unique=True))
+        others = [q for q in range(n) if q not in targets]
+        picked = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+        controls = tuple((q, draw(st.integers(0, 1))) for q in picked)
+        if kind == "PHASE":
+            gates.append(Gate.phase(draw(PHASES), targets[0], controls, label))
+        elif kind == "H":
+            gates.append(Gate.hadamard(targets[0], controls, label))
+        elif kind == "X":
+            gates.append(Gate.x(targets[0], controls, label))
+        else:
+            gates.append(Gate.swap(targets[0], targets[1], controls, label))
+    if draw(st.booleans()):  # a repeated block, compiled once
+        gates += gates[-draw(st.integers(1, len(gates))):]
+    return Circuit(n, tuple(gates)), sorted(static)

@@ -301,11 +301,12 @@ class TestLinearAssembly:
         monkeypatch.setattr(Gate, "max_qubit", counting)
         return calls
 
-    def test_concat_checks_each_gate_once(self, max_qubit_calls):
+    def test_concat_checks_no_gate_again(self, max_qubit_calls):
+        """Its parts checked their gates against the same width."""
         parts = [Circuit(1, (Gate.hadamard(0),)) for _ in range(2000)]
         max_qubit_calls[0] = 0
         assert len(concat(parts)) == 2000
-        assert max_qubit_calls[0] == 2000
+        assert max_qubit_calls[0] == 0
 
     def test_inverse_qft_checks_each_gate_once(self, max_qubit_calls):
         circuit = build_inverse_qft(range(3))
@@ -315,4 +316,4 @@ class TestLinearAssembly:
     @pytest.mark.parametrize("n", [3, 5, 6])
     def test_multiplier_build_is_linear(self, max_qubit_calls, n):
         circuit = build_multiplier(MultiplierSpec.for_width(n))
-        assert max_qubit_calls[0] <= 3 * len(circuit)
+        assert max_qubit_calls[0] == len(circuit)

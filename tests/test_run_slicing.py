@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qftarith.circuit as circuit_module
-from conftest import circuit_matrix, random_state, run_gate_by_gate
+from conftest import circuit_matrix, circuits, random_state, run_gate_by_gate
 from qftarith.arith import build_adder, build_decrement
 from qftarith.circuit import (
     Circuit,
@@ -42,48 +42,6 @@ def fuse_small_circuits(monkeypatch):
     """Fuse at every size, so the random circuits below, all smaller than
     the size below which ``run`` keeps to the gates, test the fused steps."""
     monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
-PHASES = st.one_of(
-    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(3, 8)]),
-    st.floats(-1, 1, allow_nan=False),
-)
-
-
-@st.composite
-def circuits(draw):
-    """A circuit on 2..7 qubits whose 'static' qubits are only ever controls
-    (of either polarity) or PHASE targets; the rest may be moved too.
-
-    Gates carry random labels, so ``run`` cuts the circuit into blocks of
-    one label: some are PHASE-only and run as one diagonal, and repeated
-    blocks share one compiled step."""
-    n = draw(st.integers(2, 7))
-    static = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
-    moving = [q for q in range(n) if q not in static]
-    gates = []
-    for _ in range(draw(st.integers(1, 12))):
-        label = draw(st.sampled_from([None, "p", "q"]))
-        kind = draw(st.sampled_from(["PHASE", "PHASE", "H", "X", "SWAP"]))
-        if kind == "SWAP" and len(moving) < 2:
-            kind = "PHASE"
-        if kind == "PHASE":
-            targets = [draw(st.integers(0, n - 1))]
-        else:
-            targets = draw(st.lists(st.sampled_from(moving), min_size=1 + (kind == "SWAP"),
-                                    max_size=1 + (kind == "SWAP"), unique=True))
-        others = [q for q in range(n) if q not in targets]
-        picked = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
-        controls = tuple((q, draw(st.integers(0, 1))) for q in picked)
-        if kind == "PHASE":
-            gates.append(Gate.phase(draw(PHASES), targets[0], controls, label))
-        elif kind == "H":
-            gates.append(Gate.hadamard(targets[0], controls, label))
-        elif kind == "X":
-            gates.append(Gate.x(targets[0], controls, label))
-        else:
-            gates.append(Gate.swap(targets[0], targets[1], controls, label))
-    if draw(st.booleans()):  # a repeated block, compiled once
-        gates += gates[-draw(st.integers(1, len(gates))):]
-    return Circuit(n, tuple(gates)), sorted(static)
 
 
 @pytest.mark.parametrize("fuse", [False, True])
