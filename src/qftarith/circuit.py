@@ -27,15 +27,22 @@ basis populations.  The compiler collects those static qubits from each
 distinct block as it compiles it, so a repeated block is read once, and
 ``run`` executes the program on each populated value of those qubits on
 its own 2^r-amplitude slice, with the static controls and targets resolved
-per slice.  Static qubits that a compact state fixes stay fixed, so a
-basis-state input to a circuit with static qubits never has its full 2^n
-vector built.  A cost model (one
-pass to find the slices, plus a fixed cost per kernel call) falls back to
-the whole state when slicing on the other static qubits would not pay.  A
-gate-by-gate run of the public ``apply_*`` kernels remains the reference:
-the tests hold ``run`` to it within rounding.  ``run`` calls
-the trusted private kernels of :mod:`qftarith.qstate`: ``Gate`` and
-``Circuit`` validated every gate on construction.
+per slice.
+
+The qubits that a compact state fixes stay fixed as *classical* bits when
+every step either leaves them alone or only permutes them: a shift, or a
+block of X and SWAP gates, all of whose qubits are classical.  Such a step
+rewrites the bits and calls no kernel, and the other steps are resolved
+against the bits of the moment.  So a basis-state input has amplitudes
+only over the qubits that some other step moves: the decrement and the
+zero check run as bit arithmetic, and the multiplier simulates its
+accumulator alone.  A cost model (one pass to find the slices, plus a
+fixed cost per kernel call) falls back to the whole state when slicing on
+the other static qubits would not pay.  A gate-by-gate run of the public
+``apply_*`` kernels remains the reference: the tests hold ``run`` to it
+within rounding.  ``run`` calls the trusted private kernels of
+:mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated every gate on
+construction.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -80,11 +87,12 @@ from .qstate import (
 # What one kernel call costs beyond the amplitudes it is given, in units of
 # the time a kernel spends per amplitude: Python dispatch and numpy's
 # indexing set-up.  The cost model counts one call per shift or diagonal
-# step and one per gate of any other step.  Fitted per kernel (relative
-# error, arrays of 2^4..2^18 amplitudes) on a 2-core x86 machine with
-# numpy 2.4: H 11 us per call and 4.4 ns per amplitude, a controlled PHASE
-# 4 us and 0.3 ns, a shift 12 us and 1.8 ns, a diagonal 2 us and 0.8 ns,
-# i.e. 2,500 to 15,000 amplitudes per call; 2^12 sits in that range.
+# step, one per gate of any other step and none for a classical step.
+# Fitted per kernel (relative error, arrays of 2^4..2^18 amplitudes) on a
+# 2-core x86 machine with numpy 2.4: H 11 us per call and 4.4 ns per
+# amplitude, a controlled PHASE 4 us and 0.3 ns, a shift 12 us and 1.8 ns,
+# a diagonal 2 us and 0.8 ns, i.e. 2,500 to 15,000 amplitudes per call;
+# 2^12 sits in that range.
 _CALL_COST = 1 << 12
 
 # Circuits on fewer qubits than this run every block gate by gate.  That
@@ -232,40 +240,48 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     the static qubits' bits, leaving the r free axes and 2^r amplitudes (a
     0-d view when r = 0).
 
-    The static qubits that a compact state (see :mod:`qftarith.qstate`)
-    fixes are *kept*: they stay fixed, and the state's block is expanded to
-    the other qubits only, which allocates nothing when those are all the
-    qubits it already covers.  A state from ``new_basis_state`` fixes every
-    qubit, so its one populated slice is built directly and needs no scan,
-    no copy and no write-back; the multiplier then holds 2^(3n+1)
-    amplitudes, not 2^(4n+1).  A dense state keeps nothing.  On the
-    expanded tensor, :func:`_plan` picks slices of the remaining static
-    qubits, and each slice's bits include the kept ones.  The state is left
-    compact on the kept qubits; the full vector appears only when something
+    The *classical* qubits are the ones a compact state (see
+    :mod:`qftarith.qstate`) fixes and that every step either leaves alone or
+    permutes as bits: a shift, or a block of X and SWAP gates, whose qubits
+    are all classical (see :func:`_classical`).  They stay fixed, and the
+    state's block is expanded to the other qubits only, which allocates
+    nothing when those are all the qubits it already covers.  A classical
+    step calls no kernel: it rewrites the slice's bits of the classical
+    qubits.  Every other step is resolved against the current bits, once per
+    slice and per value of the classical qubits it reads.  A state from
+    ``new_basis_state`` fixes every qubit, so its one populated slice is
+    built directly and needs no scan, no copy and no write-back: the
+    multiplier then holds its 2^(2n)-amplitude accumulator, with x, the y
+    counter and the stop qubit as bits, and the decrement holds one
+    amplitude.  A dense state has no classical qubit.  On the expanded
+    tensor, :func:`_plan` picks slices of the remaining static qubits, and
+    each slice's bits include the classical ones, whose final values become
+    the state's fixed pairs.  The full vector appears only when something
     reads ``state.amplitudes`` or calls a public ``apply_*``, or when no
-    qubit is kept.
+    qubit is classical.
 
-    A slice is copied only when it is strided, and
-    the copy is written back.  Within a slice a gate or a shift whose static
-    control does not match is dropped, a matching static control is
-    removed, and a PHASE on a static qubit holding 1 multiplies the
-    amplitudes that meet its free controls (the whole slice when it has
-    none).  Each step is resolved this way once per slice, however many
-    times the program runs it.
+    A slice is copied only when it is strided, and the copy is written
+    back.  Within a slice a gate or a shift whose static or classical
+    control does not match is dropped, a matching one is removed, and a
+    PHASE on such a qubit holding 1 multiplies the amplitudes that meet its
+    free controls (the whole slice when it has none).  Each step is resolved
+    this way once per slice and per value of the classical qubits it reads,
+    however many times the program runs it.
 
     The result equals a gate-by-gate run of the public ``apply_*`` kernels
-    on the whole state, which the tests compare against, up to rounding: a
-    phase table multiplies once by a product of factors, a shift moves
-    whole amplitudes where the gates mix them through Hadamards, and numpy
-    may round a multiply on a strided slice differently from one on the
-    contiguous state, so even a block run gate by gate can differ in the
-    last bit.
+    on the whole state, which the tests compare against, up to rounding
+    (classical steps are exact): a phase table multiplies once by a product
+    of factors, a shift moves whole amplitudes where the gates mix them
+    through Hadamards, and numpy may round a multiply on a strided slice
+    differently from one on the contiguous state, so even a block run gate
+    by gate can differ in the last bit.
 
     Finding the populated slices costs one pass over the expanded tensor,
-    and each kernel call costs ``_CALL_COST`` amplitudes beyond the array it
-    is given.  Slicing on the remaining static qubits is used only when that
-    model says it pays (see :func:`_slicing_pays`); otherwise the one slice
-    is the whole tensor and the same program runs on it in place.
+    and each kernel call of a step that is not classical costs
+    ``_CALL_COST`` amplitudes beyond the array it is given.  Slicing on the
+    remaining static qubits is used only when that model says it pays (see
+    :func:`_slicing_pays`); otherwise the one slice is the whole tensor and
+    the same program runs on it in place.
     """
     if state.num_qubits != circuit.num_qubits:
         raise QubitCountMismatch(
@@ -273,8 +289,11 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
         )
     n = circuit.num_qubits
     steps, program, static = _compile(circuit.gates, n >= _FUSE_FROM_QUBITS)
-    calls = sum(steps[i].calls for i in program)
-    kept = {q: bit for q, bit in state._fixed if q in static}
+    classical = _classical(steps, [q for q, _ in state._fixed])
+    kept = {q: bit for q, bit in state._fixed if q in classical}
+    bitwise = {i for i, step in enumerate(steps) if step.permute and step.used <= classical}
+    reads = [sorted(step.used & classical) for step in steps]
+    calls = sum(steps[i].calls for i in program if i not in bitwise)
     tensor = _expand(state, tuple(kept.items()))
     qubits = [q for q in range(n) if q not in kept]
     sliced, free, rows = _plan(tensor, qubits, [q for q in static if q not in kept], calls)
@@ -283,18 +302,44 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
         bits = {**kept, **dict(zip(sliced, row))}
         block = tensor[(*(bits.get(q, slice(None)) for q in qubits), ...)]
         psi = block if block.flags.c_contiguous else block.copy()
-        kernels = [step.resolve(bits, pos) for step in steps]
+        resolved: dict[tuple, list] = {}
         for i in program:
-            for kernel, *args in kernels[i]:
+            if i in bitwise:
+                steps[i].permute(bits)
+                continue
+            key = (i, *(bits[q] for q in reads[i]))
+            if key not in resolved:
+                resolved[key] = steps[i].resolve(bits, pos)
+            for kernel, *args in resolved[key]:
                 kernel(psi, *args)
         if psi is not block:
             block[...] = psi
+    state._fixed = tuple((q, bits[q]) for q in kept)  # every slice ends on the same bits
     return state
+
+
+def _classical(steps: Sequence[_Step], fixed: Iterable[int]) -> set[int]:
+    """The fixed qubits that every step leaves alone or permutes as bits.
+
+    A qubit stays classical unless some step moves it and that step is no
+    permutation or uses a qubit that is not classical.  Dropping a qubit can
+    disqualify a step that kept another one, so this repeats until nothing
+    changes.
+    """
+    classical = set(fixed)
+    while dropped := {q for step in steps
+                      if not (step.permute and step.used <= classical)
+                      for q in step.moved & classical}:
+        classical -= dropped
+    return classical
 
 
 class _Step(NamedTuple):
     resolve: Callable  # (bits, pos) -> [(kernel, *args), ...] for one slice
     calls: int         # kernel calls per slice, at most
+    moved: frozenset   # qubits an H, X or SWAP targets
+    used: frozenset    # qubits a gate targets or is controlled by
+    permute: Callable | None = None  # (bits) -> None: the step on basis bits, in place
 
 
 def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int], list[int]]:
@@ -303,26 +348,23 @@ def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int],
 
     Blocks are runs of gates with one label; two blocks with the same
     gates, labels aside, compile to one step.  Unless ``fuse``, every step
-    runs its gates one by one.  A qubit is static when some gate uses it
-    and no H, X or SWAP targets it; a repeated block uses and moves the
-    same qubits each time, so only each distinct block's key is read.
+    runs its gates one by one and none permutes bits.  A qubit is static
+    when some gate uses it and no H, X or SWAP targets it; a repeated block
+    uses and moves the same qubits each time, so only each distinct block's
+    key is read.
     """
     steps: list[_Step] = []
     seen: dict[tuple, int] = {}
     program: list[int] = []
-    used: set[int] = set()
-    moved: set[int] = set()
     for _, group in groupby(gates, key=lambda g: g.label):
         block = tuple(group)
         key = tuple(map(_gate_key, block))
         index = seen.setdefault(key, len(steps))
         if index == len(steps):
             steps.append(_block_step(block, key, fuse))
-            for kind, targets, _, controls in key:
-                used.update(targets, (q for q, _ in controls))
-                if kind is not GateKind.PHASE:
-                    moved.update(targets)
         program.append(index)
+    used = set().union(*(step.used for step in steps))
+    moved = set().union(*(step.moved for step in steps))
     return steps, program, sorted(used - moved)
 
 
@@ -334,14 +376,45 @@ def _gate_key(g: Gate) -> tuple:
 
 
 def _block_step(block: tuple[Gate, ...], key: tuple, fuse: bool) -> _Step:
+    used = frozenset(q for _, targets, _, controls in key
+                     for q in chain(targets, (c for c, _ in controls)))
+    moved = frozenset(q for kind, targets, _, _ in key if kind is not GateKind.PHASE
+                      for q in targets)
     shift = _sandwich(key) if fuse else None
     if shift is not None:
-        return _Step(partial(_shift_kernels, *shift), 1)
+        return _Step(partial(_shift_kernels, *shift), 1, moved, used,
+                     partial(_shift_bits, *shift))
     factors = [_phase_factor(g.phase_turns) if g.kind is GateKind.PHASE else None
                for g in block]
-    if fuse and all(g.kind is GateKind.PHASE for g in block):
-        return _Step(partial(_diagonal_kernels, block, factors), 1)
-    return _Step(partial(_slice_kernels, block, factors), len(block))
+    if fuse and not moved:
+        return _Step(partial(_diagonal_kernels, block, factors), 1, moved, used)
+    flips = fuse and all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key)
+    return _Step(partial(_slice_kernels, block, factors), len(block), moved, used,
+                 partial(_flip_bits, key) if flips else None)
+
+
+def _holds(controls, bits: dict[int, int]) -> bool:
+    return all(bits[q] == pol for q, pol in controls)
+
+
+def _shift_bits(first: int, width: int, amount: int, controls, bits: dict[int, int]) -> None:
+    """The sandwich on a basis state: add ``amount`` modulo 2^width to the
+    register's bits, most significant first, where the controls hold."""
+    if _holds(controls, bits):
+        last = first + width - 1
+        value = sum(bits[q] << (last - q) for q in range(first, last + 1)) + amount
+        bits.update((q, value >> (last - q) & 1) for q in range(first, last + 1))
+
+
+def _flip_bits(key: tuple, bits: dict[int, int]) -> None:
+    """A block of X and SWAP gates on a basis state, gate by gate."""
+    for kind, targets, _, controls in key:
+        if _holds(controls, bits):
+            if kind is GateKind.X:
+                bits[targets[0]] ^= 1
+            else:
+                a, b = targets
+                bits[a], bits[b] = bits[b], bits[a]
 
 
 def _qft_key(qs: Sequence[int], sign: int) -> list[tuple]:

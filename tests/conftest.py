@@ -12,8 +12,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+import qftarith.circuit as circuit_module
 from qftarith.circuit import Circuit, Gate, GateKind
 from qftarith.qstate import StateVector, apply_hadamard, apply_phase, apply_swap, apply_x
 
@@ -96,6 +98,18 @@ def run_gate_by_gate(circuit: Circuit, state: StateVector) -> StateVector:
         else:
             apply_swap(state, g.targets[0], g.targets[1], g.controls)
     return state
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``(kernel name, psi.size)`` for every kernel call ``run`` makes."""
+    calls = []
+    for name in ("_phase", "_hadamard", "_x", "_swap", "_shift", "_diagonal"):
+        def recording(psi, *args, _kernel=getattr(circuit_module, name), _name=name):
+            calls.append((_name, psi.size))
+            return _kernel(psi, *args)
+        monkeypatch.setattr(circuit_module, name, recording)
+    return calls
 
 
 PHASES = st.one_of(

@@ -9,7 +9,7 @@ basis-state run must hold only its populated slice in memory.
 
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from unittest import mock
 
 import numpy as np
@@ -23,7 +23,9 @@ from qftarith.arith import build_adder, build_decrement
 from qftarith.circuit import (
     Circuit,
     Gate,
+    GateKind,
     RegisterLayout,
+    concat,
     decode_registers,
     encode_registers,
     run,
@@ -49,6 +51,33 @@ def dense_basis_state(n: int, index: int) -> StateVector:
     return StateVector(n, amps)
 
 
+def _classical_by_rule(circuit, fuse):
+    """The qubits ``run`` keeps as bits when it starts from a basis state,
+    found from the circuit's gates: every qubit starts classical, and
+    a label block that moves a classical qubit drops all it moves unless it
+    is a permutation (X and SWAP gates only, or a Fourier sandwich, which
+    ``_sandwich`` recognises and tests/test_run_fusion.py holds to modular
+    addition) whose qubits are all classical; repeated to a fixed point."""
+    blocks = []
+    for _, group in groupby(circuit.gates, key=lambda g: g.label):
+        gates = list(group)
+        used = {q for g in gates for q in (*g.targets, *(c for c, _ in g.controls))}
+        moved = {q for g in gates if g.kind is not GateKind.PHASE for q in g.targets}
+        permutes = fuse and (
+            all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
+            or circuit_module._sandwich(tuple(map(circuit_module._gate_key, gates))) is not None)
+        blocks.append((used, moved, permutes))
+    classical = set(range(circuit.num_qubits))
+    changed = True
+    while changed:
+        changed = False
+        for used, moved, permutes in blocks:
+            if moved & classical and not (permutes and used <= classical):
+                classical -= moved
+                changed = True
+    return sorted(classical)
+
+
 @pytest.mark.parametrize("fuse_from", [1, 100])
 @pytest.mark.parametrize("path", ["cost model", "forced slicing"])
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -62,9 +91,9 @@ def test_run_from_compact_matches_dense_and_reference(fuse_from, path, data):
             mock.patch.object(circuit_module, "_slicing_pays", pays):
         compact = run(circuit, new_basis_state(n, index))
         dense = run(circuit, dense_basis_state(n, index))
-    static = circuit_module._compile(circuit.gates, True)[2]
-    assert [q for q, _ in compact._fixed] == static  # every static qubit stays fixed
-    assert compact._block.size == 1 << (n - len(static))
+    classical = _classical_by_rule(circuit, fuse=n >= fuse_from)
+    assert [q for q, _ in compact._fixed] == classical
+    assert compact._block.size == 1 << (n - len(classical))
     assert dense._fixed == ()
     expected = run_gate_by_gate(circuit, new_basis_state(n, index)).amplitudes
     np.testing.assert_allclose(compact.amplitudes, dense.amplitudes, rtol=0, atol=ATOL)
@@ -100,6 +129,82 @@ def test_paper_circuits_every_input_from_compact_state(n):
         assert decode_registers(layout, extract_basis_index(state)) == outputs
         dense = run(circuit, dense_basis_state(layout.num_qubits, index))
         np.testing.assert_allclose(state.amplitudes, dense.amplitudes, rtol=0, atol=ATOL)
+
+
+class TestClassicalQubits:
+    """Fixed qubits that only shifts and X or SWAP blocks move stay bits."""
+
+    def test_multiplier_keeps_x_counter_and_stop_qubit_as_bits(self, kernel_calls):
+        """n = 4: only the 2^(2n)-amplitude accumulator reaches a kernel;
+        every decrement and zero check acts on the bits."""
+        n = 4
+        spec = MultiplierSpec.for_width(n)
+        layout = multiplier_layout(spec)
+        state = new_basis_state(layout.num_qubits, encode_registers(layout, {"x": 13, "y": 11}))
+        run(build_multiplier(spec), state)
+        assert kernel_calls and max(size for _, size in kernel_calls) <= 1 << (2 * n)
+        assert not {"_shift", "_x"} & {name for name, _ in kernel_calls}
+        fixed = dict(state._fixed)
+        assert sorted(fixed) == [*layout["x"], *layout["y"], *layout["control"]]
+        bits = sum(bit << (layout.num_qubits - 1 - q) for q, bit in fixed.items())
+        assert decode_registers(layout, bits) == {"accumulator": 0, "x": 13, "y": 11,
+                                                  "control": 1}
+        assert decode_registers(layout, extract_basis_index(state))["accumulator"] == 143
+
+    @pytest.mark.parametrize("index", [0b01, 0b11])
+    def test_a_later_mixing_step_takes_back_what_an_earlier_one_kept(self, monkeypatch,
+                                                                     index):
+        """X(1) controlled on qubit 0, H(0), X(1) again: the X block uses
+        only fixed qubits, but the H mixes its control, so qubit 1 must not
+        stay a bit either.  One pass over the steps would keep it."""
+        monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+        flip = Gate.x(1, controls=((0, 1),), label="a")
+        circuit = Circuit(2, (flip, Gate.hadamard(0, label="b"), flip))
+        state = run(circuit, new_basis_state(2, index))
+        assert state._fixed == ()
+        expected = run_gate_by_gate(circuit, new_basis_state(2, index)).amplitudes
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+
+    def test_x_and_swap_blocks_act_on_bits(self, monkeypatch, kernel_calls):
+        """Controlled X and SWAP gates permute the bits, and a phase read
+        after them sees the permuted bits, on every input."""
+        monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+        circuit = Circuit(4, (
+            Gate.x(0, label="perm"),
+            Gate.swap(0, 2, controls=((1, 0),), label="perm"),
+            Gate.swap(1, 3, label="perm"),
+            Gate.x(3, controls=((0, 1), (2, 0)), label="perm"),
+            Gate.phase(Fraction(1, 8), 3, controls=((1, 1),), label="kick"),
+        ))
+        for index in range(16):
+            state = run(circuit, new_basis_state(4, index))
+            assert len(state._fixed) == 4
+            expected = run_gate_by_gate(circuit, new_basis_state(4, index)).amplitudes
+            np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+        assert {name for name, _ in kernel_calls} == {"_diagonal"}
+        assert {size for _, size in kernel_calls} == {1}
+
+    @pytest.mark.parametrize("prepare", ["H", "X", None])
+    def test_controlled_decrement(self, kernel_calls, prepare):
+        """A decrement of v controlled on c.  With c in superposition the
+        shift needs the amplitudes, so v is expanded; with c a bit, v stays
+        one too and the decrement calls no kernel."""
+        layout = RegisterLayout([("c", 1), ("v", 9)])
+        gates = {"H": (Gate.hadamard(0, label="prepare"),),
+                 "X": (Gate.x(0, label="prepare"),), None: ()}[prepare]
+        circuit = concat([Circuit(10, gates),
+                          build_decrement(layout, "v", controls=((0, 1),), label="dec")])
+        index = encode_registers(layout, {"v": 5})
+        state = run(circuit, new_basis_state(10, index))
+        if prepare == "H":
+            assert state._fixed == ()
+            assert [name for name, _ in kernel_calls] == ["_hadamard", "_shift"]
+        else:
+            assert kernel_calls == [] and len(state._fixed) == 10
+            outputs = {"c": 1, "v": 4} if prepare == "X" else {"c": 0, "v": 5}
+            assert decode_registers(layout, extract_basis_index(state)) == outputs
+        expected = run_gate_by_gate(circuit, new_basis_state(10, index)).amplitudes
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
 
 @st.composite
@@ -157,10 +262,11 @@ class TestReadingCompactStates:
         assert len(state._fixed) == 4 and state._block.size == 1
 
     def test_superposition_left_compact_is_not_a_basis_state(self):
-        """A lone H on qubit 2; qubit 0 is static, so it stays fixed."""
+        """A lone H on qubit 2; qubit 0 is static and qubit 1 untouched, so
+        both stay fixed."""
         circuit = Circuit(3, (Gate.hadamard(2), Gate.phase(Fraction(1, 4), 0)))
         state = run(circuit, new_basis_state(3, 0b101))
-        assert state._fixed == ((0, 1),)
+        assert state._fixed == ((0, 1), (1, 0)) and state._block.size == 2
         with pytest.raises(NotBasisState, match="max \\|amp\\|\\^2 = 0.500000"):
             extract_basis_index(state)
         assert amplitude(state, 0b100) == pytest.approx(0.5**0.5 * 1j)
@@ -195,6 +301,31 @@ class TestMemory:
 
         assert self._peak(multiply_once) < 8 << 20
         assert result == {"accumulator": 783, "x": 29, "y": 27, "control": 1}
+
+    def test_decrement_on_20_qubits_runs_on_bits(self):
+        """The full state would take 16 MiB, and its roll 16 MiB more."""
+        layout = RegisterLayout([("v", 20)])
+        circuit = build_decrement(layout, "v")
+        result = []
+
+        def decrement_once():
+            state = run(circuit, new_basis_state(20, 0x12345))
+            result.append(extract_basis_index(state))
+
+        assert self._peak(decrement_once) < 1 << 20
+        assert result == [0x12344]
+
+    def test_empty_circuit_on_24_qubits_expands_nothing(self):
+        """No gate touches a qubit, so every qubit stays fixed."""
+        circuit = Circuit(24, ())
+        result = []
+
+        def run_once():
+            state = run(circuit, new_basis_state(24, 0xABCDEF))
+            result.append(extract_basis_index(state))
+
+        assert self._peak(run_once) < 1 << 20
+        assert result == [0xABCDEF]
 
     def test_basis_state_on_24_qubits_allocates_nothing_of_size_2n(self):
         assert self._peak(lambda: new_basis_state(24, 0xABCDEF)) < 1 << 20

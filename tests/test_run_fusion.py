@@ -49,12 +49,17 @@ def _shift_steps(circuit):
 
 def _check_against_references(circuit, amps):
     """``run`` on ``amps`` equals the gate-by-gate run and, on up to 7
-    qubits, the dense matrix; returns the final amplitudes."""
+    qubits, the dense matrix; returns the final amplitudes.  A basis input
+    also runs from the compact basis state, where shifts and X blocks on
+    fixed qubits act on bits."""
     n = circuit.num_qubits
     state = StateVector(n, amps)
     run(circuit, state)
     expected = run_gate_by_gate(circuit, StateVector(n, amps)).amplitudes
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+    if np.count_nonzero(amps) == 1:
+        compact = run(circuit, new_basis_state(n, int(np.flatnonzero(amps)[0])))
+        np.testing.assert_allclose(compact.amplitudes, expected, rtol=0, atol=ATOL)
     if n <= 7:
         np.testing.assert_allclose(state.amplitudes, circuit_matrix(circuit) @ amps,
                                    rtol=0, atol=ATOL)
