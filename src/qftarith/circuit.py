@@ -8,7 +8,8 @@ so "active on |0>" needs no X sandwich.
 
 Execution runs a compiled program on slices of static qubits.
 :func:`run` cuts the gate list into blocks at label changes and compiles
-each distinct block (labels aside) once into one step:
+each distinct block (labels aside) into one step, once per circuit object
+and fuse setting, and keeps the program on the circuit for later runs:
 
 * a *shift* for a Fourier sandwich, the transform on a register, one
   phase kick per wire adding a constant c, and the inverse transform:
@@ -208,28 +209,47 @@ def concat(circuits: Iterable[Circuit]) -> Circuit:
                 f"cannot concatenate circuits on {n} and {c.num_qubits} qubits"
             )
     # Each part checked its gates against n when it was built.
-    joined = object.__new__(Circuit)
-    object.__setattr__(joined, "num_qubits", n)
-    object.__setattr__(joined, "gates", tuple(chain.from_iterable(c.gates for c in parts)))
-    return joined
+    return _trusted(n, tuple(chain.from_iterable(c.gates for c in parts)))
 
 
 def labeled(circuit: Circuit, label: str | None) -> Circuit:
-    """Copy of the circuit with every gate's label replaced."""
+    """Copy of the circuit with every gate's label replaced.
+
+    Neither the gates nor the circuit are checked again: a label cannot
+    make a valid gate invalid.  So a builder can make one block and reuse
+    its gates under many labels at the cost of a copy per gate.
+    """
     if label is None:
         return circuit
-    return Circuit(circuit.num_qubits, tuple(replace(g, label=label) for g in circuit.gates))
+    gates = []
+    for g in circuit.gates:
+        copy = object.__new__(Gate)
+        copy.__dict__.update(g.__dict__, label=label)
+        gates.append(copy)
+    return _trusted(circuit.num_qubits, tuple(gates))
+
+
+def _trusted(num_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
+    """A circuit of gates already checked against ``num_qubits``."""
+    circuit = object.__new__(Circuit)
+    object.__setattr__(circuit, "num_qubits", num_qubits)
+    object.__setattr__(circuit, "gates", gates)
+    return circuit
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the gates in order.  Mutates ``state`` in place and returns it.
 
-    ``run`` first compiles the circuit once into steps, one per distinct
-    block of one label (see :func:`_compile`): a Fourier sandwich on a
-    register, which adds a constant to it (see :func:`_sandwich`), runs as
-    one cyclic shift; a block of PHASE gates only, as one diagonal; any
-    other block, and every block of a circuit on fewer than
-    ``_FUSE_FROM_QUBITS`` qubits, gate by gate.
+    ``run`` compiles the circuit into steps, one per distinct block of one
+    label (see :func:`_compile`), once per circuit object and fuse setting
+    (whether the circuit has ``_FUSE_FROM_QUBITS`` qubits or more), and
+    keeps them on the circuit outside its fields, so not in ``==``, the
+    hash, the repr or ``replace``.  Resolving the steps against a slice's
+    bits stays per call.  A Fourier sandwich on a register, which adds a
+    constant to it (see :func:`_sandwich`), runs as one cyclic shift; a
+    block of PHASE gates only, as one diagonal; any other block, and every
+    block of a circuit on fewer than ``_FUSE_FROM_QUBITS`` qubits, gate by
+    gate.
 
     A qubit is *static* when some gate uses it and no H, X or SWAP targets
     it: it is only ever a control or a PHASE target, so every gate maps each
@@ -288,7 +308,13 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
     n = circuit.num_qubits
-    steps, program, static = _compile(circuit.gates, n >= _FUSE_FROM_QUBITS)
+    fuse = n >= _FUSE_FROM_QUBITS
+    # Frozen, so written through vars().  Threads racing here may compile
+    # twice and keep either program: both are the same.
+    compiled = vars(circuit).setdefault("_compiled", {})
+    if fuse not in compiled:
+        compiled[fuse] = _compile(circuit.gates, fuse)
+    steps, program, static = compiled[fuse]
     classical = _classical(steps, [q for q, _ in state._fixed])
     kept = {q: bit for q, bit in state._fixed if q in classical}
     bitwise = {i for i, step in enumerate(steps) if step.permute and step.used <= classical}

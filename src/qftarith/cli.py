@@ -26,6 +26,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .arith import build_adder, build_decrement
@@ -100,7 +101,8 @@ class _Command(NamedTuple):
 
 
 # The builders are called through this module's globals, not bound here, so
-# perfbench/worker.py can wrap them by name.
+# perfbench/worker.py can wrap them by name.  The multiplier's memo sits
+# behind that name, inside build_multiplier, so every call still reaches it.
 _COMMANDS = {
     "add": _Command(("a", "b"), "b",
                     lambda args: RegisterLayout([("a", args.n), ("b", args.n)]),
@@ -202,8 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on the first main() call rather than at
+# import; parse_args keeps no state between calls.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, circuit = _run(args)
         if args.emit_circuit:

@@ -30,6 +30,7 @@ x * min(y, iterations): the unroll bound is tight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .arith import build_decrement, build_fourier_add_register
@@ -40,6 +41,7 @@ from .circuit import (
     concat,
     decode_register,
     encode_registers,
+    labeled,
     run,
 )
 from .errors import SpecInvariantViolation
@@ -104,26 +106,29 @@ def build_zero_check(
     return Circuit(n, (gate,))
 
 
+@lru_cache(maxsize=8)
 def build_multiplier(spec: MultiplierSpec) -> Circuit:
-    """Full multiplication network |0>|x>|y>|0> -> |x*y>|x>|y>|1>."""
+    """Full multiplication network |0>|x>|y>|0> -> |x*y>|x>|y>|1>.
+
+    The iterations differ only in their labels, so one ``add``, one ``dec``
+    and one ``check`` block are built and checked, and each iteration
+    reuses their gates under its own label.  The result is memoised per
+    spec in a small bounded cache: calls with an equal spec return the same
+    immutable circuit, which ``run`` compiles once.
+    """
     layout = multiplier_layout(spec)
     n = layout.num_qubits
     acc, x, y = layout["accumulator"], layout["x"], layout["y"]
     stop = layout["control"][0]
+    add = build_fourier_add_register(x, acc, controls=((stop, 0),), num_qubits=n)
+    dec = build_decrement(layout, "y")
+    check = build_zero_check(y, stop, n)
 
-    parts = [
-        build_qft(acc, n, label="qft[accumulator]"),
-        build_zero_check(y, stop, n, label="check[0]"),
-    ]
+    parts = [build_qft(acc, n, label="qft[accumulator]"), labeled(check, "check[0]")]
     for i in range(1, spec.iterations + 1):
-        parts.append(
-            build_fourier_add_register(
-                x, acc, controls=((stop, 0),), num_qubits=n, label=f"add[iter {i}]"
-            )
-        )
-        parts.append(build_decrement(layout, "y", label=f"dec[iter {i}]"))
-        parts.append(build_zero_check(y, stop, n, label=f"check[{i}]"))
-    parts.append(build_decrement(layout, "y", label="dec[restore]"))
+        parts += [labeled(add, f"add[iter {i}]"), labeled(dec, f"dec[iter {i}]"),
+                  labeled(check, f"check[{i}]")]
+    parts.append(labeled(dec, "dec[restore]"))
     parts.append(build_inverse_qft(acc, n, label="iqft[accumulator]"))
     return concat(parts)
 
@@ -131,9 +136,10 @@ def build_multiplier(spec: MultiplierSpec) -> Circuit:
 def multiply(x: int, y: int, n: int) -> int:
     """Multiply two n-bit integers on the simulator; returns x*y exactly.
 
-    Builds the standard circuit (accumulator width 2n, 2**n - 1 iterations),
-    runs it on the encoded input, extracts the final basis state, and
-    decodes the accumulator.  Before building anything it raises
+    Takes the standard circuit (accumulator width 2n, 2**n - 1 iterations)
+    from :func:`build_multiplier`, whose memo builds and compiles it once
+    per width, runs it on the encoded input, extracts the final basis
+    state, and decodes the accumulator.  Before building anything it raises
     SpecInvariantViolation for n < 1, ValueTooWide for an operand that does
     not fit in n bits, and QubitBudgetExceeded for a state past the budget.
     Raises NotBasisState if the circuit ever fails to produce a

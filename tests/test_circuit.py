@@ -315,5 +315,19 @@ class TestLinearAssembly:
 
     @pytest.mark.parametrize("n", [3, 5, 6])
     def test_multiplier_build_is_linear(self, max_qubit_calls, n):
-        circuit = build_multiplier(MultiplierSpec.for_width(n))
-        assert max_qubit_calls[0] == len(circuit)
+        """Only the distinct blocks (qft, iqft, add, dec and check) are
+        checked, the same count at every unroll count K, while the circuit
+        grows by one add, dec and check per iteration.  An equal spec comes
+        from the memo and checks nothing."""
+        build_multiplier.cache_clear()
+        # gates in: the distinct blocks, the blocks outside the loop, one iteration
+        distinct, fixed, per_iteration = {3: (73, 58, 31), 5: (186, 146, 76),
+                                          6: (262, 205, 106)}[n]
+        for k in (1, 3, (1 << n) - 1):
+            max_qubit_calls[0] = 0
+            circuit = build_multiplier(MultiplierSpec(n, 2 * n, k))
+            assert max_qubit_calls[0] == distinct
+            assert len(circuit) == fixed + k * per_iteration
+        max_qubit_calls[0] = 0
+        assert build_multiplier(MultiplierSpec.for_width(n)) is circuit
+        assert max_qubit_calls[0] == 0

@@ -1,6 +1,7 @@
 """Command-line interface: reports, oracle verification, exit codes,
 JSON round-trips, and circuit listings."""
 
+import hashlib
 import importlib
 import json
 import tracemalloc
@@ -183,6 +184,50 @@ class TestEmitCircuit:
         assert "# check[0]" in text
         assert "# add[iter 1]" in text
         assert "# dec[restore]" in text
+
+
+class TestParserReuse:
+    """main() parses with one parser per process; no call may see another's
+    options."""
+
+    def test_successive_calls_keep_their_own_options(self, capsys):
+        assert main(["mul", "5", "6", "--n", "3", "--iterations", "2", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"] == {"x": 5, "y": 6, "iterations": 2}
+        assert report["outputs"]["accumulator"] == 10
+        assert main(["mul", "5", "6", "--n", "3", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"] == {"x": 5, "y": 6, "iterations": 7}
+        assert report["outputs"] == {"accumulator": 30, "x": 5, "y": 6, "control": 1}
+        assert report["verified"] is True
+        with pytest.raises(SystemExit) as exc:
+            main(["mul", "5", "--n", "3"])
+        assert exc.value.code == 2
+        assert main(["add", "9", "0", "--n", "2"]) == 2
+        capsys.readouterr()
+        assert main(["dec", "0", "--n", "4", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["operation"] == "dec"
+        assert report["inputs"] == {"v": 0} and report["outputs"] == {"v": 15}
+        assert report["widths"] == {"v": 4} and report["verified"] is True
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
+class TestListingsAreStable:
+    """The ``--emit-circuit`` listings, byte for byte."""
+
+    @pytest.mark.parametrize("argv, md5", [
+        (["mul", "5", "6", "--n", "3"], "73bac7208bc91b8022c84f996033b1f8"),
+        (["add", "3", "4", "--n", "4"], "219bdcf410ef5ef3ceb5fc57bf7f526e"),
+        (["dec", "3", "--n", "5"], "47bf7cec8d64a02cdd8005ae47cb9cab"),
+    ])
+    def test_listing_md5(self, tmp_path, capsys, argv, md5):
+        path = tmp_path / "circuit.txt"
+        assert main([*argv, "--emit-circuit", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.md5(path.read_bytes()).hexdigest() == md5
 
 
 class TestBenchmarkHooks:

@@ -1,13 +1,16 @@
 """Multiplier network: zero checks, the one-way latch control flow,
 exhaustive products against the classical oracle, and the unroll bound."""
 
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from qftarith.arith import build_decrement, build_fourier_add_register
 from qftarith.circuit import (
+    concat,
     decode_register,
     decode_registers,
     encode_registers,
@@ -21,6 +24,7 @@ from qftarith.multiplier import (
     multiplier_layout,
     multiply,
 )
+from qftarith.qft import build_inverse_qft, build_qft
 from qftarith.qstate import (
     StateVector,
     extract_basis_index,
@@ -184,6 +188,21 @@ class TestMultiplyFunction:
             threaded = list(pool.map(lambda p: multiply(*p, 2), pairs))
         assert serial == threaded == [x * y for x, y in pairs]
 
+    def test_threads_racing_to_build_and_compile_agree(self):
+        """More threads than cores start on an empty memo with a short
+        switch interval; a lost race may build or compile twice, but every
+        product is right."""
+        build_multiplier.cache_clear()
+        pairs = [(x, y) for x in range(8) for y in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                products = list(pool.map(lambda p: multiply(*p, 3), pairs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert products == [x * y for x, y in pairs]
+
 
 class TestStructure:
     def test_iteration_labels_present(self):
@@ -201,3 +220,24 @@ class TestStructure:
         assert adds and all(len(g.controls) == 2 for g in adds)
         stop = multiplier_layout(MultiplierSpec.for_width(2))["control"][0]
         assert all((stop, 0) in g.controls for g in adds)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_shared_blocks_equal_blocks_built_one_by_one(self, n):
+        """The build reuses one add, dec and check block under each label;
+        the circuit equals one whose every block is built with its label."""
+        spec = MultiplierSpec.for_width(n)
+        layout = multiplier_layout(spec)
+        nq = layout.num_qubits
+        acc, x, y = layout["accumulator"], layout["x"], layout["y"]
+        stop = layout["control"][0]
+        parts = [build_qft(acc, nq, label="qft[accumulator]"),
+                 build_zero_check(y, stop, nq, label="check[0]")]
+        for i in range(1, spec.iterations + 1):
+            parts += [
+                build_fourier_add_register(x, acc, ((stop, 0),), nq, label=f"add[iter {i}]"),
+                build_decrement(layout, "y", label=f"dec[iter {i}]"),
+                build_zero_check(y, stop, nq, label=f"check[{i}]"),
+            ]
+        parts += [build_decrement(layout, "y", label="dec[restore]"),
+                  build_inverse_qft(acc, nq, label="iqft[accumulator]")]
+        assert build_multiplier(spec) == concat(parts)

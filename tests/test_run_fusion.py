@@ -5,10 +5,15 @@ register) runs as one cyclic shift, a PHASE-only block as one diagonal.
 These tests drive the builders at random widths, constants and controls
 and hold ``run`` to modular arithmetic, to the gate-by-gate reference and,
 on up to 7 qubits, to the dense matrix.  Broken sandwiches must not be
-recognised: they fall back to the gates and fail the arithmetic.
+recognised: they fall back to the gates and fail the arithmetic.  The
+multiplier is built once per spec and compiled once per circuit object and
+fuse setting.
 """
 
+import json
+import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 
 import qftarith.circuit as circuit_module
 from conftest import circuit_matrix, random_state, run_gate_by_gate
+from qftarith import cli
 from qftarith.arith import build_adder, build_decrement, build_fourier_add_constant
 from qftarith.circuit import (
     Circuit,
@@ -27,6 +33,7 @@ from qftarith.circuit import (
     encode_registers,
     run,
 )
+from qftarith.multiplier import MultiplierSpec, build_multiplier, multiplier_layout
 from qftarith.qft import build_inverse_qft, build_qft
 from qftarith.qstate import StateVector, new_basis_state
 
@@ -217,3 +224,57 @@ def test_controlled_sandwich_inside_a_wider_state():
     assert len(_shift_steps(circuit)) == 1
     _check_against_references(circuit, random_state(n, np.random.default_rng(11)))
     _check_against_references(circuit, new_basis_state(n, 0b0100101).amplitudes)
+
+
+class TestBuildAndCompileOnce:
+    """The multiplier is built once per spec and compiled once per circuit
+    object and fuse setting, however many inputs run through it."""
+
+    def test_every_n3_input_through_the_cli_builds_and_compiles_once(self, monkeypatch,
+                                                                     capsys):
+        build_multiplier.cache_clear()
+        compiles, builds = [0], [0]
+        compile_, post_init = circuit_module._compile, Gate.__post_init__
+
+        def counting_compile(*args):
+            compiles[0] += 1
+            return compile_(*args)
+
+        def counting_post_init(gate):
+            builds[0] += 1
+            post_init(gate)
+
+        monkeypatch.setattr(circuit_module, "_compile", counting_compile)
+        monkeypatch.setattr(Gate, "__post_init__", counting_post_init)
+        inputs = list(product(range(8), repeat=2))
+        random.Random(7).shuffle(inputs)
+        built_after = []
+        for x, y in inputs:
+            assert cli.main(["mul", str(x), str(y), "--n", "3", "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["verified"] and report["outputs"]["accumulator"] == x * y
+            built_after.append(builds[0])
+        assert compiles[0] == 1
+        assert built_after[0] > 0 and set(built_after) == {built_after[0]}  # first call only
+
+    def test_the_fuse_setting_keys_the_compiled_program(self, monkeypatch, kernel_calls):
+        """The same memoised circuit runs fused (shifts and diagonals) and
+        then gate by gate when the threshold moves, matching the reference
+        both times: a program cached by circuit alone would run fused twice."""
+        spec = MultiplierSpec.for_width(3)
+        layout = multiplier_layout(spec)
+        n = layout.num_qubits
+        amps = np.zeros(1 << n, dtype=complex)
+        for x, y in [(5, 6), (3, 7)]:  # dense, so no qubit stays a classical bit
+            amps[encode_registers(layout, {"x": x, "y": y})] = np.sqrt(0.5)
+        expected = run_gate_by_gate(build_multiplier(spec), StateVector(n, amps)).amplitudes
+        kernels = {}
+        for fuse_from in (1, 100):
+            monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", fuse_from)
+            kernel_calls.clear()
+            state = run(build_multiplier(spec), StateVector(n, amps))
+            np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+            kernels[fuse_from] = {name for name, _ in kernel_calls}
+        assert kernels[1] >= {"_shift", "_diagonal"}
+        assert not kernels[100] & {"_shift", "_diagonal"}
+        assert build_multiplier(spec) is build_multiplier(spec)
