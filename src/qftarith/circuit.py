@@ -6,10 +6,10 @@ via the primitive kernels.  Multi-controlled gates are first class: every
 gate carries a control list of ``(qubit, polarity)`` pairs of any fan-in,
 so "active on |0>" needs no X sandwich.
 
-Execution runs a compiled program on slices of static qubits.
-:func:`run` cuts the gate list into blocks at label changes and compiles
-each distinct block (labels aside) into one step, once per circuit object
-and fuse setting, and keeps the program on the circuit for later runs:
+Execution runs a compiled program on one tensor.  :func:`run` cuts the
+gate list into blocks at label changes and compiles each distinct block
+(labels aside) into one step, once per circuit object and fuse setting,
+and keeps the program on the circuit for later runs:
 
 * a *shift* for a Fourier sandwich, the transform on a register, one
   phase kick per wire adding a constant c, and the inverse transform:
@@ -22,13 +22,7 @@ and fuse setting, and keeps the program on the circuit for later runs:
 * *gates* for anything else, one kernel call each.
 
 Circuits on fewer than ``_FUSE_FROM_QUBITS`` qubits run every block as
-gates.  A qubit that some gate uses but no H, X or SWAP targets (the
-multiplier's x register, the adder's source register) never changes its
-basis populations.  The compiler collects those static qubits from each
-distinct block as it compiles it, so a repeated block is read once, and
-``run`` executes the program on each populated value of those qubits on
-its own 2^r-amplitude slice, with the static controls and targets resolved
-per slice.
+gates.
 
 The qubits that a compact state fixes stay fixed as *classical* bits when
 every step either leaves them alone or only permutes them: a shift, or a
@@ -36,14 +30,12 @@ block of X and SWAP gates, all of whose qubits are classical.  Such a step
 rewrites the bits and calls no kernel, and the other steps are resolved
 against the bits of the moment.  So a basis-state input has amplitudes
 only over the qubits that some other step moves: the decrement and the
-zero check run as bit arithmetic, and the multiplier simulates its
-accumulator alone.  A cost model (one pass to find the slices, plus a
-fixed cost per kernel call) falls back to the whole state when slicing on
-the other static qubits would not pay.  A gate-by-gate run of the public
-``apply_*`` kernels remains the reference: the tests hold ``run`` to it
-within rounding.  ``run`` calls the trusted private kernels of
-:mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated every gate on
-construction.
+zero check run as bit arithmetic, the multiplier simulates its
+accumulator alone with x as bits, and the adder its destination register
+alone.  A gate-by-gate run of the public ``apply_*`` kernels remains the
+reference: the tests hold ``run`` to it.  ``run`` calls the trusted
+private kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit``
+validated every gate on construction.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -85,24 +77,12 @@ from .qstate import (
     _x,
 )
 
-# What one kernel call costs beyond the amplitudes it is given, in units of
-# the time a kernel spends per amplitude: Python dispatch and numpy's
-# indexing set-up.  The cost model counts one call per shift or diagonal
-# step, one per gate of any other step and none for a classical step.
-# Fitted per kernel (relative error, arrays of 2^4..2^18 amplitudes) on a
-# 2-core x86 machine with numpy 2.4: H 11 us per call and 4.4 ns per
-# amplitude, a controlled PHASE 4 us and 0.3 ns, a shift 12 us and 1.8 ns,
-# a diagonal 2 us and 0.8 ns, i.e. 2,500 to 15,000 amplitudes per call;
-# 2^12 sits in that range.
-_CALL_COST = 1 << 12
-
 # Circuits on fewer qubits than this run every block gate by gate.  That
 # keeps the 9-qubit multiplier in perfbench/test_perfbench.py bitwise equal
-# to a gate-by-gate replay of the public kernels; other results agree with
-# the replay within rounding, because numpy may round a multiply on a
-# strided slice differently from one on the contiguous state.  Fusion would
+# to a gate-by-gate replay of the public kernels, and a dense input below
+# it runs the replay's kernel calls on the replay's array.  Fusion would
 # still save a little there: 0.1-0.3 ms of a 0.6-0.9 ms run of the 9-qubit
-# multiplier, on the machine above.
+# multiplier, on a 2-core x86 machine with numpy 2.4.
 _FUSE_FROM_QUBITS = 10
 
 
@@ -213,7 +193,8 @@ def concat(circuits: Iterable[Circuit]) -> Circuit:
 
 
 def labeled(circuit: Circuit, label: str | None) -> Circuit:
-    """Copy of the circuit with every gate's label replaced.
+    """Copy of the circuit with every gate's label replaced by ``label``;
+    with ``label`` None, the circuit itself, labels unchanged.
 
     Neither the gates nor the circuit are checked again: a label cannot
     make a valid gate invalid.  So a builder can make one block and reuse
@@ -240,107 +221,58 @@ def _trusted(num_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the gates in order.  Mutates ``state`` in place and returns it.
 
-    ``run`` compiles the circuit into steps, one per distinct block of one
-    label (see :func:`_compile`), once per circuit object and fuse setting
-    (whether the circuit has ``_FUSE_FROM_QUBITS`` qubits or more), and
-    keeps them on the circuit outside its fields, so not in ``==``, the
-    hash, the repr or ``replace``.  Resolving the steps against a slice's
-    bits stays per call.  A Fourier sandwich on a register, which adds a
-    constant to it (see :func:`_sandwich`), runs as one cyclic shift; a
-    block of PHASE gates only, as one diagonal; any other block, and every
-    block of a circuit on fewer than ``_FUSE_FROM_QUBITS`` qubits, gate by
-    gate.
+    The circuit is compiled once per circuit object and fuse setting (see
+    :func:`_compile` and ``_FUSE_FROM_QUBITS``), and the program is kept on
+    the circuit outside its fields, so not in ``==``, the hash, the repr or
+    ``replace``.
 
-    A qubit is *static* when some gate uses it and no H, X or SWAP targets
-    it: it is only ever a control or a PHASE target, so every gate maps each
-    value of the static qubits to itself and the circuit is block-diagonal
-    over those values.  :func:`_compile` finds the static qubits from the
-    distinct blocks it compiles.  ``run`` therefore runs the program on each
-    populated value on its own *slice*: a tensor over the qubits indexed at
-    the static qubits' bits, leaving the r free axes and 2^r amplitudes (a
-    0-d view when r = 0).
+    The *classical* qubits are those a compact state fixes and every step
+    leaves alone or permutes as bits (see :func:`_classical`).  The block is
+    expanded once to the other qubits, and the program runs on that one
+    contiguous tensor.  A classical step rewrites the bits and calls no
+    kernel.  Every other step is resolved against the current bits, once
+    per value of the classical qubits it reads: a gate whose classical
+    control fails is dropped, and one whose controls hold loses them.  From
+    ``new_basis_state`` the multiplier holds its 2^(2n)-amplitude
+    accumulator and the decrement one amplitude; a dense state has no
+    classical qubit and runs whole.
 
-    The *classical* qubits are the ones a compact state (see
-    :mod:`qftarith.qstate`) fixes and that every step either leaves alone or
-    permutes as bits: a shift, or a block of X and SWAP gates, whose qubits
-    are all classical (see :func:`_classical`).  They stay fixed, and the
-    state's block is expanded to the other qubits only, which allocates
-    nothing when those are all the qubits it already covers.  A classical
-    step calls no kernel: it rewrites the slice's bits of the classical
-    qubits.  Every other step is resolved against the current bits, once per
-    slice and per value of the classical qubits it reads.  A state from
-    ``new_basis_state`` fixes every qubit, so its one populated slice is
-    built directly and needs no scan, no copy and no write-back: the
-    multiplier then holds its 2^(2n)-amplitude accumulator, with x, the y
-    counter and the stop qubit as bits, and the decrement holds one
-    amplitude.  A dense state has no classical qubit.  On the expanded
-    tensor, :func:`_plan` picks slices of the remaining static qubits, and
-    each slice's bits include the classical ones, whose final values become
-    the state's fixed pairs.  The full vector appears only when something
-    reads ``state.amplitudes`` or calls a public ``apply_*``, or when no
-    qubit is classical.
-
-    A slice is copied only when it is strided, and the copy is written
-    back.  Within a slice a gate or a shift whose static or classical
-    control does not match is dropped, a matching one is removed, and a
-    PHASE on such a qubit holding 1 multiplies the amplitudes that meet its
-    free controls (the whole slice when it has none).  Each step is resolved
-    this way once per slice and per value of the classical qubits it reads,
-    however many times the program runs it.
-
-    The result equals a gate-by-gate run of the public ``apply_*`` kernels
-    on the whole state, which the tests compare against, up to rounding
-    (classical steps are exact): a phase table multiplies once by a product
-    of factors, a shift moves whole amplitudes where the gates mix them
-    through Hadamards, and numpy may round a multiply on a strided slice
-    differently from one on the contiguous state, so even a block run gate
-    by gate can differ in the last bit.
-
-    Finding the populated slices costs one pass over the expanded tensor,
-    and each kernel call of a step that is not classical costs
-    ``_CALL_COST`` amplitudes beyond the array it is given.  Slicing on the
-    remaining static qubits is used only when that model says it pays (see
-    :func:`_slicing_pays`); otherwise the one slice is the whole tensor and
-    the same program runs on it in place.
+    A dense input below ``_FUSE_FROM_QUBITS`` qubits gets the kernel calls
+    of a gate-by-gate run of the public ``apply_*`` on the same array, so
+    the result is bitwise equal to it.  Otherwise the two agree within
+    rounding: a phase table multiplies by a product of factors, a shift
+    moves whole amplitudes that the gates mix through Hadamards, and a gate
+    on a smaller array may round differently in the last bit.  Classical
+    steps are exact.
     """
     if state.num_qubits != circuit.num_qubits:
         raise QubitCountMismatch(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    n = circuit.num_qubits
-    fuse = n >= _FUSE_FROM_QUBITS
+    fuse = circuit.num_qubits >= _FUSE_FROM_QUBITS
     # Frozen, so written through vars().  Threads racing here may compile
     # twice and keep either program: both are the same.
     compiled = vars(circuit).setdefault("_compiled", {})
     if fuse not in compiled:
         compiled[fuse] = _compile(circuit.gates, fuse)
-    steps, program, static = compiled[fuse]
+    steps, program = compiled[fuse]
     classical = _classical(steps, [q for q, _ in state._fixed])
-    kept = {q: bit for q, bit in state._fixed if q in classical}
+    bits = {q: bit for q, bit in state._fixed if q in classical}
     bitwise = {i for i, step in enumerate(steps) if step.permute and step.used <= classical}
     reads = [sorted(step.used & classical) for step in steps]
-    calls = sum(steps[i].calls for i in program if i not in bitwise)
-    tensor = _expand(state, tuple(kept.items()))
-    qubits = [q for q in range(n) if q not in kept]
-    sliced, free, rows = _plan(tensor, qubits, [q for q in static if q not in kept], calls)
-    pos = {q: i for i, q in enumerate(free)}
-    for row in rows:
-        bits = {**kept, **dict(zip(sliced, row))}
-        block = tensor[(*(bits.get(q, slice(None)) for q in qubits), ...)]
-        psi = block if block.flags.c_contiguous else block.copy()
-        resolved: dict[tuple, list] = {}
-        for i in program:
-            if i in bitwise:
-                steps[i].permute(bits)
-                continue
-            key = (i, *(bits[q] for q in reads[i]))
-            if key not in resolved:
-                resolved[key] = steps[i].resolve(bits, pos)
-            for kernel, *args in resolved[key]:
-                kernel(psi, *args)
-        if psi is not block:
-            block[...] = psi
-    state._fixed = tuple((q, bits[q]) for q in kept)  # every slice ends on the same bits
+    psi = _expand(state, tuple(bits.items()))
+    pos = {q: i for i, q in enumerate(q for q in range(circuit.num_qubits) if q not in bits)}
+    resolved: dict[tuple, list] = {}
+    for i in program:
+        if i in bitwise:
+            steps[i].permute(bits)
+            continue
+        key = (i, *(bits[q] for q in reads[i]))
+        if key not in resolved:
+            resolved[key] = steps[i].resolve(bits, pos)
+        for kernel, *args in resolved[key]:
+            kernel(psi, *args)
+    state._fixed = tuple(bits.items())  # permuting bits keeps the qubits' order
     return state
 
 
@@ -361,23 +293,18 @@ def _classical(steps: Sequence[_Step], fixed: Iterable[int]) -> set[int]:
 
 
 class _Step(NamedTuple):
-    resolve: Callable  # (bits, pos) -> [(kernel, *args), ...] for one slice
-    calls: int         # kernel calls per slice, at most
+    resolve: Callable  # (bits, pos) -> [(kernel, *args), ...] on the tensor
     moved: frozenset   # qubits an H, X or SWAP targets
     used: frozenset    # qubits a gate targets or is controlled by
     permute: Callable | None = None  # (bits) -> None: the step on basis bits, in place
 
 
-def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int], list[int]]:
-    """The distinct steps, the program as indices into them, and the static
-    qubits in ascending order.
+def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int]]:
+    """The distinct steps and the program as indices into them.
 
     Blocks are runs of gates with one label; two blocks with the same
     gates, labels aside, compile to one step.  Unless ``fuse``, every step
-    runs its gates one by one and none permutes bits.  A qubit is static
-    when some gate uses it and no H, X or SWAP targets it; a repeated block
-    uses and moves the same qubits each time, so only each distinct block's
-    key is read.
+    runs its gates one by one and none permutes bits.
     """
     steps: list[_Step] = []
     seen: dict[tuple, int] = {}
@@ -389,9 +316,7 @@ def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int],
         if index == len(steps):
             steps.append(_block_step(block, key, fuse))
         program.append(index)
-    used = set().union(*(step.used for step in steps))
-    moved = set().union(*(step.moved for step in steps))
-    return steps, program, sorted(used - moved)
+    return steps, program
 
 
 def _gate_key(g: Gate) -> tuple:
@@ -408,14 +333,14 @@ def _block_step(block: tuple[Gate, ...], key: tuple, fuse: bool) -> _Step:
                       for q in targets)
     shift = _sandwich(key) if fuse else None
     if shift is not None:
-        return _Step(partial(_shift_kernels, *shift), 1, moved, used,
+        return _Step(partial(_shift_kernels, *shift), moved, used,
                      partial(_shift_bits, *shift))
     factors = [_phase_factor(g.phase_turns) if g.kind is GateKind.PHASE else None
                for g in block]
     if fuse and not moved:
-        return _Step(partial(_diagonal_kernels, block, factors), 1, moved, used)
+        return _Step(partial(_diagonal_kernels, block, factors), moved, used)
     flips = fuse and all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key)
-    return _Step(partial(_slice_kernels, block, factors), len(block), moved, used,
+    return _Step(partial(_gate_kernels, block, factors), moved, used,
                  partial(_flip_bits, key) if flips else None)
 
 
@@ -497,38 +422,9 @@ def _sandwich(key: tuple) -> tuple[int, int, int, tuple] | None:
     return qs[0], width, int(amount), controls
 
 
-def _slicing_pays(num_qubits: int, free_qubits: int, calls: int, slices: int) -> bool:
-    """Whether one pass to find the slices, then ``calls`` kernel calls on
-    each of ``slices`` slices of 2^free_qubits amplitudes, costs less than
-    the same calls on the whole state."""
-    whole = calls * ((1 << num_qubits) + _CALL_COST)
-    sliced = (1 << num_qubits) + slices * calls * ((1 << free_qubits) + _CALL_COST)
-    return sliced < whole
-
-
-def _plan(tensor: np.ndarray, qubits: list[int], static: list[int], calls: int):
-    """How ``run`` cuts a tensor, whose axes are ``qubits`` (ascending), into
-    slices of the ``static`` qubits among them (ascending), for a program
-    of ``calls`` kernel calls per slice.
-
-    Returns the qubits sliced on and the free qubits, both ascending, and
-    the populated slices, each as the bits the sliced qubits hold there, in
-    ascending order.  When slicing does not pay, no qubit is sliced on,
-    every qubit is free and the one slice, with no bits fixed, is the whole
-    tensor.
-    """
-    free = tuple(q for q in qubits if q not in static)
-    if static and _slicing_pays(tensor.ndim, len(free), calls, 1):
-        axes = tuple(i for i, q in enumerate(qubits) if q not in static)
-        rows = np.argwhere(np.any(tensor, axis=axes)).tolist()
-        if _slicing_pays(tensor.ndim, len(free), calls, len(rows)):
-            return static, free, rows
-    return [], tuple(qubits), [()]
-
-
 def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):
-    """The controls on free qubits, renumbered by ``pos``; None when a
-    static control does not hold ``bits``."""
+    """The controls on the tensor's qubits, renumbered by ``pos``; None
+    when a classical control does not hold ``bits``."""
     fixed = []
     for q, pol in controls:
         if q not in bits:
@@ -539,8 +435,8 @@ def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):
 
 
 def _phase_fixed(g: Gate, bits: dict[int, int], pos: dict[int, int]):
-    """The free (axis, bit) pairs a PHASE multiplies at on the slice, or
-    None when it acts as the identity there."""
+    """The (axis, bit) pairs a PHASE multiplies at on the tensor, or None
+    when it acts as the identity there."""
     fixed = _free_controls(g.controls, bits, pos)
     if fixed is None or g.phase_turns == 0:  # a zero turn is an exact identity
         return None
@@ -550,9 +446,9 @@ def _phase_fixed(g: Gate, bits: dict[int, int], pos: dict[int, int]):
     return fixed if bits[t] else None
 
 
-def _slice_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int]):
-    """``(kernel, *args)`` for each gate that acts on the slice where the
-    static qubits hold ``bits``, with free qubits renumbered by ``pos``."""
+def _gate_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int]):
+    """``(kernel, *args)`` for each gate that acts on the tensor where the
+    classical qubits hold ``bits``, with its qubits renumbered by ``pos``."""
     kernels = []
     for g, factor in zip(gates, factors):
         if g.kind is GateKind.PHASE:
@@ -574,13 +470,13 @@ def _slice_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int]):
 
 
 def _diagonal_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int]):
-    """One multiply by the product of a PHASE block's factors on the slice;
-    none if no phase acts there.
+    """One multiply by the product of a PHASE block's factors on the
+    tensor; none if no phase acts there.
 
-    The product is tabulated over the free axes the phases depend on, then
-    broadcast to every axis from the first of those to the last axis of the
-    slice and laid out contiguously, so that it multiplies whole contiguous
-    rows: broadcasting a short inner axis is several times slower.
+    The product is tabulated over the tensor's axes the phases depend on,
+    then broadcast to every axis from the first of those to the last and
+    laid out contiguously, so that it multiplies whole contiguous rows:
+    broadcasting a short inner axis is several times slower.
     """
     kicks = [(fixed, factor) for g, factor in zip(gates, factors)
              if (fixed := _phase_fixed(g, bits, pos)) is not None]
@@ -598,7 +494,7 @@ def _diagonal_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int])
 
 def _shift_kernels(first: int, width: int, amount: int, controls,
                    bits: dict[int, int], pos: dict[int, int]):
-    """The sandwich's one shift on the slice, or none where a static
+    """The sandwich's one shift on the tensor, or none where a classical
     control fails."""
     fixed = _free_controls(controls, bits, pos)
     if fixed is None:

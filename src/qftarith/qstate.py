@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from contextlib import suppress
 from typing import Iterable, Sequence
 
@@ -200,10 +201,13 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
 
 
 def _validate_qubits(num_qubits: int | None, targets: Sequence[int], controls: Controls) -> None:
-    """Distinct qubits in range, polarities 0 or 1.  With ``num_qubits``
-    None, any non-negative qubit index is in range."""
+    """Distinct integer qubits in range, polarities 0 or 1.  With
+    ``num_qubits`` None, any non-negative qubit index is in range.  A bool
+    or a float is no qubit index, even where it equals an integer."""
     seen: set[int] = set()
     for q in (*targets, *(q for q, _ in controls)):
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+            raise IndexOutOfRange(f"qubit index must be an integer, got {q!r}")
         if q < 0 or num_qubits is not None and q >= num_qubits:
             bound = "" if num_qubits is None else f" for {num_qubits} qubits"
             raise IndexOutOfRange(f"qubit {q} out of range{bound}")

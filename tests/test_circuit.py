@@ -36,11 +36,27 @@ from qftarith.multiplier import MultiplierSpec, build_multiplier
 from qftarith.qft import build_inverse_qft, build_qft
 from qftarith.qstate import (
     StateVector,
+    apply_hadamard,
     apply_phase,
+    apply_swap,
+    apply_x,
     extract_basis_index,
     new_basis_state,
     norm,
 )
+
+# Each takes a target and controls, with qubits 0 and 2 free for a second
+# target or a control.
+QUBIT_TAKERS = {
+    "Gate.hadamard": lambda t, c: Gate.hadamard(t, c),
+    "Gate.phase": lambda t, c: Gate.phase(Fraction(1, 4), t, c),
+    "Gate.x": lambda t, c: Gate.x(t, c),
+    "Gate.swap": lambda t, c: Gate.swap(t, 0, c),
+    "apply_hadamard": lambda t, c: apply_hadamard(new_basis_state(3, 0), t, c),
+    "apply_phase": lambda t, c: apply_phase(new_basis_state(3, 0), t, Fraction(1, 4), c),
+    "apply_x": lambda t, c: apply_x(new_basis_state(3, 0), t, c),
+    "apply_swap": lambda t, c: apply_swap(new_basis_state(3, 0), t, 0, c),
+}
 
 
 class TestGateModel:
@@ -81,6 +97,25 @@ class TestGateModel:
         with pytest.raises(IndexOutOfRange):
             Gate.phase(Fraction(1, 2), 0, controls=((-1, 1),))
         assert Gate.x(1000).max_qubit() == 1000
+
+    @pytest.mark.parametrize("take", QUBIT_TAKERS.values(), ids=QUBIT_TAKERS)
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True], ids=repr)
+    @pytest.mark.parametrize("where", ["target", "control"])
+    def test_qubit_index_that_is_no_integer_is_rejected(self, take, bad, where):
+        """A float equal to an integer, or a bool, is no qubit index either."""
+        target, controls = (bad, ((2, 1),)) if where == "target" else (1, ((bad, 1),))
+        with pytest.raises(IndexOutOfRange, match="must be an integer"):
+            take(target, controls)
+
+    @pytest.mark.parametrize("take", QUBIT_TAKERS.values(), ids=QUBIT_TAKERS)
+    def test_numpy_integer_qubit_index_is_accepted(self, take):
+        take(np.int64(1), ((np.int64(2), 1),))
+
+    def test_numpy_integer_qubits_list_as_integers_and_run(self):
+        gate = Gate.x(np.int64(1), ((np.int64(0), 1),))
+        assert gate == Gate.x(1, ((0, 1),))
+        assert format_gate(gate) == "GATE X target=1 controls=0:1"
+        assert extract_basis_index(run(Circuit(2, (gate,)), new_basis_state(2, 0b10))) == 0b11
 
     def test_circuit_rejects_out_of_range_gate(self):
         with pytest.raises(IndexOutOfRange):

@@ -79,16 +79,13 @@ def _classical_by_rule(circuit, fuse):
 
 
 @pytest.mark.parametrize("fuse_from", [1, 100])
-@pytest.mark.parametrize("path", ["cost model", "forced slicing"])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_run_from_compact_matches_dense_and_reference(fuse_from, path, data):
+def test_run_from_compact_matches_dense_and_reference(fuse_from, data):
     circuit, _ = data.draw(circuits())
     n = circuit.num_qubits
     index = data.draw(st.integers(0, (1 << n) - 1))
-    pays = (lambda *_: True) if path == "forced slicing" else circuit_module._slicing_pays
-    with mock.patch.object(circuit_module, "_FUSE_FROM_QUBITS", fuse_from), \
-            mock.patch.object(circuit_module, "_slicing_pays", pays):
+    with mock.patch.object(circuit_module, "_FUSE_FROM_QUBITS", fuse_from):
         compact = run(circuit, new_basis_state(n, index))
         dense = run(circuit, dense_basis_state(n, index))
     classical = _classical_by_rule(circuit, fuse=n >= fuse_from)

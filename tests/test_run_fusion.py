@@ -50,7 +50,7 @@ def fuse_small_circuits(monkeypatch):
 
 def _shift_steps(circuit):
     """The block indices of ``circuit``'s program that compiled to a shift."""
-    steps, program, _ = circuit_module._compile(circuit.gates, True)
+    steps, program = circuit_module._compile(circuit.gates, True)
     return [i for i in program if steps[i].resolve.func is circuit_module._shift_kernels]
 
 
@@ -90,7 +90,8 @@ def sandwiches(draw):
 
     The register starts at a random offset.  Up to 2 other qubits control
     the kicks, with either polarity; a control that an X also targets is
-    free, one that only controls is static, so both slice paths run.
+    expanded, one that only controls stays a bit from a basis state, so
+    the shift is resolved both ways.
     """
     width = draw(st.integers(1, 8))
     extra = draw(st.integers(0, min(2, 10 - width)))
@@ -211,8 +212,9 @@ def test_control_inside_the_register_is_not_a_shift():
 
 
 def test_controlled_sandwich_inside_a_wider_state():
-    """Sandwich with static and free controls of both polarities, on a
-    register that is not at the edge of the state, from a dense state."""
+    """Sandwich with controls of both polarities, on a register that is
+    not at the edge of the state, from a dense state and from a basis
+    state, where the control that nothing moves (qubit 1) stays a bit."""
     n = 7
     qs = [2, 3, 4]
     circuit = concat([
