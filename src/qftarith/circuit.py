@@ -11,15 +11,23 @@ gate list into blocks at label changes and compiles each distinct block
 (labels aside) into one step, once per circuit object and fuse setting,
 and keeps the program on the circuit for later runs:
 
-* a *shift* for a Fourier sandwich, the transform on a register, one
-  phase kick per wire adding a constant c, and the inverse transform:
-  Draper's adder, which is exactly v -> v + c mod 2^w.  It runs as one
-  cyclic roll of the register's axis where the kick's controls hold.  The
-  match compares exact angles against the rule written out here, so any
-  other angle keeps the gates;
+* a *shift* for a Fourier sandwich: the transform on a register, groups
+  of phase kicks, and the inverse transform.  Each group adds a constant
+  c_g under its own controls, outside the register: one group is Draper's
+  constant adder, v -> v + c mod 2^w, and one group per source qubit,
+  controlled by it, is the register adder.  The groups commute.  Those
+  whose controls are classical bits add up to one cyclic roll of the
+  register's axis; each other group is its own roll where its controls
+  hold;
+* a *transform* for a block that is exactly the Fourier transform on a
+  register of two or more qubits, or its inverse, with no controls: one
+  FFT along the register's axis and one bit-reversal gather;
 * a *diagonal* for a block of PHASE gates only: one multiply by a table of
   the product of their phases;
 * *gates* for anything else, one kernel call each.
+
+The shift and transform matches compare exact angles against rules written
+out here from the definitions, so any other angle keeps the gates.
 
 Circuits on fewer than ``_FUSE_FROM_QUBITS`` qubits run every block as
 gates.
@@ -29,13 +37,13 @@ every step either leaves them alone or only permutes them: a shift, or a
 block of X and SWAP gates, all of whose qubits are classical.  Such a step
 rewrites the bits and calls no kernel, and the other steps are resolved
 against the bits of the moment.  So a basis-state input has amplitudes
-only over the qubits that some other step moves: the decrement and the
-zero check run as bit arithmetic, the multiplier simulates its
-accumulator alone with x as bits, and the adder its destination register
-alone.  A gate-by-gate run of the public ``apply_*`` kernels remains the
-reference: the tests hold ``run`` to it.  ``run`` calls the trusted
-private kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit``
-validated every gate on construction.
+only over the qubits that some other step moves: the decrement, the adder
+and the zero check run as bit arithmetic, and the multiplier simulates
+its accumulator alone, with x as bits, as two transforms and one diagonal
+per addition.  A gate-by-gate run of the public ``apply_*`` kernels
+remains the reference: the tests hold ``run`` to it.  ``run`` calls the
+trusted private kernels of :mod:`qftarith.qstate`: ``Gate`` and
+``Circuit`` validated every gate on construction.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -67,11 +75,13 @@ from .qstate import (
     _diagonal,
     _expand,
     _fixed_axes,
+    _fourier,
     _hadamard,
     _phase,
     _phase_factor,
     _shift,
     _swap,
+    _validate_count,
     _validate_qubits,
     _validate_turns,
     _x,
@@ -156,8 +166,7 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.num_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {self.num_qubits}")
+        _validate_count(self.num_qubits)
         for g in self.gates:
             if g.max_qubit() >= self.num_qubits:
                 raise IndexOutOfRange(
@@ -231,19 +240,20 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     expanded once to the other qubits, and the program runs on that one
     contiguous tensor.  A classical step rewrites the bits and calls no
     kernel.  Every other step is resolved against the current bits, once
-    per value of the classical qubits it reads: a gate whose classical
-    control fails is dropped, and one whose controls hold loses them.  From
-    ``new_basis_state`` the multiplier holds its 2^(2n)-amplitude
-    accumulator and the decrement one amplitude; a dense state has no
-    classical qubit and runs whole.
+    per value of the classical qubits it reads: a gate or kick group whose
+    classical control fails is dropped, and one whose controls hold loses
+    them.  A sandwich's groups with classical controls merge into one shift,
+    and a transform is one FFT.  From ``new_basis_state`` the multiplier
+    holds its 2^(2n)-amplitude accumulator and the adder and the decrement
+    one amplitude; a dense state has no classical qubit and runs whole.
 
     A dense input below ``_FUSE_FROM_QUBITS`` qubits gets the kernel calls
     of a gate-by-gate run of the public ``apply_*`` on the same array, so
     the result is bitwise equal to it.  Otherwise the two agree within
     rounding: a phase table multiplies by a product of factors, a shift
-    moves whole amplitudes that the gates mix through Hadamards, and a gate
-    on a smaller array may round differently in the last bit.  Classical
-    steps are exact.
+    moves whole amplitudes that the gates mix through Hadamards, an FFT
+    sums in another order than the gates, and a gate on a smaller array
+    may round differently in the last bit.  Classical steps are exact.
     """
     if state.num_qubits != circuit.num_qubits:
         raise QubitCountMismatch(
@@ -335,6 +345,12 @@ def _block_step(block: tuple[Gate, ...], key: tuple, fuse: bool) -> _Step:
     if shift is not None:
         return _Step(partial(_shift_kernels, *shift), moved, used,
                      partial(_shift_bits, *shift))
+    transform = _transform(key) if fuse else None
+    if transform is not None:
+        first, width, sign = transform
+        index = np.arange(1 << width)
+        reverse = sum((index >> b & 1) << (width - 1 - b) for b in range(width))
+        return _Step(partial(_fourier_kernels, first, width, sign, reverse), moved, used)
     factors = [_phase_factor(g.phase_turns) if g.kind is GateKind.PHASE else None
                for g in block]
     if fuse and not moved:
@@ -348,13 +364,14 @@ def _holds(controls, bits: dict[int, int]) -> bool:
     return all(bits[q] == pol for q, pol in controls)
 
 
-def _shift_bits(first: int, width: int, amount: int, controls, bits: dict[int, int]) -> None:
-    """The sandwich on a basis state: add ``amount`` modulo 2^width to the
-    register's bits, most significant first, where the controls hold."""
-    if _holds(controls, bits):
-        last = first + width - 1
-        value = sum(bits[q] << (last - q) for q in range(first, last + 1)) + amount
-        bits.update((q, value >> (last - q) & 1) for q in range(first, last + 1))
+def _shift_bits(first: int, width: int, groups, bits: dict[int, int]) -> None:
+    """The sandwich on a basis state: add to the register's bits, most
+    significant first, the sum modulo 2^width of the groups' amounts whose
+    controls hold."""
+    amount = sum(amount for amount, controls in groups if _holds(controls, bits))
+    last = first + width - 1
+    value = sum(bits[q] << (last - q) for q in range(first, last + 1)) + amount
+    bits.update((q, value >> (last - q) & 1) for q in range(first, last + 1))
 
 
 def _flip_bits(key: tuple, bits: dict[int, int]) -> None:
@@ -379,15 +396,23 @@ def _qft_key(qs: Sequence[int], sign: int) -> list[tuple]:
     return key
 
 
-def _sandwich(key: tuple) -> tuple[int, int, int, tuple] | None:
-    """``(first, width, amount, controls)`` when the block is a Fourier
-    sandwich, else None.
+def _sandwich(key: tuple) -> tuple[int, int, tuple] | None:
+    """``(first, width, groups)`` when the block is a Fourier sandwich,
+    else None; ``groups`` holds one ``(amount, controls)`` pair per kick
+    group.
 
     A sandwich is the Fourier transform on the register ``first`` ..
-    ``first + width - 1``, one phase kick of amount/2^(width-j) turns
-    (taken mod 1 with the amount's sign, zero kicks left out) on each wire
-    j under the same controls, and the inverse transform: Draper's
-    constant adder, v -> v + amount mod 2^width where the controls hold.
+    ``first + width - 1``, a middle of consecutive kick groups, and the
+    inverse transform.  Each group is one phase kick of amount/2^(width-j)
+    turns (taken mod 1 with the amount's sign, zero kicks left out) on each
+    wire j, all under the group's controls, which lie outside the register,
+    for a nonzero integer amount below 2^width in magnitude.  Its kick on
+    wire 0 is never zero, so every group starts there.  One group is
+    Draper's constant adder, v -> v + amount mod 2^width where the controls
+    hold.  The groups commute, so the block adds the sum of the amounts
+    whose controls hold: with one group per source qubit, controlled by it,
+    this is the register adder.  An empty middle adds 0.
+
     The rule is written out here from the transform's definition, not taken
     from the builders, and angles are compared exactly, so a builder that
     emits a wrong angle falls back to the gates and still fails its tests.
@@ -397,29 +422,44 @@ def _sandwich(key: tuple) -> tuple[int, int, int, tuple] | None:
     qs = list(range(hs[0], hs[0] + width)) if hs else []
     if not qs or hs != qs + qs[::-1]:
         return None
-    edge = width * (width + 1) // 2
-    kicks = key[edge:len(key) - edge]
-    amount, controls = 0, ()
-    if kicks:
-        kind, targets, turns, controls = kicks[0]
+    expected, end = _qft_key(qs, 1), len(key) - width * (width + 1) // 2
+    groups = []
+    while len(expected) < end:
+        kind, targets, turns, controls = key[len(expected)]
         if kind is not GateKind.PHASE or targets != (qs[0],):
             return None
         if any(q in qs for q, _ in controls):
             return None  # a kick controlled from inside the register adds nothing
         amount = Fraction(*turns) * (1 << width)
-        if amount.denominator != 1 or abs(amount) >= 1 << width:
+        if amount.denominator != 1 or not 0 < abs(amount) < 1 << width:
             return None
-    sign, magnitude = (-1 if amount < 0 else 1), abs(int(amount))
-    wire_turns = [(q, Fraction(magnitude, 1 << (width - j)) % 1) for j, q in enumerate(qs)]
-    expected = [
-        *_qft_key(qs, 1),
-        *((GateKind.PHASE, (q,), (sign * t).as_integer_ratio(), controls)
-          for q, t in wire_turns if t),
-        *reversed(_qft_key(qs, -1)),
-    ]
+        sign, magnitude = (-1 if amount < 0 else 1), abs(int(amount))
+        wire_turns = [(q, Fraction(magnitude, 1 << (width - j)) % 1) for j, q in enumerate(qs)]
+        expected += [(GateKind.PHASE, (q,), (sign * t).as_integer_ratio(), controls)
+                     for q, t in wire_turns if t]
+        groups.append((int(amount), controls))
+    expected += reversed(_qft_key(qs, -1))
     if list(key) != expected:
         return None
-    return qs[0], width, int(amount), controls
+    return qs[0], width, tuple(groups)
+
+
+def _transform(key: tuple) -> tuple[int, int, int] | None:
+    """``(first, width, sign)`` when the block is the Fourier transform
+    (sign 1) or its inverse (-1) on the register ``first`` .. ``first +
+    width - 1`` of at least two qubits, with no controls, else None.
+
+    The transform's key is ``_qft_key(qs, 1)`` and the inverse's the reverse
+    of ``_qft_key(qs, -1)``, compared exactly as in :func:`_sandwich`.
+    """
+    hs = [targets[0] for kind, targets, _, _ in key if kind is GateKind.HADAMARD]
+    if len(hs) < 2:
+        return None
+    sign = 1 if hs[0] < hs[-1] else -1
+    qs = list(range(min(hs), min(hs) + len(hs)))
+    if list(key) != _qft_key(qs, sign)[::sign]:  # the inverse runs in reverse
+        return None
+    return qs[0], len(qs), sign
 
 
 def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):
@@ -492,14 +532,29 @@ def _diagonal_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int])
     return [(_diagonal, table.reshape(-1))]
 
 
-def _shift_kernels(first: int, width: int, amount: int, controls,
+def _shift_kernels(first: int, width: int, groups,
                    bits: dict[int, int], pos: dict[int, int]):
-    """The sandwich's one shift on the tensor, or none where a classical
-    control fails."""
-    fixed = _free_controls(controls, bits, pos)
-    if fixed is None:
-        return []
-    return [(_shift, pos[first], width, amount, fixed)]
+    """The sandwich's shifts on the tensor.  The groups whose controls are
+    all classical and hold add up to one shift, left out if it adds 0 mod
+    2^width; a group with a control on the tensor is its own shift; a group
+    with a classical control that fails is dropped."""
+    kernels, amount = [], 0
+    for group_amount, controls in groups:
+        fixed = _free_controls(controls, bits, pos)
+        if fixed:
+            kernels.append((_shift, pos[first], width, group_amount, fixed))
+        elif fixed is not None:
+            amount += group_amount
+    if amount % (1 << width):
+        kernels.append((_shift, pos[first], width, amount, []))
+    return kernels
+
+
+def _fourier_kernels(first: int, width: int, sign: int, reverse: np.ndarray,
+                     bits: dict[int, int], pos: dict[int, int]):
+    """The transform's one FFT on the tensor.  Its qubits are never
+    classical, because it mixes them."""
+    return [(_fourier, pos[first], width, sign, reverse)]
 
 
 def inverse(circuit: Circuit) -> Circuit:

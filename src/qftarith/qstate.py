@@ -19,10 +19,12 @@ never touched, so disabled gates leave them bitwise unchanged.
 Each gate has two entry points.  The public ``apply_*`` functions check
 their qubits, polarities and angle against the state, then call a private
 kernel (``_phase``, ``_hadamard``, ``_x``, ``_swap``) that trusts its
-arguments and works on a bare ``(2,)*n`` array.  Two more private kernels
-apply a whole block of gates at once: ``_shift`` adds a constant to a
-register of adjacent qubits with one cyclic roll, and ``_diagonal``
-multiplies by a table of phases that depends on the last k qubits.
+arguments and works on a bare ``(2,)*n`` array.  Three more private
+kernels apply a whole block of gates at once: ``_shift`` adds a constant to
+a register of adjacent qubits with one cyclic roll, ``_diagonal``
+multiplies by a table of phases that depends on the last k qubits, and
+``_fourier`` runs the swap-free Fourier transform on a register of
+adjacent qubits, or its inverse, as one FFT and one bit-reversal gather.
 :func:`qftarith.circuit.run` calls the private kernels directly, because
 ``Gate`` and ``Circuit`` already validated every gate on construction;
 that also lets it drive arrays that are only part of a state.
@@ -85,8 +87,7 @@ class StateVector:
     __slots__ = ("num_qubits", "_fixed", "_block")
 
     def __init__(self, num_qubits: int, amplitudes: Iterable[complex]):
-        if num_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {num_qubits}")
+        _validate_count(num_qubits)
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (1 << num_qubits,):
             raise ValueError(
@@ -150,8 +151,7 @@ def _check_budget(total_qubits: int) -> None:
 def new_basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational-basis state |index> on ``num_qubits`` qubits: compact,
     with every qubit fixed and one amplitude."""
-    if num_qubits < 1:
-        raise ValueError(f"need at least one qubit, got {num_qubits}")
+    _validate_count(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise IndexOutOfRange(
             f"basis index {index} out of range for {num_qubits} qubits"
@@ -200,13 +200,24 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
     return best
 
 
+def _is_integer(value) -> bool:
+    """An integer, numpy's included.  A bool or a float is none, even where
+    it equals one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _validate_count(num_qubits: int) -> None:
+    if not _is_integer(num_qubits) or num_qubits < 1:
+        raise ValueError(f"need at least one qubit, got {num_qubits!r}")
+
+
 def _validate_qubits(num_qubits: int | None, targets: Sequence[int], controls: Controls) -> None:
-    """Distinct integer qubits in range, polarities 0 or 1.  With
-    ``num_qubits`` None, any non-negative qubit index is in range.  A bool
-    or a float is no qubit index, even where it equals an integer."""
+    """Distinct integer qubits in range, integer polarities 0 or 1 (see
+    :func:`_is_integer`).  With ``num_qubits`` None, any non-negative qubit
+    index is in range."""
     seen: set[int] = set()
     for q in (*targets, *(q for q, _ in controls)):
-        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+        if not _is_integer(q):
             raise IndexOutOfRange(f"qubit index must be an integer, got {q!r}")
         if q < 0 or num_qubits is not None and q >= num_qubits:
             bound = "" if num_qubits is None else f" for {num_qubits} qubits"
@@ -215,7 +226,7 @@ def _validate_qubits(num_qubits: int | None, targets: Sequence[int], controls: C
             raise DuplicateQubit(f"qubit {q} used more than once in one gate")
         seen.add(q)
     for _, pol in controls:
-        if pol not in (0, 1):
+        if not _is_integer(pol) or pol not in (0, 1):
             raise ValueError(f"control polarity must be 0 or 1, got {pol!r}")
 
 
@@ -301,6 +312,24 @@ def _diagonal(psi: np.ndarray, table: np.ndarray) -> None:
     view of it."""
     rows = psi.reshape(-1, table.size)
     rows *= table
+
+
+def _fourier(psi: np.ndarray, start: int, width: int, sign: int, reverse: np.ndarray) -> None:
+    """The swap-free Fourier transform (``sign`` 1) or its inverse (-1) on
+    the register on axes ``start`` .. ``start + width - 1``.
+
+    The transform maps value v to amplitudes[i] == F[bit_reverse(i), v]
+    (see :mod:`qftarith.qft`), F the unitary DFT with omega =
+    exp(2*pi*i / 2^width): an orthonormal inverse FFT along the register's
+    merged axis, then a gather by ``reverse``, the bit-reversal
+    permutation.  The inverse gathers first and then runs the forward FFT.
+    ``psi`` must be C-contiguous, so the merged view is a view of it.
+    """
+    rows = psi.reshape(1 << start, 1 << width, -1)
+    if sign > 0:
+        rows[...] = np.fft.ifft(rows, axis=1, norm="ortho")[:, reverse]
+    else:
+        rows[...] = np.fft.fft(rows[:, reverse], axis=1, norm="ortho")
 
 
 def apply_phase(

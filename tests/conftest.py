@@ -104,7 +104,7 @@ def run_gate_by_gate(circuit: Circuit, state: StateVector) -> StateVector:
 def kernel_calls(monkeypatch):
     """``(kernel name, psi.size)`` for every kernel call ``run`` makes."""
     calls = []
-    for name in ("_phase", "_hadamard", "_x", "_swap", "_shift", "_diagonal"):
+    for name in ("_phase", "_hadamard", "_x", "_swap", "_shift", "_diagonal", "_fourier"):
         def recording(psi, *args, _kernel=getattr(circuit_module, name), _name=name):
             calls.append((_name, psi.size))
             return _kernel(psi, *args)

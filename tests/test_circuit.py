@@ -108,6 +108,14 @@ class TestGateModel:
             take(target, controls)
 
     @pytest.mark.parametrize("take", QUBIT_TAKERS.values(), ids=QUBIT_TAKERS)
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, 0.5], ids=repr)
+    def test_polarity_that_is_no_integer_is_rejected(self, take, bad):
+        """A bool or a float equal to 0 or 1 is no polarity: the listing
+        would print it as ``1:True`` or ``1:1.0``."""
+        with pytest.raises(ValueError, match="polarity must be 0 or 1"):
+            take(1, ((2, bad),))
+
+    @pytest.mark.parametrize("take", QUBIT_TAKERS.values(), ids=QUBIT_TAKERS)
     def test_numpy_integer_qubit_index_is_accepted(self, take):
         take(np.int64(1), ((np.int64(2), 1),))
 
@@ -116,6 +124,18 @@ class TestGateModel:
         assert gate == Gate.x(1, ((0, 1),))
         assert format_gate(gate) == "GATE X target=1 controls=0:1"
         assert extract_basis_index(run(Circuit(2, (gate,)), new_basis_state(2, 0b10))) == 0b11
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, True, 0, -1], ids=repr)
+    @pytest.mark.parametrize("make", [
+        lambda n: Circuit(n, ()),
+        lambda n: StateVector(n, [1, 0, 0, 0]),
+        lambda n: new_basis_state(n, 1),
+    ], ids=["Circuit", "StateVector", "new_basis_state"])
+    def test_qubit_count_that_is_no_positive_integer_is_rejected(self, make, bad):
+        """A float or a bool qubit count fails like a count below 1, before
+        anything computes ``1 << n``."""
+        with pytest.raises(ValueError, match="need at least one qubit"):
+            make(bad)
 
     def test_circuit_rejects_out_of_range_gate(self):
         with pytest.raises(IndexOutOfRange):

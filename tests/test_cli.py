@@ -1,6 +1,7 @@
 """Command-line interface: reports, oracle verification, exit codes,
 JSON round-trips, and circuit listings."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -157,6 +158,17 @@ class TestJson:
         assert report.gate_count == 77
         # round trip through the dataclass again
         assert RunReport.from_json(report.to_json()) == report
+
+    @pytest.mark.parametrize("argv", [
+        ["mul", "5", "6", "--n", "3"],
+        ["add", "3", "4", "--n", "4"],
+        ["dec", "0", "--n", "2"],
+    ])
+    def test_to_json_is_byte_identical_to_asdict(self, argv):
+        """``to_json`` dumps the fields without ``asdict``'s deep copy, and
+        the text is the same, key order included."""
+        report, _ = _run(build_parser().parse_args(argv))
+        assert report.to_json() == json.dumps(dataclasses.asdict(report))
 
     def test_json_dec(self, capsys):
         assert main(["dec", "0", "--n", "2", "--json"]) == 0

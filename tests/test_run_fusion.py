@@ -260,7 +260,7 @@ class TestBuildAndCompileOnce:
         assert built_after[0] > 0 and set(built_after) == {built_after[0]}  # first call only
 
     def test_the_fuse_setting_keys_the_compiled_program(self, monkeypatch, kernel_calls):
-        """The same memoised circuit runs fused (shifts and diagonals) and
+        """The same memoised circuit runs fused (shifts, diagonals and FFTs) and
         then gate by gate when the threshold moves, matching the reference
         both times: a program cached by circuit alone would run fused twice."""
         spec = MultiplierSpec.for_width(3)
@@ -277,6 +277,6 @@ class TestBuildAndCompileOnce:
             state = run(build_multiplier(spec), StateVector(n, amps))
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
             kernels[fuse_from] = {name for name, _ in kernel_calls}
-        assert kernels[1] >= {"_shift", "_diagonal"}
-        assert not kernels[100] & {"_shift", "_diagonal"}
+        assert kernels[1] >= {"_shift", "_diagonal", "_fourier"}
+        assert not kernels[100] & {"_shift", "_diagonal", "_fourier"}
         assert build_multiplier(spec) is build_multiplier(spec)

@@ -165,21 +165,20 @@ class TestSliceSizes:
         assert state.amplitudes is amplitudes
 
     def test_multiplier_fuses_every_add_and_dec_block(self, kernel_calls):
-        """Each ``add[...]`` block is one diagonal and each ``dec[...]`` block
-        one shift; only the accumulator's two transforms and the zero checks
-        run gate by gate."""
+        """Each ``add[...]`` block is one diagonal, each ``dec[...]`` block
+        one shift and each accumulator transform one FFT; only the zero
+        checks run gate by gate."""
         n = 4
         spec = MultiplierSpec.for_width(n)
         layout = multiplier_layout(spec)
         state = new_basis_state(layout.num_qubits, encode_registers(layout, {"x": 9, "y": 14}))
         self._run_in_place(build_multiplier(spec), state)
-        m, blocks = spec.m, 1 << n
+        blocks = 1 << n
         assert Counter(name for name, _ in kernel_calls) == {
             "_diagonal": blocks - 1,     # add[iter 1..15]
             "_shift": blocks,            # dec[iter 1..15], dec[restore]
             "_x": blocks,                # check[0..15]
-            "_hadamard": 2 * m,          # qft and iqft on the accumulator
-            "_phase": m * (m - 1),
+            "_fourier": 2,               # qft and iqft on the accumulator
         }
         assert decode_registers(layout, extract_basis_index(state))["accumulator"] == 126
 
@@ -190,14 +189,31 @@ class TestSliceSizes:
         assert kernel_calls == []
 
     def test_adder_runs_on_the_destination_register(self, kernel_calls):
-        """From a basis state a, which the adder only reads, stays bits."""
+        """From a basis state a, which the adder only reads, stays bits, and
+        the register sandwich adds it to b's bits: no kernel call."""
         n = 6
         layout = RegisterLayout([("a", n), ("b", n)])
         state = new_basis_state(2 * n, encode_registers(layout, {"a": 45, "b": 30}))
         run(build_adder(layout), state)
-        assert kernel_calls and max(size for _, size in kernel_calls) <= 1 << n
-        assert dict(state._fixed) == {q: (45 >> (n - 1 - q)) & 1 for q in layout["a"]}
+        assert kernel_calls == [] and len(state._fixed) == 2 * n
         assert decode_registers(layout, extract_basis_index(state)) == {"a": 45, "b": 11}
+
+    def test_cli_add_makes_no_kernel_call(self, kernel_calls, capsys):
+        assert main(["add", "5", "9", "--n", "10"]) == 0
+        assert "b=14" in capsys.readouterr().out
+        assert kernel_calls == []
+
+    def test_n5_basis_state_multiply_makes_33_kernel_calls(self, kernel_calls):
+        """Two transforms of the accumulator and one diagonal per addition;
+        everything else is bit arithmetic."""
+        spec = MultiplierSpec.for_width(5)
+        layout = multiplier_layout(spec)
+        index = encode_registers(layout, {"x": 31, "y": 31})
+        state = run(build_multiplier(spec), new_basis_state(layout.num_qubits, index))
+        assert Counter(name for name, _ in kernel_calls) == {"_fourier": 2, "_diagonal": 31}
+        assert {size for _, size in kernel_calls} == {1 << spec.m}
+        assert decode_registers(layout, extract_basis_index(state)) == {
+            "accumulator": 961, "x": 31, "y": 31, "control": 1}
 
     def test_diagonal_circuit_on_dense_state_runs_whole(self, kernel_calls):
         n = 10
