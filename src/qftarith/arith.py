@@ -22,6 +22,7 @@ from typing import Sequence
 from .circuit import Circuit, Gate, RegisterLayout, concat
 from .errors import ConstantTooWide, OverlappingRegisters
 from .qft import build_inverse_qft, build_qft
+from .qstate import _is_integer
 
 Controls = Sequence[tuple[int, int]]
 
@@ -34,10 +35,10 @@ class SignedConstant:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.magnitude < 0:
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
+        if not _is_integer(self.sign) or self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        if not _is_integer(self.magnitude) or self.magnitude < 0:
+            raise ValueError(f"magnitude must be an integer >= 0, got {self.magnitude!r}")
 
     @classmethod
     def from_int(cls, value: int | "SignedConstant") -> "SignedConstant":

@@ -6,31 +6,29 @@ via the primitive kernels.  Multi-controlled gates are first class: every
 gate carries a control list of ``(qubit, polarity)`` pairs of any fan-in,
 so "active on |0>" needs no X sandwich.
 
-Execution runs a compiled program on one tensor.  :func:`run` cuts the
-gate list into blocks at label changes and compiles each distinct block
-(labels aside) into one step, once per circuit object and fuse setting,
-and keeps the program on the circuit for later runs:
+Below ``_FUSE_FROM_QUBITS`` qubits :func:`run` is the reference: the
+kernel calls of a gate-by-gate run of the public ``apply_*`` on the full
+vector, bitwise equal to it for every input.  From that size up it cuts
+the gate list into blocks at label changes, compiles each distinct block
+(labels aside) into one step, once per circuit object, and runs the
+program on one tensor, which agrees with the replay within rounding.  One
+matcher finds the paper's Fourier blocks: a transform on a register,
+groups of phase kicks, and the inverse transform, one of the transforms
+possibly missing.  Each group adds a constant c_g under its own controls,
+outside the register: one group is Draper's constant adder, v -> v + c
+mod 2^w, and one group per source qubit, controlled by it, is the
+register adder.  The steps are:
 
-* a *shift* for a Fourier sandwich: the transform on a register, groups
-  of phase kicks, and the inverse transform.  Each group adds a constant
-  c_g under its own controls, outside the register: one group is Draper's
-  constant adder, v -> v + c mod 2^w, and one group per source qubit,
-  controlled by it, is the register adder.  The groups commute.  Those
-  whose controls are classical bits add up to one cyclic roll of the
-  register's axis; each other group is its own roll where its controls
-  hold;
+* a *shift* for a sandwich, a block with both transforms.  The groups
+  commute.  Those whose controls are classical bits add up to one cyclic
+  roll of the register's axis; each other group is its own roll where its
+  controls hold;
 * a *transform* for a block that is exactly the Fourier transform on a
   register of two or more qubits, or its inverse, with no controls: one
   FFT along the register's axis and one bit-reversal gather;
 * a *diagonal* for a block of PHASE gates only: one multiply by a table of
   the product of their phases;
 * *gates* for anything else, one kernel call each.
-
-The shift and transform matches compare exact angles against rules written
-out here from the definitions, so any other angle keeps the gates.
-
-Circuits on fewer than ``_FUSE_FROM_QUBITS`` qubits run every block as
-gates.
 
 The qubits that a compact state fixes stay fixed as *classical* bits when
 every step either leaves them alone or only permutes them: a shift, or a
@@ -40,10 +38,9 @@ against the bits of the moment.  So a basis-state input has amplitudes
 only over the qubits that some other step moves: the decrement, the adder
 and the zero check run as bit arithmetic, and the multiplier simulates
 its accumulator alone, with x as bits, as two transforms and one diagonal
-per addition.  A gate-by-gate run of the public ``apply_*`` kernels
-remains the reference: the tests hold ``run`` to it.  ``run`` calls the
-trusted private kernels of :mod:`qftarith.qstate`: ``Gate`` and
-``Circuit`` validated every gate on construction.
+per addition.  Both paths of :func:`run` call the trusted private
+kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated
+every gate on construction.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -77,6 +74,7 @@ from .qstate import (
     _fixed_axes,
     _fourier,
     _hadamard,
+    _is_integer,
     _phase,
     _phase_factor,
     _shift,
@@ -87,12 +85,10 @@ from .qstate import (
     _x,
 )
 
-# Circuits on fewer qubits than this run every block gate by gate.  That
-# keeps the 9-qubit multiplier in perfbench/test_perfbench.py bitwise equal
-# to a gate-by-gate replay of the public kernels, and a dense input below
-# it runs the replay's kernel calls on the replay's array.  Fusion would
-# still save a little there: 0.1-0.3 ms of a 0.6-0.9 ms run of the 9-qubit
-# multiplier, on a 2-core x86 machine with numpy 2.4.
+# Below this many qubits ``run`` is the gate-by-gate replay, bitwise equal to
+# it for every input; from here up it agrees within rounding.  That keeps the
+# 9-qubit multiplier of perfbench/test_perfbench.py bitwise equal; compiled,
+# one of its multiplies takes 0.15 ms instead of 0.8-0.9 (2-core x86, numpy 2.4).
 _FUSE_FROM_QUBITS = 10
 
 
@@ -119,6 +115,8 @@ class Gate:
             raise ValueError(f"{self.kind.value} takes {arity} target(s), got {self.targets}")
         if self.kind is GateKind.PHASE:
             _validate_turns(self.phase_turns)
+            if isinstance(self.phase_turns, np.generic):  # keyed and listed as Python's
+                object.__setattr__(self, "phase_turns", self.phase_turns.item())
         elif self.phase_turns is not None:
             raise ValueError(f"{self.kind.value} takes no phase")
         _validate_qubits(None, self.targets, self.controls)
@@ -230,12 +228,14 @@ def _trusted(num_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the gates in order.  Mutates ``state`` in place and returns it.
 
-    The circuit is compiled once per circuit object and fuse setting (see
-    :func:`_compile` and ``_FUSE_FROM_QUBITS``), and the program is kept on
-    the circuit outside its fields, so not in ``==``, the hash, the repr or
-    ``replace``.
+    Below ``_FUSE_FROM_QUBITS`` qubits this is the replay: the state is
+    expanded to the full vector and gets the kernel calls of a gate-by-gate
+    run of the public ``apply_*``, bitwise equal to it for every input.
 
-    The *classical* qubits are those a compact state fixes and every step
+    From that size up the circuit is compiled once per circuit object (see
+    :func:`_compile`), and the program is kept on the circuit outside its
+    fields, so not in ``==``, the hash, the repr or ``replace``.  The
+    *classical* qubits are those a compact state fixes and every step
     leaves alone or permutes as bits (see :func:`_classical`).  The block is
     expanded once to the other qubits, and the program runs on that one
     contiguous tensor.  A classical step rewrites the bits and calls no
@@ -247,31 +247,31 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     holds its 2^(2n)-amplitude accumulator and the adder and the decrement
     one amplitude; a dense state has no classical qubit and runs whole.
 
-    A dense input below ``_FUSE_FROM_QUBITS`` qubits gets the kernel calls
-    of a gate-by-gate run of the public ``apply_*`` on the same array, so
-    the result is bitwise equal to it.  Otherwise the two agree within
-    rounding: a phase table multiplies by a product of factors, a shift
-    moves whole amplitudes that the gates mix through Hadamards, an FFT
-    sums in another order than the gates, and a gate on a smaller array
-    may round differently in the last bit.  Classical steps are exact.
+    The compiled run agrees with the replay within rounding: a phase table
+    multiplies by a product of factors, a shift moves whole amplitudes that
+    the gates mix through Hadamards, an FFT sums in another order than the
+    gates, and a gate on a smaller array may round differently in the last
+    bit.  Classical steps are exact.
     """
-    if state.num_qubits != circuit.num_qubits:
-        raise QubitCountMismatch(
-            f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
-        )
-    fuse = circuit.num_qubits >= _FUSE_FROM_QUBITS
+    n = circuit.num_qubits
+    if state.num_qubits != n:
+        raise QubitCountMismatch(f"circuit has {n} qubits, state has {state.num_qubits}")
+    if n < _FUSE_FROM_QUBITS:
+        psi = _expand(state, ())
+        for kernel, *args in _gate_kernels(circuit.gates, _factors(circuit.gates), {}, range(n)):
+            kernel(psi, *args)
+        return state
     # Frozen, so written through vars().  Threads racing here may compile
     # twice and keep either program: both are the same.
-    compiled = vars(circuit).setdefault("_compiled", {})
-    if fuse not in compiled:
-        compiled[fuse] = _compile(circuit.gates, fuse)
-    steps, program = compiled[fuse]
+    if "_compiled" not in vars(circuit):
+        vars(circuit)["_compiled"] = _compile(circuit.gates)
+    steps, program = vars(circuit)["_compiled"]
     classical = _classical(steps, [q for q, _ in state._fixed])
     bits = {q: bit for q, bit in state._fixed if q in classical}
     bitwise = {i for i, step in enumerate(steps) if step.permute and step.used <= classical}
     reads = [sorted(step.used & classical) for step in steps]
     psi = _expand(state, tuple(bits.items()))
-    pos = {q: i for i, q in enumerate(q for q in range(circuit.num_qubits) if q not in bits)}
+    pos = {q: i for i, q in enumerate(q for q in range(n) if q not in bits)}
     resolved: dict[tuple, list] = {}
     for i in program:
         if i in bitwise:
@@ -309,12 +309,11 @@ class _Step(NamedTuple):
     permute: Callable | None = None  # (bits) -> None: the step on basis bits, in place
 
 
-def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int]]:
+def _compile(gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
     """The distinct steps and the program as indices into them.
 
     Blocks are runs of gates with one label; two blocks with the same
-    gates, labels aside, compile to one step.  Unless ``fuse``, every step
-    runs its gates one by one and none permutes bits.
+    gates, labels aside, compile to one step.
     """
     steps: list[_Step] = []
     seen: dict[tuple, int] = {}
@@ -324,7 +323,7 @@ def _compile(gates: Sequence[Gate], fuse: bool) -> tuple[list[_Step], list[int]]
         key = tuple(map(_gate_key, block))
         index = seen.setdefault(key, len(steps))
         if index == len(steps):
-            steps.append(_block_step(block, key, fuse))
+            steps.append(_block_step(block, key))
         program.append(index)
     return steps, program
 
@@ -336,27 +335,30 @@ def _gate_key(g: Gate) -> tuple:
     return g.kind, g.targets, turns, g.controls
 
 
-def _block_step(block: tuple[Gate, ...], key: tuple, fuse: bool) -> _Step:
+def _factors(gates: Sequence[Gate]) -> list[complex | None]:
+    return [_phase_factor(g.phase_turns) if g.kind is GateKind.PHASE else None for g in gates]
+
+
+def _block_step(block: tuple[Gate, ...], key: tuple) -> _Step:
     used = frozenset(q for _, targets, _, controls in key
                      for q in chain(targets, (c for c, _ in controls)))
     moved = frozenset(q for kind, targets, _, _ in key if kind is not GateKind.PHASE
                       for q in targets)
-    shift = _sandwich(key) if fuse else None
-    if shift is not None:
-        return _Step(partial(_shift_kernels, *shift), moved, used,
-                     partial(_shift_bits, *shift))
-    transform = _transform(key) if fuse else None
-    if transform is not None:
-        first, width, sign = transform
-        index = np.arange(1 << width)
-        reverse = sum((index >> b & 1) << (width - 1 - b) for b in range(width))
-        return _Step(partial(_fourier_kernels, first, width, sign, reverse), moved, used)
-    factors = [_phase_factor(g.phase_turns) if g.kind is GateKind.PHASE else None
-               for g in block]
-    if fuse and not moved:
-        return _Step(partial(_diagonal_kernels, block, factors), moved, used)
-    flips = fuse and all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key)
-    return _Step(partial(_gate_kernels, block, factors), moved, used,
+    fourier = _fourier_block(key)
+    if fourier is not None:
+        first, width, head, groups, tail = fourier
+        if head and tail:
+            return _Step(partial(_shift_kernels, first, width, groups), moved, used,
+                         partial(_shift_bits, first, width, groups))
+        if not groups and width >= 2:
+            index = np.arange(1 << width)
+            reverse = sum((index >> b & 1) << (width - 1 - b) for b in range(width))
+            return _Step(partial(_fourier_kernels, first, width, 1 if head else -1, reverse),
+                         moved, used)
+    if not moved:
+        return _Step(partial(_diagonal_kernels, block, _factors(block)), moved, used)
+    flips = all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key)
+    return _Step(partial(_gate_kernels, block, _factors(block)), moved, used,
                  partial(_flip_bits, key) if flips else None)
 
 
@@ -396,37 +398,44 @@ def _qft_key(qs: Sequence[int], sign: int) -> list[tuple]:
     return key
 
 
-def _sandwich(key: tuple) -> tuple[int, int, tuple] | None:
-    """``(first, width, groups)`` when the block is a Fourier sandwich,
-    else None; ``groups`` holds one ``(amount, controls)`` pair per kick
-    group.
+def _fourier_block(key: tuple) -> tuple[int, int, bool, tuple, bool] | None:
+    """``(first, width, head, groups, tail)`` when the block is a Fourier
+    block on the register ``first`` .. ``first + width - 1``, else None.
 
-    A sandwich is the Fourier transform on the register ``first`` ..
-    ``first + width - 1``, a middle of consecutive kick groups, and the
-    inverse transform.  Each group is one phase kick of amount/2^(width-j)
-    turns (taken mod 1 with the amount's sign, zero kicks left out) on each
-    wire j, all under the group's controls, which lie outside the register,
-    for a nonzero integer amount below 2^width in magnitude.  Its kick on
-    wire 0 is never zero, so every group starts there.  One group is
-    Draper's constant adder, v -> v + amount mod 2^width where the controls
-    hold.  The groups commute, so the block adds the sum of the amounts
-    whose controls hold: with one group per source qubit, controlled by it,
-    this is the register adder.  An empty middle adds 0.
+    A Fourier block is the transform on the register (``head``; a lone
+    Hadamard at width 1), a middle of consecutive kick groups, and the
+    inverse transform (``tail``), with at least one of the transforms.
+    ``groups`` holds one ``(amount, controls)`` pair per group: one phase
+    kick of amount/2^(width-j) turns (taken mod 1 with the amount's sign,
+    zero kicks left out) on each wire j, all under the group's controls,
+    which lie outside the register, for a nonzero integer amount below
+    2^width in magnitude.  Its kick on wire 0 is never zero, so every group
+    starts there.  One group is Draper's constant adder, v -> v + amount
+    mod 2^width where the controls hold.  Between the two transforms the
+    groups commute, so the block adds the sum of the amounts whose controls
+    hold: with one group per source qubit, controlled by it, this is the
+    register adder.  An empty middle adds 0.
 
-    The rule is written out here from the transform's definition, not taken
-    from the builders, and angles are compared exactly, so a builder that
-    emits a wrong angle falls back to the gates and still fails its tests.
+    The rules are written out here from the transform's definition, not
+    taken from the builders, and angles are compared exactly, so a builder
+    that emits a wrong angle falls back to the gates and still fails its
+    tests.
     """
     hs = [targets[0] for kind, targets, _, _ in key if kind is GateKind.HADAMARD]
-    width = len(hs) // 2
-    qs = list(range(hs[0], hs[0] + width)) if hs else []
-    if not qs or hs != qs + qs[::-1]:
+    if not hs:
         return None
-    expected, end = _qft_key(qs, 1), len(key) - width * (width + 1) // 2
+    first, width = min(hs), max(hs) - min(hs) + 1
+    qs = list(range(first, first + width))
+    head = hs[:width] == qs
+    tail = len(hs) > width * head
+    if hs != qs * head + qs[::-1] * tail:
+        return None
+    expected = _qft_key(qs, 1) if head else []
+    end = len(key) - tail * width * (width + 1) // 2
     groups = []
     while len(expected) < end:
         kind, targets, turns, controls = key[len(expected)]
-        if kind is not GateKind.PHASE or targets != (qs[0],):
+        if kind is not GateKind.PHASE or targets != (first,):
             return None
         if any(q in qs for q, _ in controls):
             return None  # a kick controlled from inside the register adds nothing
@@ -438,28 +447,11 @@ def _sandwich(key: tuple) -> tuple[int, int, tuple] | None:
         expected += [(GateKind.PHASE, (q,), (sign * t).as_integer_ratio(), controls)
                      for q, t in wire_turns if t]
         groups.append((int(amount), controls))
-    expected += reversed(_qft_key(qs, -1))
+    if tail:
+        expected += reversed(_qft_key(qs, -1))
     if list(key) != expected:
         return None
-    return qs[0], width, tuple(groups)
-
-
-def _transform(key: tuple) -> tuple[int, int, int] | None:
-    """``(first, width, sign)`` when the block is the Fourier transform
-    (sign 1) or its inverse (-1) on the register ``first`` .. ``first +
-    width - 1`` of at least two qubits, with no controls, else None.
-
-    The transform's key is ``_qft_key(qs, 1)`` and the inverse's the reverse
-    of ``_qft_key(qs, -1)``, compared exactly as in :func:`_sandwich`.
-    """
-    hs = [targets[0] for kind, targets, _, _ in key if kind is GateKind.HADAMARD]
-    if len(hs) < 2:
-        return None
-    sign = 1 if hs[0] < hs[-1] else -1
-    qs = list(range(min(hs), min(hs) + len(hs)))
-    if list(key) != _qft_key(qs, sign)[::sign]:  # the inverse runs in reverse
-        return None
-    return qs[0], len(qs), sign
+    return first, width, head, tuple(groups), tail
 
 
 def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):
@@ -600,8 +592,8 @@ class RegisterLayout:
         for name, width in pairs:
             if name in self._ranges:
                 raise ValueError(f"duplicate register name {name!r}")
-            if width < 1:
-                raise ValueError(f"register {name!r} needs width >= 1, got {width}")
+            if not _is_integer(width) or width < 1:
+                raise ValueError(f"register {name!r} needs an integer width >= 1, got {width!r}")
             if name == "control" and width != 1:
                 raise ValueError(f"control register must have width 1, got {width}")
             self._ranges[name] = range(start, start + width)

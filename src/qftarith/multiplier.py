@@ -46,7 +46,7 @@ from .circuit import (
 )
 from .errors import SpecInvariantViolation
 from .qft import build_inverse_qft, build_qft
-from .qstate import _check_budget, extract_basis_index, new_basis_state
+from .qstate import _check_budget, _is_integer, extract_basis_index, new_basis_state
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,9 @@ class MultiplierSpec:
     iterations: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not _is_integer(value):
+                raise SpecInvariantViolation(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise SpecInvariantViolation(f"need n >= 1, got {self.n}")
         if self.m < 2 * self.n:
@@ -73,7 +76,7 @@ class MultiplierSpec:
                 f"accumulator width {self.m} cannot hold every {self.n}-bit product; "
                 f"need at least {2 * self.n}"
             )
-        if self.iterations < 0 or self.iterations.bit_length() > self.n:
+        if self.iterations < 0 or int(self.iterations).bit_length() > self.n:
             raise SpecInvariantViolation(
                 f"iterations must lie in 0 <= K <= 2**{self.n} - 1, got {self.iterations}"
             )

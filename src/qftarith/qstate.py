@@ -37,11 +37,11 @@ fixes every qubit and holds one amplitude, so it allocates nothing of size
 ``norm``, ``amplitude``, ``extract_basis_index`` and ``StateVector.copy``
 read the block as it is.  Reading ``amplitudes`` expands the block into the
 full 2^n vector once, and the state stays dense from then on, so every
-public ``apply_*`` works on the full vector.  ``run`` keeps *classical*
-the fixed qubits that its steps leave alone or only permute, a shift or an
-X and SWAP block on classical qubits alone: it rewrites their bits, expands
-the block only to the other qubits, and writes the final bits back as the
-fixed pairs (see :func:`qftarith.circuit.run`).
+public ``apply_*`` works on the full vector.  A compiled ``run`` keeps
+*classical* the fixed qubits that its steps leave alone or only permute, a
+shift or an X and SWAP block on classical qubits alone: it rewrites their
+bits, expands the block only to the other qubits, and writes the final
+bits back as the fixed pairs (see :func:`qftarith.circuit.run`).
 
 All kernels mutate their amplitudes in place; the public ones return the
 state.  Distinct states may be driven from distinct threads concurrently;
@@ -231,12 +231,15 @@ def _validate_qubits(num_qubits: int | None, targets: Sequence[int], controls: C
 
 
 def _validate_turns(phase_turns) -> None:
-    """A PHASE angle must convert to a finite float.  None, NaN, +-inf and
-    exact numbers too large for a float raise ValueError; a value that is
-    no number at all raises ``float``'s TypeError.  The message leaves the
-    value out: ``repr`` of an int of more than 4,300 digits raises."""
+    """A PHASE angle is a real number, not a bool, with a finite float value:
+    None, bools, NaN, +-inf and exact numbers too large for a float raise
+    ValueError, and strings, complex numbers and other non-reals TypeError.
+    The messages leave out the value, whose ``repr`` fails for huge ints."""
+    given = phase_turns is not None and not isinstance(phase_turns, (bool, np.bool_))
+    if given and not isinstance(phase_turns, numbers.Real):
+        raise TypeError(f"PHASE needs a real angle, got {type(phase_turns).__name__}")
     with suppress(OverflowError):
-        if phase_turns is not None and math.isfinite(float(phase_turns)):
+        if given and math.isfinite(float(phase_turns)):
             return
     raise ValueError("PHASE needs an angle that is a finite float")
 

@@ -101,6 +101,21 @@ def run_gate_by_gate(circuit: Circuit, state: StateVector) -> StateVector:
 
 
 @pytest.fixture
+def fuse_small_circuits(monkeypatch):
+    """Compile at every size, so circuits smaller than the size below which
+    ``run`` is the gate-by-gate replay test the compiled steps.  Test
+    modules take it through ``pytestmark``."""
+    monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+
+
+def step_kinds(circuit: Circuit) -> list[str]:
+    """The resolve function's name of each block in ``circuit``'s program,
+    such as ``"_shift_kernels"`` or ``"_gate_kernels"``."""
+    steps, program = circuit_module._compile(circuit.gates)
+    return [steps[i].resolve.func.__name__ for i in program]
+
+
+@pytest.fixture
 def kernel_calls(monkeypatch):
     """``(kernel name, psi.size)`` for every kernel call ``run`` makes."""
     calls = []

@@ -66,6 +66,16 @@ class TestFourierAddConstant:
         state = run(circuit, new_basis_state(3, 1))
         assert extract_basis_index(state) == (1 - 2) % 8
 
+    @pytest.mark.parametrize("magnitude, sign", [(2.5, 1), (2.0, 1), (True, 1), (2, True),
+                                                 (2, -1.0)], ids=repr)
+    def test_signed_constant_parts_must_be_integers(self, magnitude, sign):
+        with pytest.raises(ValueError, match="must be"):
+            SignedConstant(magnitude, sign)
+
+    def test_numpy_integer_constant_accepted(self):
+        circuit = add_constant_in_basis(3, np.int64(-3))
+        assert extract_basis_index(run(circuit, new_basis_state(3, 1))) == (1 - 3) % 8
+
     def test_constant_too_wide(self):
         with pytest.raises(ConstantTooWide):
             build_fourier_add_constant(range(2), 4)

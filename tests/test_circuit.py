@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import circuit_matrix, random_state
+import qftarith.circuit as circuit_module
+from conftest import circuit_matrix, random_state, run_gate_by_gate
 from qftarith.arith import build_adder, build_decrement
 from qftarith.circuit import (
     Circuit,
@@ -71,7 +72,7 @@ class TestGateModel:
     def test_angle_too_large_for_a_float_is_a_value_error(self):
         """Gate and apply_phase share one angle check: an exact angle that
         overflows a float is a ValueError, not an OverflowError, while a
-        value that is no number still fails in ``float``."""
+        value that is no number is a TypeError."""
         with pytest.raises(ValueError, match="finite"):
             Gate.phase(10**400, 0)
         with pytest.raises(ValueError, match="finite"):
@@ -80,6 +81,32 @@ class TestGateModel:
             apply_phase(new_basis_state(1, 1), 0, 10**400)
         with pytest.raises(TypeError):
             Gate.phase(object(), 0)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_], ids=repr)
+    def test_bool_angle_is_rejected(self, bad):
+        """Gate and apply_phase share the angle check, which takes no bool,
+        as the qubit and polarity checks take none."""
+        with pytest.raises(ValueError, match="finite float"):
+            Gate.phase(bad, 0)
+        with pytest.raises(ValueError, match="finite float"):
+            apply_phase(new_basis_state(1, 1), 0, bad)
+
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", np.complex128(0.5)], ids=repr)
+    def test_angle_that_is_no_real_number_is_rejected(self, bad):
+        """``float`` reads each of these, with a warning for the complex one,
+        but no exact angle key can."""
+        with pytest.raises(TypeError, match="real angle"):
+            Gate.phase(bad, 0)
+        with pytest.raises(TypeError, match="real angle"):
+            apply_phase(new_basis_state(1, 1), 0, bad)
+
+    @pytest.mark.parametrize("angle, listed", [(np.int64(-1), "-1"), (np.float32(0.25), "0.25"),
+                                               (np.float64(0.125), "0.125")], ids=repr)
+    def test_numpy_angle_lists_as_a_python_number(self, angle, listed):
+        gate = Gate.phase(angle, 1, ((0, 1),))
+        assert gate == Gate.phase(angle.item(), 1, ((0, 1),))
+        assert type(gate.phase_turns) is type(angle.item())
+        assert format_gate(gate) == f"GATE PHASE({listed}) target=1 controls=0:1"
 
     def test_non_phase_rejects_angle(self):
         with pytest.raises(ValueError):
@@ -176,6 +203,24 @@ class TestRun:
         got = run(circuit, StateVector(3, amps))
         np.testing.assert_allclose(got.amplitudes, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("angle", [np.int64(1), np.int32(-2), np.uint8(0)], ids=repr)
+    def test_numpy_integer_angle_runs_equal_to_the_reference(self, angle):
+        """On 10 qubits ``run`` compiles, which keys every angle as an exact
+        ratio; the integer-angle block also equals a block of Python ints,
+        so both compile to one step."""
+        n = 10
+        circuit = Circuit(n, (
+            *(Gate.hadamard(q, label="mix") for q in range(n)),
+            Gate.phase(angle, 3, ((0, 1),), "a"), Gate.phase(Fraction(1, 8), 5, (), "a"),
+            Gate.phase(int(angle), 3, ((0, 1),), "b"), Gate.phase(Fraction(1, 8), 5, (), "b"),
+            Gate.phase(angle, 9, ((4, 0),), "c"), Gate.hadamard(9, label="c"),
+        ))
+        amps = random_state(n, np.random.default_rng(3))
+        state = run(circuit, StateVector(n, amps))
+        expected = run_gate_by_gate(circuit, StateVector(n, amps))
+        np.testing.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
+        assert circuit_module._compile(circuit.gates)[1] == [0, 1, 1, 2]
+
     def test_run_is_linear_on_superpositions(self):
         rng = np.random.default_rng(23)
         circuit = build_qft(range(3))
@@ -267,6 +312,15 @@ class TestRegisterLayout:
             RegisterLayout([("a", 1), ("a", 2)])
         with pytest.raises(ValueError):
             RegisterLayout([("control", 2)])
+
+    @pytest.mark.parametrize("bad", [True, 2.0, 1.5], ids=repr)
+    def test_width_that_is_no_integer_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="needs an integer width"):
+            RegisterLayout([("a", bad)])
+
+    def test_numpy_integer_width_accepted(self):
+        layout = RegisterLayout([("a", np.int64(2)), ("b", np.int32(3))])
+        assert layout.widths() == {"a": 2, "b": 3} and layout.num_qubits == 5
 
     def test_ranges_partition_the_qubits(self):
         layout = RegisterLayout([("a", 2), ("b", 3), ("c", 1)])

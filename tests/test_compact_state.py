@@ -51,21 +51,22 @@ def dense_basis_state(n: int, index: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def _classical_by_rule(circuit, fuse):
-    """The qubits ``run`` keeps as bits when it starts from a basis state,
-    found from the circuit's gates: every qubit starts classical, and
-    a label block that moves a classical qubit drops all it moves unless it
-    is a permutation (X and SWAP gates only, or a Fourier sandwich, which
-    ``_sandwich`` recognises and tests/test_run_fusion.py holds to modular
-    addition) whose qubits are all classical; repeated to a fixed point."""
+def _classical_by_rule(circuit):
+    """The qubits a compiled ``run`` keeps as bits when it starts from a
+    basis state, found from the circuit's gates: every qubit starts
+    classical, and a label block that moves a classical qubit drops all it
+    moves unless it is a permutation (X and SWAP gates only, or a Fourier
+    block with both transforms, which ``_fourier_block`` recognises and
+    tests/test_run_fusion.py holds to modular addition) whose qubits are all
+    classical; repeated to a fixed point."""
     blocks = []
     for _, group in groupby(circuit.gates, key=lambda g: g.label):
         gates = list(group)
         used = {q for g in gates for q in (*g.targets, *(c for c, _ in g.controls))}
         moved = {q for g in gates if g.kind is not GateKind.PHASE for q in g.targets}
-        permutes = fuse and (
-            all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
-            or circuit_module._sandwich(tuple(map(circuit_module._gate_key, gates))) is not None)
+        fourier = circuit_module._fourier_block(tuple(map(circuit_module._gate_key, gates)))
+        permutes = (all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
+                    or fourier is not None and fourier[2] and fourier[4])
         blocks.append((used, moved, permutes))
     classical = set(range(circuit.num_qubits))
     changed = True
@@ -82,19 +83,23 @@ def _classical_by_rule(circuit, fuse):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_run_from_compact_matches_dense_and_reference(fuse_from, data):
+    """Compiled, the compact run keeps the qubits of the rule as bits; as
+    the replay, below the threshold, it keeps none and is bitwise equal."""
     circuit, _ = data.draw(circuits())
     n = circuit.num_qubits
     index = data.draw(st.integers(0, (1 << n) - 1))
     with mock.patch.object(circuit_module, "_FUSE_FROM_QUBITS", fuse_from):
         compact = run(circuit, new_basis_state(n, index))
         dense = run(circuit, dense_basis_state(n, index))
-    classical = _classical_by_rule(circuit, fuse=n >= fuse_from)
+    classical = _classical_by_rule(circuit) if n >= fuse_from else []
     assert [q for q, _ in compact._fixed] == classical
     assert compact._block.size == 1 << (n - len(classical))
     assert dense._fixed == ()
     expected = run_gate_by_gate(circuit, new_basis_state(n, index)).amplitudes
     np.testing.assert_allclose(compact.amplitudes, dense.amplitudes, rtol=0, atol=ATOL)
     np.testing.assert_allclose(compact.amplitudes, expected, rtol=0, atol=ATOL)
+    if n < fuse_from:
+        np.testing.assert_array_equal(compact.amplitudes, expected)
 
 
 def _paper_cases(n: int):
@@ -258,9 +263,10 @@ class TestReadingCompactStates:
         assert extract_basis_index(state) == index
         assert len(state._fixed) == 4 and state._block.size == 1
 
-    def test_superposition_left_compact_is_not_a_basis_state(self):
+    def test_superposition_left_compact_is_not_a_basis_state(self, monkeypatch):
         """A lone H on qubit 2; qubit 0 is static and qubit 1 untouched, so
         both stay fixed."""
+        monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         circuit = Circuit(3, (Gate.hadamard(2), Gate.phase(Fraction(1, 4), 0)))
         state = run(circuit, new_basis_state(3, 0b101))
         assert state._fixed == ((0, 1), (1, 0)) and state._block.size == 2

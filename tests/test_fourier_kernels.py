@@ -17,8 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qftarith.circuit as circuit_module
-from conftest import bit_reverse, circuit_matrix, dft_matrix, random_state, run_gate_by_gate
+from conftest import (
+    bit_reverse,
+    circuit_matrix,
+    dft_matrix,
+    random_state,
+    run_gate_by_gate,
+    step_kinds,
+)
 from qftarith.arith import (
     build_adder,
     build_fourier_add_constant,
@@ -32,17 +38,9 @@ ATOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-@pytest.fixture(autouse=True)
-def fuse_small_circuits(monkeypatch):
-    """Fuse at every size: most circuits here have fewer qubits than the
-    size below which ``run`` keeps to the gates."""
-    monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
-
-
-def _step_kinds(circuit):
-    """The resolve function's name of each block in ``circuit``'s program."""
-    steps, program = circuit_module._compile(circuit.gates, True)
-    return [steps[i].resolve.func.__name__ for i in program]
+# Most circuits here have fewer qubits than the size below which ``run`` is
+# the gate-by-gate replay.
+pytestmark = pytest.mark.usefixtures("fuse_small_circuits")
 
 
 def _prepare(draw, n, qubits):
@@ -102,7 +100,7 @@ def transforms(draw):
 @given(case=transforms())
 def test_transform_runs_as_one_fft_and_matches_the_gates(case):
     circuit, state = case
-    assert _step_kinds(circuit)[-1] == "_fourier_kernels"
+    assert step_kinds(circuit)[-1] == "_fourier_kernels"
     _assert_run_matches_reference(circuit, state)
 
 
@@ -147,7 +145,7 @@ def register_adders(draw):
 @given(case=register_adders())
 def test_register_adder_runs_as_shifts_and_matches_the_gates(case):
     circuit, state = case
-    assert _step_kinds(circuit)[-1] == "_shift_kernels"
+    assert step_kinds(circuit)[-1] == "_shift_kernels"
     _assert_run_matches_reference(circuit, state)
 
 
@@ -171,7 +169,7 @@ def _adder_gates(width):
 def _assert_falls_back_and_breaks(circuit, kind):
     """No ``kind`` step; ``run`` equals the reference on every basis input;
     and the circuit is no longer the adder on at least one of them."""
-    assert kind not in _step_kinds(circuit)
+    assert kind not in step_kinds(circuit)
     n = circuit.num_qubits
     adder = build_adder(RegisterLayout([("a", n // 2), ("b", n // 2)]))
     differs = False
@@ -229,7 +227,7 @@ def test_transform_one_gate_off_is_not_an_fft(width):
     dft = dft_matrix(width)
     for gates in _transform_variants(width):
         circuit = Circuit(n, tuple(gates))
-        assert "_fourier_kernels" not in _step_kinds(circuit)
+        assert "_fourier_kernels" not in step_kinds(circuit)
         matches = True
         for v in range(1 << width):
             state = new_basis_state(n, (v << 1) | 1)
@@ -242,6 +240,6 @@ def test_transform_one_gate_off_is_not_an_fft(width):
 
 def test_transform_on_non_adjacent_qubits_runs_as_gates():
     circuit = build_qft([0, 2, 3], 4)
-    assert _step_kinds(circuit) == ["_gate_kernels"]
+    assert step_kinds(circuit) == ["_gate_kernels"]
     for index in range(16):
         _assert_run_matches_reference(circuit, new_basis_state(4, index))

@@ -72,6 +72,21 @@ class TestSpec:
             MultiplierSpec(n=2, m=4, iterations=4)
         assert MultiplierSpec(n=2, m=4, iterations=3).iterations == 3
 
+    def test_float_accumulator_width_rejected(self):
+        with pytest.raises(SpecInvariantViolation, match="m must be an integer"):
+            MultiplierSpec(2, 4.0, 3)
+
+    def test_bool_width_rejected(self):
+        with pytest.raises(SpecInvariantViolation, match="n must be an integer"):
+            MultiplierSpec(True, 2, 1)
+
+    def test_numpy_integers_accepted(self):
+        """The unroll bound is checked on a numpy integer too."""
+        spec = MultiplierSpec(np.int64(2), np.int64(4), np.int64(3))
+        assert spec == MultiplierSpec.for_width(2)
+        with pytest.raises(SpecInvariantViolation, match="iterations must lie"):
+            MultiplierSpec(2, 4, np.int64(4))
+
     def test_default_sizing(self):
         spec = MultiplierSpec.for_width(3)
         assert (spec.n, spec.m, spec.iterations) == (3, 6, 7)
@@ -169,6 +184,10 @@ class TestMultiplyFunction:
     def test_width_below_one_is_rejected(self):
         with pytest.raises(SpecInvariantViolation):
             multiply(0, 0, 0)
+
+    def test_float_width_is_rejected(self):
+        with pytest.raises(SpecInvariantViolation, match="n must be an integer"):
+            multiply(3, 2, 2.0)
 
     def test_budget_is_checked_before_building(self):
         """n = 6 needs 25 qubits, one past the budget: nothing is built."""

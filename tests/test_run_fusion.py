@@ -6,8 +6,7 @@ These tests drive the builders at random widths, constants and controls
 and hold ``run`` to modular arithmetic, to the gate-by-gate reference and,
 on up to 7 qubits, to the dense matrix.  Broken sandwiches must not be
 recognised: they fall back to the gates and fail the arithmetic.  The
-multiplier is built once per spec and compiled once per circuit object and
-fuse setting.
+multiplier is built once per spec and compiled once per circuit object.
 """
 
 import json
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qftarith.circuit as circuit_module
-from conftest import circuit_matrix, random_state, run_gate_by_gate
+from conftest import circuit_matrix, random_state, run_gate_by_gate, step_kinds
 from qftarith import cli
 from qftarith.arith import build_adder, build_decrement, build_fourier_add_constant
 from qftarith.circuit import (
@@ -41,17 +40,9 @@ ATOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-@pytest.fixture(autouse=True)
-def fuse_small_circuits(monkeypatch):
-    """Fuse at every size: these circuits are smaller than the size below
-    which ``run`` keeps to the gates."""
-    monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
-
-
-def _shift_steps(circuit):
-    """The block indices of ``circuit``'s program that compiled to a shift."""
-    steps, program = circuit_module._compile(circuit.gates, True)
-    return [i for i in program if steps[i].resolve.func is circuit_module._shift_kernels]
+# These circuits are smaller than the size below which ``run`` is the
+# gate-by-gate replay.
+pytestmark = pytest.mark.usefixtures("fuse_small_circuits")
 
 
 def _check_against_references(circuit, amps):
@@ -117,7 +108,7 @@ def sandwiches(draw):
 def test_constant_sandwich_is_modular_addition(case, data):
     circuit, qs, constant, controls, flipped = case
     n, width = circuit.num_qubits, len(qs)
-    assert len(_shift_steps(circuit)) == 1
+    assert step_kinds(circuit).count("_shift_kernels") == 1
     index = data.draw(st.integers(0, (1 << n) - 1))
     out = _check_against_references(circuit, _basis(n, index))
     for q in flipped:
@@ -136,7 +127,7 @@ def test_constant_sandwich_is_modular_addition(case, data):
 def test_decrement_is_minus_one(width, data):
     layout = RegisterLayout([("v", width)])
     circuit = build_decrement(layout, "v")
-    assert len(_shift_steps(circuit)) == 1
+    assert step_kinds(circuit).count("_shift_kernels") == 1
     v = data.draw(st.integers(0, (1 << width) - 1))
     out = _check_against_references(circuit, _basis(width, v))
     assert abs(out[(v - 1) % (1 << width)]) == pytest.approx(1.0, abs=ATOL)
@@ -189,7 +180,7 @@ def _assert_falls_back_and_breaks(circuit):
     """No shift step; ``run`` equals the references on every input; and the
     exhaustive v - 1 check fails on at least one input."""
     width = circuit.num_qubits
-    assert _shift_steps(circuit) == []
+    assert "_shift_kernels" not in step_kinds(circuit)
     hits = []
     for v in range(1 << width):
         out = _check_against_references(circuit, _basis(width, v))
@@ -206,7 +197,7 @@ def test_control_inside_the_register_is_not_a_shift():
         Circuit(n, (Gate.phase(Fraction(1, 2), 0, controls=((1, 1),)),)),
         build_inverse_qft(qs, n),
     ])
-    assert _shift_steps(circuit) == []
+    assert "_shift_kernels" not in step_kinds(circuit)
     for index in range(1 << n):
         _check_against_references(circuit, _basis(n, index))
 
@@ -223,14 +214,14 @@ def test_controlled_sandwich_inside_a_wider_state():
         build_fourier_add_constant(qs, -3, ((0, 1), (1, 0), (6, 0)), n, "dec"),
         build_inverse_qft(qs, n, "dec"),
     ])
-    assert len(_shift_steps(circuit)) == 1
+    assert step_kinds(circuit).count("_shift_kernels") == 1
     _check_against_references(circuit, random_state(n, np.random.default_rng(11)))
     _check_against_references(circuit, new_basis_state(n, 0b0100101).amplitudes)
 
 
 class TestBuildAndCompileOnce:
     """The multiplier is built once per spec and compiled once per circuit
-    object and fuse setting, however many inputs run through it."""
+    object, however many inputs run through it."""
 
     def test_every_n3_input_through_the_cli_builds_and_compiles_once(self, monkeypatch,
                                                                      capsys):
@@ -260,9 +251,10 @@ class TestBuildAndCompileOnce:
         assert built_after[0] > 0 and set(built_after) == {built_after[0]}  # first call only
 
     def test_the_fuse_setting_keys_the_compiled_program(self, monkeypatch, kernel_calls):
-        """The same memoised circuit runs fused (shifts, diagonals and FFTs) and
-        then gate by gate when the threshold moves, matching the reference
-        both times: a program cached by circuit alone would run fused twice."""
+        """The same memoised circuit runs compiled (shifts, diagonals and FFTs)
+        and then, when the threshold moves above it, as the gate-by-gate
+        replay, matching the reference both times: the program kept on the
+        circuit must not run below the threshold."""
         spec = MultiplierSpec.for_width(3)
         layout = multiplier_layout(spec)
         n = layout.num_qubits

@@ -2,14 +2,16 @@
 dense matrices, and sized as the classical bits promise.
 
 Random circuits run from basis, sparse and dense inputs.  Below the fusion
-threshold a dense input runs the reference's kernel calls on the
-reference's array, so it must agree bitwise.  From ``new_basis_state`` the
+threshold ``run`` is the replay: every input, dense or compact, gets the
+reference's kernel calls on the full vector, so it must agree bitwise.
+Above it, from ``new_basis_state`` the
 qubits that gates only control or phase stay bits, so the kernels see only
 the amplitudes over the other qubits.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from unittest import mock
 
@@ -37,11 +39,9 @@ ATOL = 1e-12
 UNFUSED_BELOW = circuit_module._FUSE_FROM_QUBITS
 
 
-@pytest.fixture(autouse=True)
-def fuse_small_circuits(monkeypatch):
-    """Fuse at every size, so the random circuits below, all smaller than
-    the size below which ``run`` keeps to the gates, test the fused steps."""
-    monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+# The random circuits below are all smaller than the size below which
+# ``run`` is the gate-by-gate replay.
+pytestmark = pytest.mark.usefixtures("fuse_small_circuits")
 
 
 def _sparse_state(draw, n, static):
@@ -87,16 +87,23 @@ def test_run_matches_gate_by_gate_and_dense_matrix(inputs, data):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=circuits(), seed=st.integers(0, 2**32 - 1))
-def test_dense_run_below_fusion_is_bitwise_equal_to_reference(case, seed):
-    """No fused step and no classical qubit: ``run`` makes the reference's
-    kernel calls on the reference's array."""
+@given(case=circuits(), seed=st.integers(0, 2**32 - 1), compact=st.booleans())
+def test_dense_run_below_fusion_is_bitwise_equal_to_reference(case, seed, compact):
+    """No compiled step and no classical qubit: ``run`` makes the
+    reference's kernel calls on the full vector, from a dense input or from
+    a compact basis state."""
     circuit, _ = case
-    amps = random_state(circuit.num_qubits, np.random.default_rng(seed))
-    assert circuit.num_qubits < UNFUSED_BELOW
+    n = circuit.num_qubits
+    assert n < UNFUSED_BELOW
+    rng = np.random.default_rng(seed)
+    if compact:
+        prepare = partial(new_basis_state, n, int(rng.integers(1 << n)))
+    else:
+        prepare = partial(StateVector, n, random_state(n, rng))
     with mock.patch.object(circuit_module, "_FUSE_FROM_QUBITS", UNFUSED_BELOW):
-        state = run(circuit, StateVector(circuit.num_qubits, amps))
-    expected = run_gate_by_gate(circuit, StateVector(circuit.num_qubits, amps))
+        state = run(circuit, prepare())
+    assert state._fixed == ()
+    expected = run_gate_by_gate(circuit, prepare())
     np.testing.assert_array_equal(state.amplitudes, expected.amplitudes)
 
 
@@ -229,12 +236,9 @@ class TestSliceSizes:
         expected = run_gate_by_gate(circuit, StateVector(n, amps)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
-    @pytest.mark.parametrize("fuse_from", [1, 100])
-    def test_all_static_circuit_runs_on_zero_qubit_slices(self, kernel_calls, monkeypatch,
-                                                          fuse_from):
+    def test_all_static_circuit_runs_on_zero_qubit_slices(self, kernel_calls):
         """PHASE gates only, so from a basis state every qubit stays a bit
         and every kernel sees the one amplitude."""
-        monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", fuse_from)
         n = 5
         circuit = Circuit(n, (
             Gate.phase(Fraction(1, 4), 0, ((1, 1),), "a"),
