@@ -11,6 +11,9 @@ fractions with denominator at most 2**(destination width).
 
 All arithmetic is modulo 2**width: wraparound is forced by unitarity, so
 subtracting below zero lands on 2**w - 1.
+
+Every builder emits unlabelled gates; a caller names a block with
+:func:`qftarith.circuit.labeled`.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ def build_fourier_add_constant(
     constant: int | SignedConstant,
     controls: Controls = (),
     num_qubits: int | None = None,
-    label: str | None = None,
 ) -> Circuit:
     """Phase layer adding a signed constant to a register held in Fourier form.
 
@@ -85,7 +87,7 @@ def build_fourier_add_constant(
         turns = Fraction(c.magnitude, 1 << (w - j)) % 1
         if turns == 0:
             continue
-        gates.append(Gate.phase(c.sign * turns, qs[j], controls=tuple(controls), label=label))
+        gates.append(Gate.phase(c.sign * turns, qs[j], controls=tuple(controls)))
     return Circuit(n, tuple(gates))
 
 
@@ -94,7 +96,6 @@ def build_fourier_add_register(
     dst: Sequence[int] | range,
     controls: Controls = (),
     num_qubits: int | None = None,
-    label: str | None = None,
 ) -> Circuit:
     """Controlled-phase network adding a basis-encoded register into a
     Fourier-form destination.
@@ -120,10 +121,7 @@ def build_fourier_add_register(
             turns = Fraction(weight, 1 << (wd - j)) % 1
             if turns == 0:
                 continue
-            gates.append(
-                Gate.phase(turns, dst_qs[j],
-                           controls=((src_qs[s], 1), *controls), label=label)
-            )
+            gates.append(Gate.phase(turns, dst_qs[j], controls=((src_qs[s], 1), *controls)))
     return Circuit(n, tuple(gates))
 
 
@@ -131,36 +129,37 @@ def build_decrement(
     layout: RegisterLayout,
     register: str,
     controls: Controls = (),
-    label: str | None = None,
 ) -> Circuit:
     """Decrement gate: |v> -> |v-1 mod 2**w> on the named register.
 
     Structure: Fourier transform, one negative phase kick per wire
     (-1/2**(w-j) turns), inverse transform.  Only the middle phase layer
     carries the controls: when they are unsatisfied the transform and its
-    inverse cancel, so the gate acts as the identity.
+    inverse cancel, so the gate acts as the identity.  The gates are
+    unlabelled; :func:`~qftarith.circuit.labeled` names the block.
     """
     qs = layout[register]
     n = layout.num_qubits
     return concat([
-        build_qft(qs, n, label),
-        build_fourier_add_constant(qs, -1, controls, n, label),
-        build_inverse_qft(qs, n, label),
+        build_qft(qs, n),
+        build_fourier_add_constant(qs, -1, controls, n),
+        build_inverse_qft(qs, n),
     ])
 
 
-def build_adder(layout: RegisterLayout, label: str | None = None) -> Circuit:
+def build_adder(layout: RegisterLayout) -> Circuit:
     """In-place adder |a>|b> -> |a>|(a+b) mod 2**n>, registers 'a' and 'b'.
 
     The sum builds up in register b's Fourier phases; register a is read
-    by controls only and comes out unchanged.  No carry ancillas.
+    by controls only and comes out unchanged.  No carry ancillas.  The
+    gates are unlabelled; :func:`~qftarith.circuit.labeled` names the block.
     """
     a, b = layout["a"], layout["b"]
     if len(a) != len(b):
         raise ValueError(f"register widths differ: a={len(a)}, b={len(b)}")
     n = layout.num_qubits
     return concat([
-        build_qft(b, n, label),
-        build_fourier_add_register(a, b, num_qubits=n, label=label),
-        build_inverse_qft(b, n, label),
+        build_qft(b, n),
+        build_fourier_add_register(a, b, num_qubits=n),
+        build_inverse_qft(b, n),
     ])

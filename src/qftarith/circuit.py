@@ -201,14 +201,13 @@ def concat(circuits: Iterable[Circuit]) -> Circuit:
 
 def labeled(circuit: Circuit, label: str | None) -> Circuit:
     """Copy of the circuit with every gate's label replaced by ``label``;
-    with ``label`` None, the circuit itself, labels unchanged.
+    ``None`` clears them.
 
-    Neither the gates nor the circuit are checked again: a label cannot
-    make a valid gate invalid.  So a builder can make one block and reuse
-    its gates under many labels at the cost of a copy per gate.
+    The builders emit unlabelled gates, and this is the one way to name a
+    block.  Neither the gates nor the circuit are checked again: a label
+    cannot make a valid gate invalid.  So a builder can make one block and
+    reuse its gates under many labels at the cost of a copy per gate.
     """
-    if label is None:
-        return circuit
     gates = []
     for g in circuit.gates:
         copy = object.__new__(Gate)
@@ -617,13 +616,13 @@ class RegisterLayout:
 
 
 def encode_register(layout: RegisterLayout, name: str, value: int) -> int:
-    """Basis-index fragment with ``value``'s bits placed in the register's slots."""
+    """Basis-index fragment with ``value``'s bits, an integer, placed in the register's slots."""
     width = layout.width(name)
-    if not 0 <= value < (1 << width):
+    if not _is_integer(value) or not 0 <= value < (1 << width):
         raise ValueTooWide(
-            f"value {value} does not fit in register {name!r} of width {width}"
+            f"value {value!r} is no integer that fits in register {name!r} of width {width}"
         )
-    return value << (layout.num_qubits - layout[name].stop)
+    return int(value) << (layout.num_qubits - layout[name].stop)
 
 
 def decode_register(layout: RegisterLayout, name: str, index: int) -> int:

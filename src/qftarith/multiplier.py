@@ -96,16 +96,16 @@ def build_zero_check(
     y_qubits: Sequence[int] | range,
     control_qubit: int,
     num_qubits: int | None = None,
-    label: str | None = None,
 ) -> Circuit:
     """X on the stop qubit, active exactly when every y qubit is |0>.
 
     Toggle semantics: applying it twice with y still zero flips the stop
-    qubit back (X is an involution).
+    qubit back (X is an involution).  The gate is unlabelled;
+    :func:`~qftarith.circuit.labeled` names it.
     """
     qs = list(y_qubits)
     n = (max([*qs, control_qubit]) + 1) if num_qubits is None else num_qubits
-    gate = Gate.x(control_qubit, controls=tuple((q, 0) for q in qs), label=label)
+    gate = Gate.x(control_qubit, controls=tuple((q, 0) for q in qs))
     return Circuit(n, (gate,))
 
 
@@ -113,11 +113,12 @@ def build_zero_check(
 def build_multiplier(spec: MultiplierSpec) -> Circuit:
     """Full multiplication network |0>|x>|y>|0> -> |x*y>|x>|y>|1>.
 
-    The iterations differ only in their labels, so one ``add``, one ``dec``
-    and one ``check`` block are built and checked, and each iteration
-    reuses their gates under its own label.  The result is memoised per
-    spec in a small bounded cache: calls with an equal spec return the same
-    immutable circuit, which ``run`` compiles once.
+    The builders emit unlabelled blocks, and :func:`labeled` names each
+    one: the two transforms, and per iteration the gates of one ``add``,
+    one ``dec`` and one ``check`` block, built and checked once, under the
+    iteration's own label.  The result is memoised per spec in a small
+    bounded cache: calls with an equal spec return the same immutable
+    circuit, which ``run`` compiles once.
     """
     layout = multiplier_layout(spec)
     n = layout.num_qubits
@@ -127,12 +128,12 @@ def build_multiplier(spec: MultiplierSpec) -> Circuit:
     dec = build_decrement(layout, "y")
     check = build_zero_check(y, stop, n)
 
-    parts = [build_qft(acc, n, label="qft[accumulator]"), labeled(check, "check[0]")]
+    parts = [labeled(build_qft(acc, n), "qft[accumulator]"), labeled(check, "check[0]")]
     for i in range(1, spec.iterations + 1):
         parts += [labeled(add, f"add[iter {i}]"), labeled(dec, f"dec[iter {i}]"),
                   labeled(check, f"check[{i}]")]
     parts.append(labeled(dec, "dec[restore]"))
-    parts.append(build_inverse_qft(acc, n, label="iqft[accumulator]"))
+    parts.append(labeled(build_inverse_qft(acc, n), "iqft[accumulator]"))
     return concat(parts)
 
 
@@ -143,8 +144,9 @@ def multiply(x: int, y: int, n: int) -> int:
     from :func:`build_multiplier`, whose memo builds and compiles it once
     per width, runs it on the encoded input, extracts the final basis
     state, and decodes the accumulator.  Before building anything it raises
-    SpecInvariantViolation for n < 1, ValueTooWide for an operand that does
-    not fit in n bits, and QubitBudgetExceeded for a state past the budget.
+    SpecInvariantViolation for n < 1, ValueTooWide for an operand that is
+    no integer (a bool or a float included) or does not fit in n bits, and
+    QubitBudgetExceeded for a state past the budget.
     Raises NotBasisState if the circuit ever fails to produce a
     deterministic output (which would be a bug).
     """

@@ -17,6 +17,9 @@ exp(2*pi*i/2**w)) by
 The arithmetic builders (see :mod:`qftarith.arith`) do their phase
 bookkeeping directly in this wire order, and the inverse transform undoes
 it, so the ordering is never observable end to end.
+
+Like every builder, these emit unlabelled gates; a caller names a block
+with :func:`qftarith.circuit.labeled`.
 """
 
 from __future__ import annotations
@@ -35,32 +38,27 @@ def _widen(qubits: Sequence[int] | range, num_qubits: int | None) -> tuple[list[
     return qs, n
 
 
-def _qft_gates(qs: list[int], sign: int, label: str | None) -> list[Gate]:
+def _qft_gates(qs: list[int], sign: int) -> list[Gate]:
     """The forward transform's gates in order, every angle times ``sign``."""
     gates: list[Gate] = []
     for j in range(len(qs)):
-        gates.append(Gate.hadamard(qs[j], label=label))
+        gates.append(Gate.hadamard(qs[j]))
         for k in range(2, len(qs) - j + 1):
-            gates.append(
-                Gate.phase(Fraction(sign, 1 << k), qs[j], controls=((qs[j + k - 1], 1),),
-                           label=label)
-            )
+            gates.append(Gate.phase(Fraction(sign, 1 << k), qs[j], controls=((qs[j + k - 1], 1),)))
     return gates
 
 
-def build_qft(qubits: Sequence[int] | range, num_qubits: int | None = None,
-              label: str | None = None) -> Circuit:
+def build_qft(qubits: Sequence[int] | range, num_qubits: int | None = None) -> Circuit:
     """Fourier transform on the given qubits (most significant first).
 
     Emits w*(w+1)/2 gates: a Hadamard per wire plus controlled phase
     rotations by exact dyadic angles 1/2**k turns.
     """
     qs, n = _widen(qubits, num_qubits)
-    return Circuit(n, tuple(_qft_gates(qs, 1, label)))
+    return Circuit(n, tuple(_qft_gates(qs, 1)))
 
 
-def build_inverse_qft(qubits: Sequence[int] | range, num_qubits: int | None = None,
-                      label: str | None = None) -> Circuit:
+def build_inverse_qft(qubits: Sequence[int] | range, num_qubits: int | None = None) -> Circuit:
     """Inverse transform: the reversed, phase-negated Fourier circuit."""
     qs, n = _widen(qubits, num_qubits)
-    return Circuit(n, tuple(reversed(_qft_gates(qs, -1, label))))
+    return Circuit(n, tuple(reversed(_qft_gates(qs, -1))))

@@ -150,11 +150,11 @@ def _check_budget(total_qubits: int) -> None:
 
 def new_basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational-basis state |index> on ``num_qubits`` qubits: compact,
-    with every qubit fixed and one amplitude."""
+    with every qubit fixed and one amplitude; the index must be an integer."""
     _validate_count(num_qubits)
-    if not 0 <= index < (1 << num_qubits):
+    if not _is_integer(index) or not 0 <= index < (1 << num_qubits):
         raise IndexOutOfRange(
-            f"basis index {index} out of range for {num_qubits} qubits"
+            f"basis index must be an integer in [0, 2^{num_qubits}), got {index!r}"
         )
     fixed = tuple((q, index >> (num_qubits - 1 - q) & 1) for q in range(num_qubits))
     return _compact(num_qubits, fixed, np.ones(1, dtype=np.complex128))
@@ -166,10 +166,10 @@ def norm(state: StateVector) -> float:
 
 
 def amplitude(state: StateVector, index: int) -> complex:
-    """Amplitude at one basis index."""
+    """Amplitude at one basis index, an integer."""
     n = state.num_qubits
-    if not 0 <= index < 1 << n:
-        raise IndexOutOfRange(f"basis index {index} out of range for {n} qubits")
+    if not _is_integer(index) or not 0 <= index < 1 << n:
+        raise IndexOutOfRange(f"basis index must be an integer in [0, 2^{n}), got {index!r}")
     bits, fixed = [index >> (n - 1 - q) & 1 for q in range(n)], dict(state._fixed)
     if any(bits[q] != bit for q, bit in fixed.items()):
         return 0j

@@ -28,6 +28,7 @@ from qftarith.circuit import (
     concat,
     decode_registers,
     encode_registers,
+    labeled,
     run,
 )
 from qftarith.cli import main
@@ -195,7 +196,7 @@ class TestClassicalQubits:
         gates = {"H": (Gate.hadamard(0, label="prepare"),),
                  "X": (Gate.x(0, label="prepare"),), None: ()}[prepare]
         circuit = concat([Circuit(10, gates),
-                          build_decrement(layout, "v", controls=((0, 1),), label="dec")])
+                          labeled(build_decrement(layout, "v", controls=((0, 1),)), "dec")])
         index = encode_registers(layout, {"v": 5})
         state = run(circuit, new_basis_state(10, index))
         if prepare == "H":

@@ -30,7 +30,15 @@ from qftarith.arith import (
     build_fourier_add_constant,
     build_fourier_add_register,
 )
-from qftarith.circuit import Circuit, Gate, RegisterLayout, concat, encode_registers, run
+from qftarith.circuit import (
+    Circuit,
+    Gate,
+    RegisterLayout,
+    concat,
+    encode_registers,
+    labeled,
+    run,
+)
 from qftarith.qft import build_inverse_qft, build_qft
 from qftarith.qstate import StateVector, _compact, new_basis_state
 
@@ -93,7 +101,7 @@ def transforms(draw):
     qs = range(first, first + width)
     build = draw(st.sampled_from([build_qft, build_inverse_qft]))
     prepare = _prepare(draw, n, [q for q in range(n) if q not in qs])
-    return concat([prepare, build(qs, n, "qft")]), draw(inputs(n))
+    return concat([prepare, labeled(build(qs, n), "qft")]), draw(inputs(n))
 
 
 @SETTINGS
@@ -133,11 +141,11 @@ def register_adders(draw):
     others = draw(st.permutations([q for q in range(n) if q not in dst]))
     src, spare = others[:ws], others[ws:]
     controls = ((spare[0], draw(st.integers(0, 1))),) if spare and draw(st.booleans()) else ()
-    middle = [build_fourier_add_register(src, dst, controls, n, "add")]
+    middle = [build_fourier_add_register(src, dst, controls, n)]
     if len(spare) == 2:
         constant = draw(st.integers(-(1 << wd) + 1, (1 << wd) - 1))
-        middle.append(build_fourier_add_constant(dst, constant, ((spare[1], 1),), n, "add"))
-    sandwich = concat([build_qft(dst, n, "add"), *middle, build_inverse_qft(dst, n, "add")])
+        middle.append(build_fourier_add_constant(dst, constant, ((spare[1], 1),), n))
+    sandwich = labeled(concat([build_qft(dst, n), *middle, build_inverse_qft(dst, n)]), "add")
     return concat([_prepare(draw, n, others), sandwich]), draw(inputs(n))
 
 

@@ -1,6 +1,7 @@
 """Multiplier network: zero checks, the one-way latch control flow,
 exhaustive products against the classical oracle, and the unroll bound."""
 
+import dataclasses
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -10,13 +11,14 @@ import pytest
 
 from qftarith.arith import build_decrement, build_fourier_add_register
 from qftarith.circuit import (
+    Circuit,
     concat,
     decode_register,
     decode_registers,
     encode_registers,
     run,
 )
-from qftarith.errors import QubitBudgetExceeded, SpecInvariantViolation
+from qftarith.errors import QubitBudgetExceeded, SpecInvariantViolation, ValueTooWide
 from qftarith.multiplier import (
     MultiplierSpec,
     build_multiplier,
@@ -181,6 +183,16 @@ class TestMultiplyFunction:
         with pytest.raises(ValueError):
             multiply(0, -1, 2)
 
+    @pytest.mark.parametrize("bad", [2.0, 1.5, True, np.float64(2)], ids=repr)
+    @pytest.mark.parametrize("operand", ["x", "y"])
+    def test_operand_that_is_no_integer_is_rejected(self, bad, operand):
+        x, y = (bad, 3) if operand == "x" else (3, bad)
+        with pytest.raises(ValueTooWide, match="is no integer"):
+            multiply(x, y, 2)
+
+    def test_numpy_integer_operands_accepted(self):
+        assert multiply(np.int64(3), np.int64(2), 2) == 6
+
     def test_width_below_one_is_rejected(self):
         with pytest.raises(SpecInvariantViolation):
             multiply(0, 0, 0)
@@ -243,20 +255,26 @@ class TestStructure:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_shared_blocks_equal_blocks_built_one_by_one(self, n):
         """The build reuses one add, dec and check block under each label;
-        the circuit equals one whose every block is built with its label."""
+        the circuit equals one whose every block is built afresh and whose
+        every gate is labelled through ``dataclasses.replace``, which checks
+        it again, not through ``labeled``, which the build uses."""
         spec = MultiplierSpec.for_width(n)
         layout = multiplier_layout(spec)
         nq = layout.num_qubits
         acc, x, y = layout["accumulator"], layout["x"], layout["y"]
         stop = layout["control"][0]
-        parts = [build_qft(acc, nq, label="qft[accumulator]"),
-                 build_zero_check(y, stop, nq, label="check[0]")]
+
+        def named(block, label):
+            return Circuit(nq, tuple(dataclasses.replace(g, label=label) for g in block.gates))
+
+        parts = [named(build_qft(acc, nq), "qft[accumulator]"),
+                 named(build_zero_check(y, stop, nq), "check[0]")]
         for i in range(1, spec.iterations + 1):
             parts += [
-                build_fourier_add_register(x, acc, ((stop, 0),), nq, label=f"add[iter {i}]"),
-                build_decrement(layout, "y", label=f"dec[iter {i}]"),
-                build_zero_check(y, stop, nq, label=f"check[{i}]"),
+                named(build_fourier_add_register(x, acc, ((stop, 0),), nq), f"add[iter {i}]"),
+                named(build_decrement(layout, "y"), f"dec[iter {i}]"),
+                named(build_zero_check(y, stop, nq), f"check[{i}]"),
             ]
-        parts += [build_decrement(layout, "y", label="dec[restore]"),
-                  build_inverse_qft(acc, nq, label="iqft[accumulator]")]
+        parts += [named(build_decrement(layout, "y"), "dec[restore]"),
+                  named(build_inverse_qft(acc, nq), "iqft[accumulator]")]
         assert build_multiplier(spec) == concat(parts)

@@ -45,6 +45,14 @@ class TestBasisStates:
         with pytest.raises(IndexOutOfRange):
             new_basis_state(2, 4)
 
+    @pytest.mark.parametrize("bad", [2.0, 1.5, True, np.float64(2)], ids=repr)
+    def test_index_that_is_no_integer_is_rejected(self, bad):
+        with pytest.raises(IndexOutOfRange, match="must be an integer"):
+            new_basis_state(3, bad)
+
+    def test_numpy_integer_index_accepted(self):
+        np.testing.assert_array_equal(new_basis_state(2, np.int64(1)).amplitudes, [0, 1, 0, 0])
+
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
             new_basis_state(0, 0)
@@ -185,6 +193,14 @@ class TestReadout:
     def test_amplitude_bounds(self):
         with pytest.raises(IndexOutOfRange):
             amplitude(new_basis_state(2, 0), 4)
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, True, np.float64(2)], ids=repr)
+    def test_amplitude_index_that_is_no_integer_is_rejected(self, bad):
+        with pytest.raises(IndexOutOfRange, match="must be an integer"):
+            amplitude(new_basis_state(3, 1), bad)
+
+    def test_amplitude_numpy_integer_index_accepted(self):
+        assert amplitude(new_basis_state(3, 1), np.int64(1)) == 1
 
     def test_norm_of_fresh_basis_state(self):
         assert norm(new_basis_state(4, 9)) == 1.0

@@ -30,6 +30,7 @@ from qftarith.circuit import (
     RegisterLayout,
     concat,
     encode_registers,
+    labeled,
     run,
 )
 from qftarith.multiplier import MultiplierSpec, build_multiplier, multiplier_layout
@@ -94,11 +95,11 @@ def sandwiches(draw):
     flipped = [q for q, _ in controls if draw(st.booleans())]
     constant = draw(st.integers(-(1 << width) + 1, (1 << width) - 1))
     label = draw(st.sampled_from([None, "kick"]))
-    sandwich = concat([
-        build_qft(qs, n, label),
-        build_fourier_add_constant(qs, constant, controls, n, label),
-        build_inverse_qft(qs, n, label),
-    ])
+    sandwich = labeled(concat([
+        build_qft(qs, n),
+        build_fourier_add_constant(qs, constant, controls, n),
+        build_inverse_qft(qs, n),
+    ]), label)
     prepare = Circuit(n, tuple(Gate.x(q, label="prepare") for q in flipped))
     return concat([prepare, sandwich]), qs, constant, controls, flipped
 
@@ -210,9 +211,11 @@ def test_controlled_sandwich_inside_a_wider_state():
     qs = [2, 3, 4]
     circuit = concat([
         Circuit(n, (Gate.hadamard(0, label="mix"), Gate.x(6, label="mix"))),
-        build_qft(qs, n, "dec"),
-        build_fourier_add_constant(qs, -3, ((0, 1), (1, 0), (6, 0)), n, "dec"),
-        build_inverse_qft(qs, n, "dec"),
+        labeled(concat([
+            build_qft(qs, n),
+            build_fourier_add_constant(qs, -3, ((0, 1), (1, 0), (6, 0)), n),
+            build_inverse_qft(qs, n),
+        ]), "dec"),
     ])
     assert step_kinds(circuit).count("_shift_kernels") == 1
     _check_against_references(circuit, random_state(n, np.random.default_rng(11)))
