@@ -47,6 +47,8 @@ class SignedConstant:
     def from_int(cls, value: int | "SignedConstant") -> "SignedConstant":
         if isinstance(value, SignedConstant):
             return value
+        if not _is_integer(value):
+            raise ValueError(f"constant must be an integer, got {value!r}")
         return cls(abs(value), -1 if value < 0 else 1)
 
 

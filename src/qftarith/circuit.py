@@ -69,6 +69,7 @@ import numpy as np
 from .errors import IndexOutOfRange, QubitCountMismatch, ValueTooWide
 from .qstate import (
     StateVector,
+    _check_index,
     _diagonal,
     _expand,
     _fixed_axes,
@@ -620,13 +621,16 @@ def encode_register(layout: RegisterLayout, name: str, value: int) -> int:
     width = layout.width(name)
     if not _is_integer(value) or not 0 <= value < (1 << width):
         raise ValueTooWide(
-            f"value {value!r} is no integer that fits in register {name!r} of width {width}"
+            f"value {value!r} does not fit in register {name!r}: "
+            f"it is no integer in [0, 2^{width})"
         )
     return int(value) << (layout.num_qubits - layout[name].stop)
 
 
 def decode_register(layout: RegisterLayout, name: str, index: int) -> int:
-    """Integer held by one register inside a full basis index."""
+    """Integer held by one register inside a full basis index, an integer
+    in [0, 2^num_qubits)."""
+    _check_index(index, layout.num_qubits)
     width = layout.width(name)
     return (index >> (layout.num_qubits - layout[name].stop)) & ((1 << width) - 1)
 

@@ -5,6 +5,12 @@ every result against plain classical arithmetic.
 (``b``, ``v`` or ``accumulator``) equals :func:`oracle`, every other operand
 register is unchanged, and for ``mul`` the stop qubit ``control`` reads 1.
 
+Each command is declared once, in ``_COMMANDS``: its operands, help line,
+oracle, layout and builder.  The parser and :func:`oracle` read that table.
+Operands are checked once, by :func:`~qftarith.circuit.encode_registers`,
+which raises :class:`~qftarith.errors.ValueTooWide`;
+:class:`~qftarith.errors.OperandTooWide` is its alias.
+
 Exit codes: 0 result verified, 1 simulator/oracle mismatch, 2 usage error
 (bad operands, a register width below 1, bad multiplier sizing, qubit budget
 exceeded, unknown flags, an ``--emit-circuit`` path that cannot be written).
@@ -38,7 +44,7 @@ from .circuit import (
     encode_registers,
     run,
 )
-from .errors import OperandTooWide, QubitBudgetExceeded, SpecInvariantViolation
+from .errors import QubitBudgetExceeded, SpecInvariantViolation
 from .multiplier import MultiplierSpec, build_multiplier, multiplier_layout
 from .qstate import MAX_QUBITS, _check_budget, extract_basis_index, new_basis_state  # noqa: F401
 
@@ -67,24 +73,9 @@ class RunReport:
 
 def oracle(operation: str, operands: tuple[int, ...], n: int) -> int:
     """Classical ground truth: modular add/dec, exact multiply."""
-    if operation == "add":
-        a, b = operands
-        return (a + b) % (1 << n)
-    if operation == "dec":
-        (v,) = operands
-        return (v - 1) % (1 << n)
-    if operation == "mul":
-        x, y = operands
-        return x * y
-    raise ValueError(f"unknown operation {operation!r}")
-
-
-def _check_operands(n: int, **operands: int) -> None:
-    for name, value in operands.items():
-        if not 0 <= value < (1 << n):
-            raise OperandTooWide(
-                f"operand {name}={value} does not fit in {n} bits (max {(1 << n) - 1})"
-            )
+    if operation not in _COMMANDS:
+        raise ValueError(f"unknown operation {operation!r}")
+    return _COMMANDS[operation].oracle(*operands, n)
 
 
 def _mul_spec(args, iterations: int) -> MultiplierSpec:
@@ -94,8 +85,10 @@ def _mul_spec(args, iterations: int) -> MultiplierSpec:
 
 
 class _Command(NamedTuple):
-    operands: tuple[str, ...]  # registers loaded from the positional arguments
+    help: str                  # the subcommand's line in ``qftarith --help``
+    operands: tuple[str, ...]  # registers loaded from the positional arguments, in order
     output: str                # the register oracle() predicts
+    oracle: Callable           # (*operands, n) -> the output register's classical value
     layout: Callable           # args -> RegisterLayout, computing nothing of size 2^n
     spec: Callable             # args -> MultiplierSpec or None, once the budget holds
     build: Callable            # (layout, spec) -> Circuit
@@ -106,15 +99,18 @@ class _Command(NamedTuple):
 # perfbench/worker.py can wrap them by name.  The multiplier's memo sits
 # behind that name, inside build_multiplier, so every call still reaches it.
 _COMMANDS = {
-    "add": _Command(("a", "b"), "b",
+    "add": _Command("in-place addition (a + b) mod 2^n", ("a", "b"), "b",
+                    lambda a, b, n: (a + b) % (1 << n),
                     lambda args: RegisterLayout([("a", args.n), ("b", args.n)]),
                     lambda args: None,
                     lambda layout, _: build_adder(layout), {}),
-    "dec": _Command(("v",), "v",
+    "dec": _Command("decrement (v - 1) mod 2^n", ("v",), "v",
+                    lambda v, n: (v - 1) % (1 << n),
                     lambda args: RegisterLayout([("v", args.n)]),
                     lambda args: None,
                     lambda layout, _: build_decrement(layout, "v"), {}),
-    "mul": _Command(("x", "y"), "accumulator",
+    "mul": _Command("multiplication x * y (exact)", ("x", "y"), "accumulator",
+                    lambda x, y, n: x * y,
                     # the unroll count does not shape the layout
                     lambda args: multiplier_layout(_mul_spec(args, 0)),
                     lambda args: _mul_spec(args, (1 << args.n) - 1 if args.iterations is None
@@ -130,11 +126,11 @@ def _run(args) -> tuple[RunReport, Circuit]:
         raise SpecInvariantViolation(f"--n must be at least 1, got {args.n}")
     layout = command.layout(args)
     _check_budget(layout.num_qubits)  # before anything computes 1 << n
-    _check_operands(args.n, **values)
+    index = encode_registers(layout, values)  # checks every operand, before the build
     spec = command.spec(args)
     start = time.perf_counter()
     circuit = command.build(layout, spec)
-    state = new_basis_state(layout.num_qubits, encode_registers(layout, values))
+    state = new_basis_state(layout.num_qubits, index)
     run(circuit, state)
     outputs = decode_registers(layout, extract_basis_index(state, tol=1e-9))
     elapsed = time.perf_counter() - start
@@ -175,8 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "verify the results against classical arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for operand in command.operands:
+            p.add_argument(operand, type=int)
         p.add_argument("--n", type=int, required=True, metavar="WIDTH",
                        help="register width in qubits")
         p.add_argument("--emit-circuit", metavar="PATH",
@@ -184,19 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="print the run report as JSON")
 
-    p_add = sub.add_parser("add", help="in-place addition (a + b) mod 2^n")
-    p_add.add_argument("a", type=int)
-    p_add.add_argument("b", type=int)
-    common(p_add)
-
-    p_dec = sub.add_parser("dec", help="decrement (v - 1) mod 2^n")
-    p_dec.add_argument("v", type=int)
-    common(p_dec)
-
-    p_mul = sub.add_parser("mul", help="multiplication x * y (exact)")
-    p_mul.add_argument("x", type=int)
-    p_mul.add_argument("y", type=int)
-    common(p_mul)
+    p_mul = sub.choices["mul"]
     p_mul.add_argument("--acc-width", type=int, metavar="M",
                        help="accumulator width (default 2n)")
     p_mul.add_argument("--iterations", type=int, metavar="K",

@@ -22,7 +22,8 @@ class QubitCountMismatch(QuantumArithmeticError, ValueError):
 
 
 class ValueTooWide(QuantumArithmeticError, ValueError):
-    """An integer value does not fit in the target register."""
+    """A register value, a command-line operand included, is no integer or
+    does not fit in the target register."""
 
 
 class ConstantTooWide(QuantumArithmeticError, ValueError):
@@ -38,8 +39,9 @@ class SpecInvariantViolation(QuantumArithmeticError, ValueError):
     violate a requirement."""
 
 
-class OperandTooWide(QuantumArithmeticError, ValueError):
-    """A command-line operand does not fit in the declared register width."""
+OperandTooWide = ValueTooWide
+"""Alias of :class:`ValueTooWide`: the CLI checks its operands with
+:func:`~qftarith.circuit.encode_registers`, like every other register value."""
 
 
 class QubitBudgetExceeded(QuantumArithmeticError):

@@ -152,10 +152,7 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational-basis state |index> on ``num_qubits`` qubits: compact,
     with every qubit fixed and one amplitude; the index must be an integer."""
     _validate_count(num_qubits)
-    if not _is_integer(index) or not 0 <= index < (1 << num_qubits):
-        raise IndexOutOfRange(
-            f"basis index must be an integer in [0, 2^{num_qubits}), got {index!r}"
-        )
+    _check_index(index, num_qubits)
     fixed = tuple((q, index >> (num_qubits - 1 - q) & 1) for q in range(num_qubits))
     return _compact(num_qubits, fixed, np.ones(1, dtype=np.complex128))
 
@@ -168,8 +165,7 @@ def norm(state: StateVector) -> float:
 def amplitude(state: StateVector, index: int) -> complex:
     """Amplitude at one basis index, an integer."""
     n = state.num_qubits
-    if not _is_integer(index) or not 0 <= index < 1 << n:
-        raise IndexOutOfRange(f"basis index must be an integer in [0, 2^{n}), got {index!r}")
+    _check_index(index, n)
     bits, fixed = [index >> (n - 1 - q) & 1 for q in range(n)], dict(state._fixed)
     if any(bits[q] != bit for q, bit in fixed.items()):
         return 0j
@@ -204,6 +200,13 @@ def _is_integer(value) -> bool:
     """An integer, numpy's included.  A bool or a float is none, even where
     it equals one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_index(index: int, num_qubits: int) -> None:
+    if not _is_integer(index) or not 0 <= index < 1 << num_qubits:
+        raise IndexOutOfRange(
+            f"basis index must be an integer in [0, 2^{num_qubits}), got {index!r}"
+        )
 
 
 def _validate_count(num_qubits: int) -> None:

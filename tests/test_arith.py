@@ -72,6 +72,16 @@ class TestFourierAddConstant:
         with pytest.raises(ValueError, match="must be"):
             SignedConstant(magnitude, sign)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "1", None], ids=repr)
+    def test_constant_that_is_no_integer_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SignedConstant.from_int(bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_fourier_add_constant(range(2), bad)
+
+    def test_numpy_integer_from_int_keeps_its_sign(self):
+        assert SignedConstant.from_int(np.int64(-3)) == SignedConstant(3, -1)
+
     def test_numpy_integer_constant_accepted(self):
         circuit = add_constant_in_basis(3, np.int64(-3))
         assert extract_basis_index(run(circuit, new_basis_state(3, 1))) == (1 - 3) % 8

@@ -293,6 +293,11 @@ class TestRegisterLayout:
             idx = encode_register(layout, "r", v)
             assert decode_register(layout, "r", idx) == v
 
+    @pytest.mark.parametrize("index", [-1, 1 << 2, 1.0, True], ids=repr)
+    def test_decode_rejects_an_index_outside_the_layout(self, index):
+        with pytest.raises(IndexOutOfRange, match="basis index"):
+            decode_register(RegisterLayout([("a", 2)]), "a", index)
+
     def test_value_too_wide(self):
         layout = RegisterLayout([("r", 2)])
         with pytest.raises(ValueTooWide):

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from qftarith.cli import RunReport, _run, build_parser, main, oracle
-from qftarith.errors import SpecInvariantViolation
+from qftarith import errors
+from qftarith.cli import _COMMANDS, RunReport, _run, build_parser, main, oracle
+from qftarith.errors import SpecInvariantViolation, ValueTooWide
+from qftarith.multiplier import multiply
 
 
 class TestOracle:
@@ -30,6 +32,12 @@ class TestOracle:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_positionals_are_the_table_operands_in_order(self, name):
+        operands = _COMMANDS[name].operands
+        args = build_parser().parse_args([name, *map(str, range(len(operands))), "--n", "3"])
+        assert tuple(getattr(args, operand) for operand in operands) == tuple(range(len(operands)))
+
     def test_dec_worked_example(self, capsys):
         assert main(["dec", "3", "--n", "2"]) == 0
         out = capsys.readouterr().out
@@ -73,6 +81,15 @@ class TestUsageErrors:
     def test_operand_too_wide(self, capsys):
         assert main(["add", "9", "0", "--n", "2"]) == 2
         assert "does not fit" in capsys.readouterr().err
+
+    def test_operand_error_is_the_type_multiply_raises(self):
+        with pytest.raises(ValueTooWide):
+            _run(build_parser().parse_args(["add", "9", "0", "--n", "2"]))
+        with pytest.raises(ValueTooWide):
+            multiply(4, 0, 2)
+
+    def test_operand_too_wide_is_an_alias(self):
+        assert errors.OperandTooWide is errors.ValueTooWide
 
     def test_dec_budget(self, capsys):
         assert main(["dec", "0", "--n", "25"]) == 2
