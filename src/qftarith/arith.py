@@ -5,9 +5,11 @@ With the register in the Fourier form of value v (wire j holding relative
 phase (v / 2**(w-j)) mod 1, see :mod:`qftarith.qft`), adding a constant c
 is one phase kick of c / 2**(w-j) turns per wire: no carries, the mod-1
 phase arithmetic wraps exactly like mod-2**w integer arithmetic.  Adding
-a register works the same way bit by bit, with each kick controlled by
-the source qubit that owns that bit.  All emitted angles are exact dyadic
-fractions with denominator at most 2**(destination width).
+a register is the constant adder once per source bit: source bit p adds
+the constant 2**p under its own control (Draper, arXiv:quant-ph/0008033),
+which is the form :func:`qftarith.circuit._fourier_block` parses.  All
+emitted angles are exact dyadic fractions with denominator at most
+2**(destination width).
 
 All arithmetic is modulo 2**width: wraparound is forced by unitarity, so
 subtracting below zero lands on 2**w - 1.
@@ -24,7 +26,7 @@ from typing import Sequence
 
 from .circuit import Circuit, Gate, RegisterLayout, concat
 from .errors import ConstantTooWide, OverlappingRegisters
-from .qft import build_inverse_qft, build_qft
+from .qft import _widen, build_inverse_qft, build_qft
 from .qstate import _is_integer
 
 Controls = Sequence[tuple[int, int]]
@@ -74,22 +76,20 @@ def build_fourier_add_constant(
     leaves the register's Fourier phases untouched.
     """
     c = SignedConstant.from_int(constant)
-    qs = list(qubits)
+    control_qs = [q for q, _ in controls]
+    qs, n = _widen(qubits, num_qubits, *control_qs)
     w = len(qs)
-    if not qs:
-        raise ValueError("register must be non-empty")
     if c.magnitude >= (1 << w):
         raise ConstantTooWide(
             f"constant {c.sign * c.magnitude} does not fit in width {w}"
         )
-    _check_disjoint(qs, [q for q, _ in controls])
-    n = (max([*qs, *(q for q, _ in controls)]) + 1) if num_qubits is None else num_qubits
+    _check_disjoint(qs, control_qs)
     gates: list[Gate] = []
     for j in range(w):
-        turns = Fraction(c.magnitude, 1 << (w - j)) % 1
-        if turns == 0:
-            continue
-        gates.append(Gate.phase(c.sign * turns, qs[j], controls=tuple(controls)))
+        kick = c.magnitude % (1 << (w - j))  # sign * (|c| / 2**(w-j) mod 1) turns
+        if kick:
+            gates.append(Gate.phase(Fraction(c.sign * kick, 1 << (w - j)), qs[j],
+                                    controls=tuple(controls)))
     return Circuit(n, tuple(gates))
 
 
@@ -103,28 +103,28 @@ def build_fourier_add_register(
     Fourier-form destination.
 
     The destination must be at least as wide as the source; the source is
-    treated as zero-extended.  Each source bit of weight 2**p kicks
-    destination wire j by 2**p / 2**(m-j) turns, controlled by that source
-    qubit (plus any extra controls).  The source register is left unchanged.
+    treated as zero-extended.  It is the constant adder once per source bit,
+    the form :func:`qftarith.circuit._fourier_block` parses: the bit of
+    weight 2**p adds 2**p under the controls ``((that bit, 1), *controls)``.
+    The source register is left unchanged.
     """
-    src_qs, dst_qs = list(src), list(dst)
+    control_qs = [q for q, _ in controls]
+    src_qs, _ = _widen(src, num_qubits)
+    dst_qs, n = _widen(dst, num_qubits, *src_qs, *control_qs)
     ws, wd = len(src_qs), len(dst_qs)
-    if not src_qs or not dst_qs:
-        raise ValueError("registers must be non-empty")
     if wd < ws:
         raise ValueError(f"destination width {wd} is narrower than source width {ws}")
-    _check_disjoint(src_qs, dst_qs, [q for q, _ in controls])
-    all_qs = [*src_qs, *dst_qs, *(q for q, _ in controls)]
-    n = (max(all_qs) + 1) if num_qubits is None else num_qubits
-    gates: list[Gate] = []
-    for s in range(ws):
-        weight = 1 << (ws - 1 - s)
-        for j in range(wd):
-            turns = Fraction(weight, 1 << (wd - j)) % 1
-            if turns == 0:
-                continue
-            gates.append(Gate.phase(turns, dst_qs[j], controls=((src_qs[s], 1), *controls)))
-    return Circuit(n, tuple(gates))
+    _check_disjoint(src_qs, dst_qs, control_qs)
+    return concat([
+        build_fourier_add_constant(dst_qs, 1 << (ws - 1 - s), ((src_qs[s], 1), *controls), n)
+        for s in range(ws)
+    ])
+
+
+def _in_fourier_frame(qubits: Sequence[int] | range, middle: Circuit) -> Circuit:
+    """``middle`` between the transform on ``qubits`` and its inverse."""
+    n = middle.num_qubits
+    return concat([build_qft(qubits, n), middle, build_inverse_qft(qubits, n)])
 
 
 def build_decrement(
@@ -141,12 +141,7 @@ def build_decrement(
     unlabelled; :func:`~qftarith.circuit.labeled` names the block.
     """
     qs = layout[register]
-    n = layout.num_qubits
-    return concat([
-        build_qft(qs, n),
-        build_fourier_add_constant(qs, -1, controls, n),
-        build_inverse_qft(qs, n),
-    ])
+    return _in_fourier_frame(qs, build_fourier_add_constant(qs, -1, controls, layout.num_qubits))
 
 
 def build_adder(layout: RegisterLayout) -> Circuit:
@@ -159,9 +154,4 @@ def build_adder(layout: RegisterLayout) -> Circuit:
     a, b = layout["a"], layout["b"]
     if len(a) != len(b):
         raise ValueError(f"register widths differ: a={len(a)}, b={len(b)}")
-    n = layout.num_qubits
-    return concat([
-        build_qft(b, n),
-        build_fourier_add_register(a, b, num_qubits=n),
-        build_inverse_qft(b, n),
-    ])
+    return _in_fourier_frame(b, build_fourier_add_register(a, b, num_qubits=layout.num_qubits))

@@ -45,7 +45,7 @@ from .circuit import (
     run,
 )
 from .errors import SpecInvariantViolation
-from .qft import build_inverse_qft, build_qft
+from .qft import _widen, build_inverse_qft, build_qft
 from .qstate import _check_budget, _is_integer, extract_basis_index, new_basis_state
 
 
@@ -103,8 +103,7 @@ def build_zero_check(
     qubit back (X is an involution).  The gate is unlabelled;
     :func:`~qftarith.circuit.labeled` names it.
     """
-    qs = list(y_qubits)
-    n = (max([*qs, control_qubit]) + 1) if num_qubits is None else num_qubits
+    qs, n = _widen(y_qubits, num_qubits, control_qubit)
     gate = Gate.x(control_qubit, controls=tuple((q, 0) for q in qs))
     return Circuit(n, (gate,))
 

@@ -30,11 +30,15 @@ from typing import Sequence
 from .circuit import Circuit, Gate
 
 
-def _widen(qubits: Sequence[int] | range, num_qubits: int | None) -> tuple[list[int], int]:
+def _widen(
+    qubits: Sequence[int] | range, num_qubits: int | None, *others: int
+) -> tuple[list[int], int]:
+    """The non-empty register as a list, and the circuit width: ``num_qubits``
+    if given, else one past the highest of its qubits and ``others``."""
     qs = list(qubits)
     if not qs:
         raise ValueError("register must be non-empty")
-    n = (max(qs) + 1) if num_qubits is None else num_qubits
+    n = (max([*qs, *others]) + 1) if num_qubits is None else num_qubits
     return qs, n
 
 

@@ -16,6 +16,7 @@ from qftarith.arith import (
 )
 from qftarith.circuit import (
     Circuit,
+    Gate,
     RegisterLayout,
     concat,
     decode_register,
@@ -24,6 +25,7 @@ from qftarith.circuit import (
     run,
 )
 from qftarith.errors import ConstantTooWide, OverlappingRegisters
+from qftarith.multiplier import build_zero_check
 from qftarith.qft import build_inverse_qft, build_qft
 from qftarith.qstate import extract_basis_index, new_basis_state, norm
 
@@ -118,6 +120,18 @@ class TestFourierAddConstant:
                 for gate in build_fourier_add_constant(range(width), c).gates:
                     assert isinstance(gate.phase_turns, Fraction)
                     assert (1 << width) % gate.phase_turns.denominator == 0
+
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_kicks_are_the_exact_reduced_turns(self, width):
+        """Wire j gets sign * (|c| / 2**(w-j) mod 1) turns, zero kicks left
+        out, each an exact Fraction, for every constant that fits."""
+        for c in range(1 - (1 << width), 1 << width):
+            sign = -1 if c < 0 else 1
+            turns = [sign * (Fraction(abs(c), 1 << (width - j)) % 1) for j in range(width)]
+            expected = tuple(Gate.phase(t, j) for j, t in enumerate(turns) if t)
+            gates = build_fourier_add_constant(range(width), c).gates
+            assert gates == expected
+            assert all(type(g.phase_turns) is Fraction for g in gates)
 
 
 class TestDecrement:
@@ -246,6 +260,21 @@ class TestFourierAddRegister:
         for gate in circuit.gates:
             assert (1 << 6) % gate.phase_turns.denominator == 0
 
+    @pytest.mark.parametrize("ws,wd", [(ws, wd) for wd in range(1, 5) for ws in range(1, wd + 1)])
+    def test_kicks_are_the_constant_adder_per_source_bit(self, ws, wd):
+        """Source qubit s, of weight 2**p with p = ws-1-s, kicks destination
+        wire j by 2**p / 2**(wd-j) turns where that is below one turn, under
+        the controls ((source qubit, 1), *controls), in source then wire order."""
+        src, dst, extra = range(ws), range(ws, ws + wd), ((ws + wd, 0),)
+        expected = tuple(
+            Gate.phase(Fraction(1 << (ws - 1 - s), 1 << (wd - j)), dst[j],
+                       controls=((src[s], 1), *extra))
+            for s in range(ws) for j in range(wd) if (1 << (ws - 1 - s)) < 1 << (wd - j)
+        )
+        gates = build_fourier_add_register(src, dst, extra).gates
+        assert gates == expected
+        assert all(type(g.phase_turns) is Fraction for g in gates)
+
 
 class TestAdder:
     def adder(self, width: int):
@@ -286,3 +315,17 @@ class TestAdder:
         layout = RegisterLayout([("a", 2), ("b", 3)])
         with pytest.raises(ValueError):
             build_adder(layout)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_qft([]),
+    lambda: build_inverse_qft([]),
+    lambda: build_fourier_add_constant([], 0),
+    lambda: build_fourier_add_register([], range(2)),
+    lambda: build_fourier_add_register(range(2), []),
+    lambda: build_zero_check([], 0),
+], ids=["qft", "inverse_qft", "add_constant", "add_register_empty_source",
+        "add_register_empty_destination", "zero_check"])
+def test_every_builder_rejects_an_empty_register(build):
+    with pytest.raises(ValueError, match="must be non-empty"):
+        build()
