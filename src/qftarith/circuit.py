@@ -102,7 +102,13 @@ class GateKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Gate:
-    """One primitive operation: kind, target(s), optional phase and controls."""
+    """One primitive operation: kind, target(s), optional phase and controls.
+
+    ``targets`` is stored as a tuple and ``controls`` as a tuple of
+    ``(qubit, polarity)`` tuples, whatever sequences they were given as, so
+    equal gates compare and hash equal.  A ``kind`` that is no
+    :class:`GateKind` raises ValueError.
+    """
 
     kind: GateKind
     targets: tuple[int, ...]
@@ -111,6 +117,10 @@ class Gate:
     label: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, GateKind):
+            raise ValueError(f"gate kind must be a GateKind, got {self.kind!r}")
+        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "controls", tuple(map(tuple, self.controls)))
         arity = 2 if self.kind is GateKind.SWAP else 1
         if len(self.targets) != arity:
             raise ValueError(f"{self.kind.value} takes {arity} target(s), got {self.targets}")
@@ -127,22 +137,22 @@ class Gate:
     @classmethod
     def hadamard(cls, target: int, controls: Sequence[tuple[int, int]] = (),
                  label: str | None = None) -> "Gate":
-        return cls(GateKind.HADAMARD, (target,), None, tuple(controls), label)
+        return cls(GateKind.HADAMARD, (target,), None, controls, label)
 
     @classmethod
     def phase(cls, turns: Fraction | float, target: int,
               controls: Sequence[tuple[int, int]] = (), label: str | None = None) -> "Gate":
-        return cls(GateKind.PHASE, (target,), turns, tuple(controls), label)
+        return cls(GateKind.PHASE, (target,), turns, controls, label)
 
     @classmethod
     def x(cls, target: int, controls: Sequence[tuple[int, int]] = (),
           label: str | None = None) -> "Gate":
-        return cls(GateKind.X, (target,), None, tuple(controls), label)
+        return cls(GateKind.X, (target,), None, controls, label)
 
     @classmethod
     def swap(cls, target_a: int, target_b: int, controls: Sequence[tuple[int, int]] = (),
              label: str | None = None) -> "Gate":
-        return cls(GateKind.SWAP, (target_a, target_b), None, tuple(controls), label)
+        return cls(GateKind.SWAP, (target_a, target_b), None, controls, label)
 
     # --------------------------------------------------------------------
 

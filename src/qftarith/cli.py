@@ -6,7 +6,11 @@ every result against plain classical arithmetic.
 register is unchanged, and for ``mul`` the stop qubit ``control`` reads 1.
 
 Each command is declared once, in ``_COMMANDS``: its operands, help line,
-oracle, layout and builder.  The parser and :func:`oracle` read that table.
+oracle, layout and builder.  The parser and :func:`oracle` read that table,
+and one runner, ``_run``, checks and simulates every command for both
+:func:`main` and :func:`qftarith.multiplier.multiply`: the width, then the
+qubit budget before anything of size 2^n, then the operands before the
+build, then build, run, read out and compare with the oracle.
 Operands are checked once, by :func:`~qftarith.circuit.encode_registers`,
 which raises :class:`~qftarith.errors.ValueTooWide`;
 :class:`~qftarith.errors.OperandTooWide` is its alias.
@@ -46,7 +50,7 @@ from .circuit import (
 )
 from .errors import QubitBudgetExceeded, SpecInvariantViolation
 from .multiplier import MultiplierSpec, build_multiplier, multiplier_layout
-from .qstate import MAX_QUBITS, _check_budget, extract_basis_index, new_basis_state  # noqa: F401
+from .qstate import _check_budget, _is_integer, extract_basis_index, new_basis_state
 
 
 @dataclass
@@ -95,7 +99,8 @@ class _Command(NamedTuple):
     ends: dict[str, int]       # required end values of the remaining registers
 
 
-# The builders are called through this module's globals, not bound here, so
+# _run reads this table for both main() and multiplier.multiply().  The
+# builders are called through this module's globals, not bound here, so
 # perfbench/worker.py can wrap them by name.  The multiplier's memo sits
 # behind that name, inside build_multiplier, so every call still reaches it.
 _COMMANDS = {
@@ -122,6 +127,8 @@ _COMMANDS = {
 def _run(args) -> tuple[RunReport, Circuit]:
     command = _COMMANDS[args.command]
     values = {name: getattr(args, name) for name in command.operands}
+    if not _is_integer(args.n):  # argparse gives an int; multiply() may not
+        raise SpecInvariantViolation(f"n must be an integer, got {args.n!r}")
     if args.n < 1:
         raise SpecInvariantViolation(f"--n must be at least 1, got {args.n}")
     layout = command.layout(args)

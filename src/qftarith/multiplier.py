@@ -31,22 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Sequence
 
 from .arith import build_decrement, build_fourier_add_register
-from .circuit import (
-    Circuit,
-    Gate,
-    RegisterLayout,
-    concat,
-    decode_register,
-    encode_registers,
-    labeled,
-    run,
-)
+from .circuit import Circuit, Gate, RegisterLayout, concat, labeled
 from .errors import SpecInvariantViolation
 from .qft import _widen, build_inverse_qft, build_qft
-from .qstate import _check_budget, _is_integer, extract_basis_index, new_basis_state
+from .qstate import _is_integer
 
 
 @dataclass(frozen=True)
@@ -139,21 +131,19 @@ def build_multiplier(spec: MultiplierSpec) -> Circuit:
 def multiply(x: int, y: int, n: int) -> int:
     """Multiply two n-bit integers on the simulator; returns x*y exactly.
 
-    Takes the standard circuit (accumulator width 2n, 2**n - 1 iterations)
-    from :func:`build_multiplier`, whose memo builds and compiles it once
-    per width, runs it on the encoded input, extracts the final basis
-    state, and decodes the accumulator.  Before building anything it raises
-    SpecInvariantViolation for n < 1, ValueTooWide for an operand that is
-    no integer (a bool or a float included) or does not fit in n bits, and
-    QubitBudgetExceeded for a state past the budget.
-    Raises NotBasisState if the circuit ever fails to produce a
+    Runs the CLI's ``mul`` command in process, through the same runner as
+    ``qftarith mul x y --n n``, with the same checks, in the same order,
+    raising the same error types and messages: SpecInvariantViolation for
+    an n that is no integer or is below 1 (``--n must be at least 1, got
+    0``), QubitBudgetExceeded for a state past the budget, and ValueTooWide
+    for an operand that is no integer (a bool or a float included) or does
+    not fit in n bits, all before anything is built.  The circuit is the
+    standard one (accumulator width 2n, 2**n - 1 iterations) from
+    :func:`build_multiplier`, whose memo builds and compiles it once per
+    width.  Raises NotBasisState if the circuit ever fails to produce a
     deterministic output (which would be a bug).
     """
-    layout = multiplier_layout(MultiplierSpec(n, 2 * n, 0))  # the unroll count does not shape it
-    _check_budget(layout.num_qubits)
-    index = encode_registers(layout, {"x": x, "y": y})
-    circuit = build_multiplier(MultiplierSpec.for_width(n))
-    state = new_basis_state(layout.num_qubits, index)
-    run(circuit, state)
-    final = extract_basis_index(state, tol=1e-9)
-    return decode_register(layout, "accumulator", final)
+    from .cli import _run  # at call time: cli imports this module
+
+    args = SimpleNamespace(command="mul", x=x, y=y, n=n, acc_width=None, iterations=None)
+    return _run(args)[0].outputs["accumulator"]

@@ -168,6 +168,22 @@ class TestGateModel:
         with pytest.raises(IndexOutOfRange):
             Circuit(2, (Gate.x(2),))
 
+    def test_gate_built_from_lists_equals_and_hashes_like_one_built_from_tuples(self):
+        """The fields are stored as tuples, so the gate can key the compile
+        memo of a circuit wide enough to be compiled."""
+        gate = Gate(GateKind.X, [0], controls=[[1, 1]])
+        assert gate == Gate.x(0, ((1, 1),))
+        assert hash(gate) == hash(Gate.x(0, ((1, 1),)))
+        assert gate.targets == (0,) and gate.controls == ((1, 1),)
+        for n in (3, 12):  # qubit 0 is the most significant bit
+            state = run(Circuit(n, (gate,)), new_basis_state(n, 0b01 << n - 2))
+            assert extract_basis_index(state) == 0b11 << n - 2
+
+    @pytest.mark.parametrize("kind, targets", [("H", (0,)), ("SWAP", (0, 1))], ids=repr)
+    def test_kind_that_is_no_gate_kind_is_rejected(self, kind, targets):
+        with pytest.raises(ValueError, match="must be a GateKind"):
+            Gate(kind, targets)
+
 
 class TestRun:
     def test_empty_circuit_is_identity(self):

@@ -201,6 +201,27 @@ class TestMultiplyFunction:
         with pytest.raises(SpecInvariantViolation, match="n must be an integer"):
             multiply(3, 2, 2.0)
 
+    @pytest.mark.parametrize("bad", [None, "3"], ids=repr)
+    def test_width_that_is_no_number_is_rejected(self, bad):
+        with pytest.raises(SpecInvariantViolation, match="n must be an integer"):
+            multiply(1, 1, bad)
+
+    def test_multiply_runs_through_the_cli_runner(self, monkeypatch):
+        """One simulate-and-read path: the run goes through the name that
+        the CLI's runner calls, once."""
+        import qftarith.cli as cli_module
+
+        calls = []
+        real_run = cli_module.run
+
+        def counting_run(circuit, state):
+            calls.append(circuit)
+            return real_run(circuit, state)
+
+        monkeypatch.setattr(cli_module, "run", counting_run)
+        assert multiply(3, 2, 2) == 6
+        assert len(calls) == 1
+
     def test_budget_is_checked_before_building(self):
         """n = 6 needs 25 qubits, one past the budget: nothing is built."""
         tracemalloc.start()
