@@ -25,7 +25,7 @@ register adder.  The steps are:
   controls hold;
 * a *transform* for a block that is exactly the Fourier transform on a
   register of two or more qubits, or its inverse, with no controls: one
-  FFT along the register's axis and one bit-reversal gather;
+  FFT along the register's axis, with the register's axes reversed;
 * a *diagonal* for a block of PHASE gates only: one multiply by a table of
   the product of their phases;
 * *gates* for anything else, one kernel call each.
@@ -268,7 +268,7 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
         raise QubitCountMismatch(f"circuit has {n} qubits, state has {state.num_qubits}")
     if n < _FUSE_FROM_QUBITS:
         psi = _expand(state, ())
-        for kernel, *args in _gate_kernels(circuit.gates, _factors(circuit.gates), {}, range(n)):
+        for kernel, *args in _gate_kernels(tuple(map(_gate_key, circuit.gates)), {}, range(n)):
             kernel(psi, *args)
         return state
     # Frozen, so written through vars().  Threads racing here may compile
@@ -323,17 +323,19 @@ def _compile(gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
     """The distinct steps and the program as indices into them.
 
     Blocks are runs of gates with one label; two blocks with the same
-    gates, labels aside, compile to one step.
+    gates, labels aside, compile to one step.  A step holds only the
+    block's gate keys (see :func:`_gate_key`) and what the matcher read
+    from them, so compiling makes no numpy call: phase factors are
+    computed when a step is resolved.
     """
     steps: list[_Step] = []
     seen: dict[tuple, int] = {}
     program: list[int] = []
     for _, group in groupby(gates, key=lambda g: g.label):
-        block = tuple(group)
-        key = tuple(map(_gate_key, block))
+        key = tuple(map(_gate_key, group))
         index = seen.setdefault(key, len(steps))
         if index == len(steps):
-            steps.append(_block_step(block, key))
+            steps.append(_block_step(key))
         program.append(index)
     return steps, program
 
@@ -345,11 +347,7 @@ def _gate_key(g: Gate) -> tuple:
     return g.kind, g.targets, turns, g.controls
 
 
-def _factors(gates: Sequence[Gate]) -> list[complex | None]:
-    return [_phase_factor(g.phase_turns) if g.kind is GateKind.PHASE else None for g in gates]
-
-
-def _block_step(block: tuple[Gate, ...], key: tuple) -> _Step:
+def _block_step(key: tuple) -> _Step:
     used = frozenset(q for _, targets, _, controls in key
                      for q in chain(targets, (c for c, _ in controls)))
     moved = frozenset(q for kind, targets, _, _ in key if kind is not GateKind.PHASE
@@ -361,14 +359,11 @@ def _block_step(block: tuple[Gate, ...], key: tuple) -> _Step:
             return _Step(partial(_shift_kernels, first, width, groups), moved, used,
                          partial(_shift_bits, first, width, groups))
         if not groups and width >= 2:
-            index = np.arange(1 << width)
-            reverse = sum((index >> b & 1) << (width - 1 - b) for b in range(width))
-            return _Step(partial(_fourier_kernels, first, width, 1 if head else -1, reverse),
-                         moved, used)
+            return _Step(partial(_fourier_kernels, first, width, 1 if head else -1), moved, used)
     if not moved:
-        return _Step(partial(_diagonal_kernels, block, _factors(block)), moved, used)
+        return _Step(partial(_diagonal_kernels, key), moved, used)
     flips = all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key)
-    return _Step(partial(_gate_kernels, block, _factors(block)), moved, used,
+    return _Step(partial(_gate_kernels, key), moved, used,
                  partial(_flip_bits, key) if flips else None)
 
 
@@ -476,42 +471,42 @@ def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):
     return fixed
 
 
-def _phase_fixed(g: Gate, bits: dict[int, int], pos: dict[int, int]):
-    """The (axis, bit) pairs a PHASE multiplies at on the tensor, or None
+def _phase_fixed(gate: tuple, bits: dict[int, int], pos: dict[int, int]):
+    """``(fixed, factor)`` for a PHASE gate's key: the (axis, bit) pairs it
+    multiplies at on the tensor and its factor, from the exact ratio; None
     when it acts as the identity there."""
-    fixed = _free_controls(g.controls, bits, pos)
-    if fixed is None or g.phase_turns == 0:  # a zero turn is an exact identity
+    _, (t,), (num, den), controls = gate
+    fixed = _free_controls(controls, bits, pos)
+    if fixed is None or num == 0 or t in bits and not bits[t]:  # a zero turn is an exact identity
         return None
-    t = g.targets[0]
-    if t not in bits:
-        return [(pos[t], 1), *fixed]
-    return fixed if bits[t] else None
+    return (fixed if t in bits else [(pos[t], 1), *fixed]), _phase_factor(num / den)
 
 
-def _gate_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int]):
-    """``(kernel, *args)`` for each gate that acts on the tensor where the
-    classical qubits hold ``bits``, with its qubits renumbered by ``pos``."""
+def _gate_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
+    """``(kernel, *args)`` for each gate of the key that acts on the tensor
+    where the classical qubits hold ``bits``, with its qubits renumbered by
+    ``pos``."""
     kernels = []
-    for g, factor in zip(gates, factors):
-        if g.kind is GateKind.PHASE:
-            fixed = _phase_fixed(g, bits, pos)
-            if fixed is not None:
-                kernels.append((_phase, fixed, factor))
+    for gate in key:
+        kind, targets, _, controls = gate
+        if kind is GateKind.PHASE:
+            kick = _phase_fixed(gate, bits, pos)
+            if kick is not None:
+                kernels.append((_phase, *kick))
             continue
-        fixed = _free_controls(g.controls, bits, pos)
+        fixed = _free_controls(controls, bits, pos)
         if fixed is None:
             continue
-        t = g.targets[0]
-        if g.kind is GateKind.HADAMARD:
-            kernels.append((_hadamard, pos[t], fixed))
-        elif g.kind is GateKind.X:
-            kernels.append((_x, pos[t], fixed))
+        if kind is GateKind.HADAMARD:
+            kernels.append((_hadamard, pos[targets[0]], fixed))
+        elif kind is GateKind.X:
+            kernels.append((_x, pos[targets[0]], fixed))
         else:
-            kernels.append((_swap, pos[t], pos[g.targets[1]], fixed))
+            kernels.append((_swap, pos[targets[0]], pos[targets[1]], fixed))
     return kernels
 
 
-def _diagonal_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int]):
+def _diagonal_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
     """One multiply by the product of a PHASE block's factors on the
     tensor; none if no phase acts there.
 
@@ -520,8 +515,7 @@ def _diagonal_kernels(gates, factors, bits: dict[int, int], pos: dict[int, int])
     laid out contiguously, so that it multiplies whole contiguous rows:
     broadcasting a short inner axis is several times slower.
     """
-    kicks = [(fixed, factor) for g, factor in zip(gates, factors)
-             if (fixed := _phase_fixed(g, bits, pos)) is not None]
+    kicks = [kick for gate in key if (kick := _phase_fixed(gate, bits, pos)) is not None]
     if not kicks:
         return []
     ndim = len(pos)
@@ -552,11 +546,11 @@ def _shift_kernels(first: int, width: int, groups,
     return kernels
 
 
-def _fourier_kernels(first: int, width: int, sign: int, reverse: np.ndarray,
+def _fourier_kernels(first: int, width: int, sign: int,
                      bits: dict[int, int], pos: dict[int, int]):
     """The transform's one FFT on the tensor.  Its qubits are never
     classical, because it mixes them."""
-    return [(_fourier, pos[first], width, sign, reverse)]
+    return [(_fourier, pos[first], width, sign)]
 
 
 def inverse(circuit: Circuit) -> Circuit:

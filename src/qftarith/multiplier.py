@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .arith import build_decrement, build_fourier_add_register
 from .circuit import Circuit, Gate, RegisterLayout, concat, labeled
-from .errors import SpecInvariantViolation
+from .errors import QuantumArithmeticError, SpecInvariantViolation
 from .qft import _widen, build_inverse_qft, build_qft
 from .qstate import _is_integer
 
@@ -46,11 +46,12 @@ class MultiplierSpec:
     """Widths and unroll count for one multiplier circuit.
 
     ``m >= 2n`` guarantees the product fits.  ``iterations`` lies in
-    0 <= K <= 2**n - 1 and defaults to 2**n - 1, the worst-case multiplier
-    value; smaller counts build a deliberately truncated circuit (the result
-    becomes x * min(y, iters)), which is how the tightness of the bound is
-    demonstrated.  Larger counts are rejected: the counter would pass
-    through zero twice and toggle the stop latch back off.
+    0 <= K <= 2**n - 1.  It is required here; :meth:`for_width` and the CLI
+    give it 2**n - 1, the worst-case multiplier value.  Smaller counts build
+    a deliberately truncated circuit (the result becomes x * min(y, iters)),
+    which is how the tightness of the bound is demonstrated.  Larger counts
+    are rejected: the counter would pass through zero twice and toggle the
+    stop latch back off.
     """
 
     n: int
@@ -141,9 +142,15 @@ def multiply(x: int, y: int, n: int) -> int:
     standard one (accumulator width 2n, 2**n - 1 iterations) from
     :func:`build_multiplier`, whose memo builds and compiles it once per
     width.  Raises NotBasisState if the circuit ever fails to produce a
-    deterministic output (which would be a bug).
+    deterministic output, and QuantumArithmeticError, naming the registers
+    read, if they break the register contract (either would be a bug).
     """
     from .cli import _run  # at call time: cli imports this module
 
     args = SimpleNamespace(command="mul", x=x, y=y, n=n, acc_width=None, iterations=None)
-    return _run(args)[0].outputs["accumulator"]
+    report = _run(args)[0]
+    if not report.verified:
+        read = ", ".join(f"{name}={value}" for name, value in report.outputs.items())
+        raise QuantumArithmeticError(f"mul {x} {y} --n {n} read {read}, "
+                                     "which breaks the register contract")
+    return report.outputs["accumulator"]

@@ -24,7 +24,8 @@ kernels apply a whole block of gates at once: ``_shift`` adds a constant to
 a register of adjacent qubits with one cyclic roll, ``_diagonal``
 multiplies by a table of phases that depends on the last k qubits, and
 ``_fourier`` runs the swap-free Fourier transform on a register of
-adjacent qubits, or its inverse, as one FFT and one bit-reversal gather.
+adjacent qubits, or its inverse, as one FFT with the register's axes
+reversed.
 :func:`qftarith.circuit.run` calls the private kernels directly, because
 ``Gate`` and ``Circuit`` already validated every gate on construction;
 that also lets it drive arrays that are only part of a state.
@@ -320,22 +321,24 @@ def _diagonal(psi: np.ndarray, table: np.ndarray) -> None:
     rows *= table
 
 
-def _fourier(psi: np.ndarray, start: int, width: int, sign: int, reverse: np.ndarray) -> None:
+def _fourier(psi: np.ndarray, start: int, width: int, sign: int) -> None:
     """The swap-free Fourier transform (``sign`` 1) or its inverse (-1) on
     the register on axes ``start`` .. ``start + width - 1``.
 
     The transform maps value v to amplitudes[i] == F[bit_reverse(i), v]
     (see :mod:`qftarith.qft`), F the unitary DFT with omega =
     exp(2*pi*i / 2^width): an orthonormal inverse FFT along the register's
-    merged axis, then a gather by ``reverse``, the bit-reversal
-    permutation.  The inverse gathers first and then runs the forward FFT.
-    ``psi`` must be C-contiguous, so the merged view is a view of it.
+    merged axis, then the bit-reversal permutation, which on the ``(2,)*r``
+    tensor is the register's axes reversed.  The inverse reverses the axes
+    first and then runs the forward FFT.  ``psi`` must be C-contiguous, so
+    the merged view is a view of it.
     """
     rows = psi.reshape(1 << start, 1 << width, -1)
+    axes = (*range(start), *reversed(range(start, start + width)), *range(start + width, psi.ndim))
     if sign > 0:
-        rows[...] = np.fft.ifft(rows, axis=1, norm="ortho")[:, reverse]
+        psi[...] = np.fft.ifft(rows, axis=1, norm="ortho").reshape(psi.shape).transpose(axes)
     else:
-        rows[...] = np.fft.fft(rows[:, reverse], axis=1, norm="ortho")
+        rows[...] = np.fft.fft(psi.transpose(axes).reshape(rows.shape), axis=1, norm="ortho")
 
 
 def apply_phase(

@@ -5,6 +5,9 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -191,6 +194,19 @@ class TestJson:
         assert main(["dec", "0", "--n", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["outputs"] == {"v": 3}
+        assert payload["verified"] is True
+
+    def test_python_dash_m_runs_the_cli(self):
+        """``python -m qftarith`` reaches ``main`` through ``__main__.py``
+        and exits with its code."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "qftarith", "dec", "5", "--n", "4", "--json"],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["outputs"] == {"v": 4}
         assert payload["verified"] is True
 
 

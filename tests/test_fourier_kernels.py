@@ -7,7 +7,9 @@ dense, basis and compact inputs, and on up to 6 qubits to the dense
 matrix.  The transform is also held to the DFT identity of
 :mod:`qftarith.qft`, which shares no code with the FFT step.  Blocks that
 differ from the definitions by one angle, one wire or one control must
-not be recognised: they fall back to the gates.
+not be recognised: they fall back to the gates.  The FFT kernel is held
+bitwise to an FFT plus a bit-reversal gather, and compiling the paper's
+circuits keeps gate keys only, with no numpy call.
 """
 
 from fractions import Fraction
@@ -25,8 +27,10 @@ from conftest import (
     run_gate_by_gate,
     step_kinds,
 )
+import qftarith.circuit as circuit_module
 from qftarith.arith import (
     build_adder,
+    build_decrement,
     build_fourier_add_constant,
     build_fourier_add_register,
 )
@@ -39,8 +43,9 @@ from qftarith.circuit import (
     labeled,
     run,
 )
+from qftarith.multiplier import MultiplierSpec, build_multiplier
 from qftarith.qft import build_inverse_qft, build_qft
-from qftarith.qstate import StateVector, _compact, new_basis_state
+from qftarith.qstate import StateVector, _compact, _fourier, new_basis_state
 
 ATOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -251,3 +256,58 @@ def test_transform_on_non_adjacent_qubits_runs_as_gates():
     assert step_kinds(circuit) == ["_gate_kernels"]
     for index in range(16):
         _assert_run_matches_reference(circuit, new_basis_state(4, index))
+
+
+def _gathered_fourier(psi, start, width, sign):
+    """The transform as an FFT and a gather through a bit-reversal table."""
+    reverse = np.array([bit_reverse(i, width) for i in range(1 << width)])
+    rows = psi.reshape(1 << start, 1 << width, -1)
+    if sign > 0:
+        rows[...] = np.fft.ifft(rows, axis=1, norm="ortho")[:, reverse]
+    else:
+        rows[...] = np.fft.fft(rows[:, reverse], axis=1, norm="ortho")
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(2, 10))
+def test_fourier_kernel_is_bitwise_the_bit_reversal_gather(data, n):
+    """Reversing the register's axes is the bit-reversal permutation, to
+    the last bit."""
+    width = data.draw(st.integers(2, n))
+    start = data.draw(st.integers(0, n - width))
+    sign = data.draw(st.sampled_from([1, -1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)).reshape((2,) * n)
+    expected = psi.copy()
+    _gathered_fourier(expected, start, width, sign)
+    _fourier(psi, start, width, sign)
+    assert np.array_equal(psi, expected)
+
+
+def _held(value):
+    """Every object inside nested tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held(item)
+    else:
+        yield value
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@pytest.mark.parametrize("circuit", [
+    build_multiplier(MultiplierSpec.for_width(3)),
+    build_adder(RegisterLayout([("a", 4), ("b", 4)])),
+    build_decrement(RegisterLayout([("v", 5)]), "v"),
+], ids=["multiplier", "adder", "decrement"])
+def test_compile_keeps_gate_keys_only_and_makes_no_numpy_call(circuit, monkeypatch):
+    """A step holds the block's gate keys and what the matcher read from
+    them: no Gate, no precomputed factor table and no permutation array."""
+    monkeypatch.setattr(circuit_module, "np", _NoNumpy())
+    steps, _ = circuit_module._compile(circuit.gates)
+    for step in steps:
+        held = list(_held([step.resolve.args, step.permute.args if step.permute else ()]))
+        assert not any(isinstance(item, (Gate, np.ndarray)) for item in held)

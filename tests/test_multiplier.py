@@ -18,7 +18,12 @@ from qftarith.circuit import (
     encode_registers,
     run,
 )
-from qftarith.errors import QubitBudgetExceeded, SpecInvariantViolation, ValueTooWide
+from qftarith.errors import (
+    QuantumArithmeticError,
+    QubitBudgetExceeded,
+    SpecInvariantViolation,
+    ValueTooWide,
+)
 from qftarith.multiplier import (
     MultiplierSpec,
     build_multiplier,
@@ -221,6 +226,18 @@ class TestMultiplyFunction:
         monkeypatch.setattr(cli_module, "run", counting_run)
         assert multiply(3, 2, 2) == 6
         assert len(calls) == 1
+
+    def test_a_wrong_product_raises_and_names_the_registers_read(self, monkeypatch):
+        """With the simulation skipped the registers still hold the input,
+        whose accumulator reads 0: multiply() refuses it, as the CLI's
+        ``verified`` does, instead of returning 0 for 3 * 2."""
+        import qftarith.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "run", lambda circuit, state: state)
+        with pytest.raises(QuantumArithmeticError) as excinfo:
+            multiply(3, 2, 2)
+        assert excinfo.type is QuantumArithmeticError
+        assert "accumulator=0, x=3, y=2, control=0" in str(excinfo.value)
 
     def test_budget_is_checked_before_building(self):
         """n = 6 needs 25 qubits, one past the budget: nothing is built."""
