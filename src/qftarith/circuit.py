@@ -40,7 +40,8 @@ and the zero check run as bit arithmetic, and the multiplier simulates
 its accumulator alone, with x as bits, as two transforms and one diagonal
 per addition.  Both paths of :func:`run` call the trusted private
 kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated
-every gate on construction.
+every gate on construction.  Steps pass them axes, bits and factors, and
+this module imports no numpy: arrays are built in :mod:`~qftarith.qstate`.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -64,26 +65,23 @@ from functools import partial
 from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import IndexOutOfRange, QubitCountMismatch, ValueTooWide
 from .qstate import (
     StateVector,
     _check_index,
     _diagonal,
+    _exchange,
     _expand,
-    _fixed_axes,
     _fourier,
     _hadamard,
     _is_integer,
     _phase,
     _phase_factor,
+    _phase_table,
     _shift,
-    _swap,
     _validate_count,
     _validate_qubits,
     _validate_turns,
-    _x,
 )
 
 # Below this many qubits ``run`` is the gate-by-gate replay, bitwise equal to
@@ -124,10 +122,8 @@ class Gate:
         arity = 2 if self.kind is GateKind.SWAP else 1
         if len(self.targets) != arity:
             raise ValueError(f"{self.kind.value} takes {arity} target(s), got {self.targets}")
-        if self.kind is GateKind.PHASE:
-            _validate_turns(self.phase_turns)
-            if isinstance(self.phase_turns, np.generic):  # keyed and listed as Python's
-                object.__setattr__(self, "phase_turns", self.phase_turns.item())
+        if self.kind is GateKind.PHASE:  # a numpy scalar is keyed and listed as Python's
+            object.__setattr__(self, "phase_turns", _validate_turns(self.phase_turns))
         elif self.phase_turns is not None:
             raise ValueError(f"{self.kind.value} takes no phase")
         _validate_qubits(None, self.targets, self.controls)
@@ -497,35 +493,23 @@ def _gate_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
         fixed = _free_controls(controls, bits, pos)
         if fixed is None:
             continue
+        t = pos[targets[0]]
         if kind is GateKind.HADAMARD:
-            kernels.append((_hadamard, pos[targets[0]], fixed))
+            kernels.append((_hadamard, t, fixed))
         elif kind is GateKind.X:
-            kernels.append((_x, pos[targets[0]], fixed))
+            kernels.append((_exchange, [(t, 0), *fixed], [(t, 1), *fixed]))
         else:
-            kernels.append((_swap, pos[targets[0]], pos[targets[1]], fixed))
+            u = pos[targets[1]]
+            kernels.append((_exchange, [(t, 0), (u, 1), *fixed], [(t, 1), (u, 0), *fixed]))
     return kernels
 
 
 def _diagonal_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
-    """One multiply by the product of a PHASE block's factors on the
-    tensor; none if no phase acts there.
-
-    The product is tabulated over the tensor's axes the phases depend on,
-    then broadcast to every axis from the first of those to the last and
-    laid out contiguously, so that it multiplies whole contiguous rows:
-    broadcasting a short inner axis is several times slower.
-    """
+    """One multiply by the product of a PHASE block's kicks on the tensor,
+    by the table :func:`~qftarith.qstate._phase_table` builds; none if no
+    phase acts there."""
     kicks = [kick for gate in key if (kick := _phase_fixed(gate, bits, pos)) is not None]
-    if not kicks:
-        return []
-    ndim = len(pos)
-    axes = {axis for fixed, _ in kicks for axis, _ in fixed}
-    table = np.ones([2 if axis in axes else 1 for axis in range(ndim)], dtype=np.complex128)
-    for fixed, factor in kicks:
-        table[_fixed_axes(ndim, fixed)] *= factor
-    first = min(axes, default=ndim)
-    table = np.broadcast_to(table.reshape(table.shape[first:]), (2,) * (ndim - first))
-    return [(_diagonal, table.reshape(-1))]
+    return [(_diagonal, _phase_table(len(pos), kicks))] if kicks else []
 
 
 def _shift_kernels(first: int, width: int, groups,

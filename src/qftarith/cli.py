@@ -76,10 +76,13 @@ class RunReport:
 
 
 def oracle(operation: str, operands: tuple[int, ...], n: int) -> int:
-    """Classical ground truth: modular add/dec, exact multiply."""
-    if operation not in _COMMANDS:
-        raise ValueError(f"unknown operation {operation!r}")
-    return _COMMANDS[operation].oracle(*operands, n)
+    """Classical ground truth: modular add/dec, exact multiply.  An unknown
+    operation, or one given the wrong number of operands, raises ValueError."""
+    command = _COMMANDS.get(operation)
+    if command is None or len(operands) != len(command.operands):
+        known = ", ".join(f"{name}({', '.join(c.operands)})" for name, c in _COMMANDS.items())
+        raise ValueError(f"{operation!r} with {len(operands)} operands is none of {known}")
+    return command.oracle(*operands, n)
 
 
 def _mul_spec(args, iterations: int) -> MultiplierSpec:

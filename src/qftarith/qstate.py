@@ -18,17 +18,17 @@ never touched, so disabled gates leave them bitwise unchanged.
 
 Each gate has two entry points.  The public ``apply_*`` functions check
 their qubits, polarities and angle against the state, then call a private
-kernel (``_phase``, ``_hadamard``, ``_x``, ``_swap``) that trusts its
-arguments and works on a bare ``(2,)*n`` array.  Three more private
+kernel (``_phase``, ``_hadamard``, or ``_exchange`` for X and SWAP) that
+trusts its arguments and works on a bare ``(2,)*n`` array.  Three more
 kernels apply a whole block of gates at once: ``_shift`` adds a constant to
 a register of adjacent qubits with one cyclic roll, ``_diagonal``
-multiplies by a table of phases that depends on the last k qubits, and
+multiplies by a ``_phase_table`` that depends on the last k qubits, and
 ``_fourier`` runs the swap-free Fourier transform on a register of
 adjacent qubits, or its inverse, as one FFT with the register's axes
-reversed.
-:func:`qftarith.circuit.run` calls the private kernels directly, because
-``Gate`` and ``Circuit`` already validated every gate on construction;
-that also lets it drive arrays that are only part of a state.
+reversed.  :func:`qftarith.circuit.run` calls the private kernels directly,
+because ``Gate`` and ``Circuit`` validated every gate on construction;
+that also lets it drive arrays that are only part of a state.  No other
+module of the package imports numpy.
 
 A :class:`StateVector` may be *compact*: a tuple of fixed ``(qubit, bit)``
 pairs, outside which every amplitude is exactly 0, plus a block of 2^r
@@ -234,17 +234,18 @@ def _validate_qubits(num_qubits: int | None, targets: Sequence[int], controls: C
             raise ValueError(f"control polarity must be 0 or 1, got {pol!r}")
 
 
-def _validate_turns(phase_turns) -> None:
+def _validate_turns(phase_turns):
     """A PHASE angle is a real number, not a bool, with a finite float value:
     None, bools, NaN, +-inf and exact numbers too large for a float raise
     ValueError, and strings, complex numbers and other non-reals TypeError.
-    The messages leave out the value, whose ``repr`` fails for huge ints."""
+    The messages leave out the value, whose ``repr`` fails for huge ints.
+    Returns the angle, a numpy scalar as the Python number it holds."""
     given = phase_turns is not None and not isinstance(phase_turns, (bool, np.bool_))
     if given and not isinstance(phase_turns, numbers.Real):
         raise TypeError(f"PHASE needs a real angle, got {type(phase_turns).__name__}")
     with suppress(OverflowError):
         if given and math.isfinite(float(phase_turns)):
-            return
+            return phase_turns.item() if isinstance(phase_turns, np.generic) else phase_turns
     raise ValueError("PHASE needs an angle that is a finite float")
 
 
@@ -280,20 +281,13 @@ def _hadamard(psi: np.ndarray, target: int, controls: Controls) -> None:
     psi[i1] = d
 
 
-def _x(psi: np.ndarray, target: int, controls: Controls) -> None:
-    i0 = _fixed_axes(psi.ndim, [(target, 0), *controls])
-    i1 = _fixed_axes(psi.ndim, [(target, 1), *controls])
-    tmp = psi[i0].copy()
-    psi[i0] = psi[i1]
-    psi[i1] = tmp
-
-
-def _swap(psi: np.ndarray, target_a: int, target_b: int, controls: Controls) -> None:
-    i01 = _fixed_axes(psi.ndim, [(target_a, 0), (target_b, 1), *controls])
-    i10 = _fixed_axes(psi.ndim, [(target_a, 1), (target_b, 0), *controls])
-    tmp = psi[i01].copy()
-    psi[i01] = psi[i10]
-    psi[i10] = tmp
+def _exchange(psi: np.ndarray, a: Controls, b: Controls) -> None:
+    """Swap the amplitudes whose bits match every (qubit, bit) in ``a`` with
+    those matching ``b``: X and SWAP, each pattern with the controls."""
+    ia, ib = _fixed_axes(psi.ndim, a), _fixed_axes(psi.ndim, b)
+    tmp = psi[ia].copy()
+    psi[ia] = psi[ib]
+    psi[ib] = tmp
 
 
 def _shift(psi: np.ndarray, start: int, width: int, amount: int, controls: Controls) -> None:
@@ -319,6 +313,21 @@ def _diagonal(psi: np.ndarray, table: np.ndarray) -> None:
     view of it."""
     rows = psi.reshape(-1, table.size)
     rows *= table
+
+
+def _phase_table(ndim: int, kicks: Sequence[tuple[Controls, complex]]) -> np.ndarray:
+    """The product of ``kicks``, ``(fixed, factor)`` pairs as ``_phase``
+    takes them, on a ``(2,)*ndim`` tensor, as the flat table ``_diagonal``
+    multiplies by.  Tabulated over the axes the kicks fix, it is broadcast
+    to every axis from the first of those to the last and laid out
+    contiguously, so that it multiplies whole contiguous rows; broadcasting
+    a short inner axis is several times slower."""
+    axes = {axis for fixed, _ in kicks for axis, _ in fixed}
+    table = np.ones([2 if axis in axes else 1 for axis in range(ndim)], dtype=np.complex128)
+    for fixed, factor in kicks:
+        _phase(table, fixed, factor)
+    first = min(axes, default=ndim)
+    return np.broadcast_to(table.reshape(table.shape[first:]), (2,) * (ndim - first)).reshape(-1)
 
 
 def _fourier(psi: np.ndarray, start: int, width: int, sign: int) -> None:
@@ -363,7 +372,7 @@ def apply_hadamard(state: StateVector, target: int, controls: Controls = ()) -> 
 def apply_x(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """NOT on the target: swaps amplitude pairs differing in the target bit."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _x(_expand(state, ()), target, controls)
+    _exchange(_expand(state, ()), [(target, 0), *controls], [(target, 1), *controls])
     return state
 
 
@@ -372,5 +381,6 @@ def apply_swap(
 ) -> StateVector:
     """Exchange two qubits: swaps amplitudes of the 01 and 10 target patterns."""
     _validate_qubits(state.num_qubits, (target_a, target_b), controls)
-    _swap(_expand(state, ()), target_a, target_b, controls)
+    _exchange(_expand(state, ()), [(target_a, 0), (target_b, 1), *controls],
+              [(target_a, 1), (target_b, 0), *controls])
     return state

@@ -119,7 +119,7 @@ def step_kinds(circuit: Circuit) -> list[str]:
 def kernel_calls(monkeypatch):
     """``(kernel name, psi.size)`` for every kernel call ``run`` makes."""
     calls = []
-    for name in ("_phase", "_hadamard", "_x", "_swap", "_shift", "_diagonal", "_fourier"):
+    for name in ("_phase", "_hadamard", "_exchange", "_shift", "_diagonal", "_fourier"):
         def recording(psi, *args, _kernel=getattr(circuit_module, name), _name=name):
             calls.append((_name, psi.size))
             return _kernel(psi, *args)

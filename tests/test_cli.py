@@ -33,6 +33,11 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle("div", (1, 1), 2)
 
+    @pytest.mark.parametrize("operation, operands", [("add", (1,)), ("mul", (1, 2, 3))])
+    def test_wrong_operand_count_names_the_operands(self, operation, operands):
+        with pytest.raises(ValueError, match=r"add\(a, b\), dec\(v\), mul\(x, y\)"):
+            oracle(operation, operands, 3)
+
 
 class TestCommands:
     @pytest.mark.parametrize("name", sorted(_COMMANDS))

@@ -146,7 +146,7 @@ class TestClassicalQubits:
         state = new_basis_state(layout.num_qubits, encode_registers(layout, {"x": 13, "y": 11}))
         run(build_multiplier(spec), state)
         assert kernel_calls and max(size for _, size in kernel_calls) <= 1 << (2 * n)
-        assert not {"_shift", "_x"} & {name for name, _ in kernel_calls}
+        assert not {"_shift", "_exchange"} & {name for name, _ in kernel_calls}
         fixed = dict(state._fixed)
         assert sorted(fixed) == [*layout["x"], *layout["y"], *layout["control"]]
         bits = sum(bit << (layout.num_qubits - 1 - q) for q, bit in fixed.items())

@@ -9,9 +9,12 @@ matrix.  The transform is also held to the DFT identity of
 differ from the definitions by one angle, one wire or one control must
 not be recognised: they fall back to the gates.  The FFT kernel is held
 bitwise to an FFT plus a bit-reversal gather, and compiling the paper's
-circuits keeps gate keys only, with no numpy call.
+circuits keeps gate keys only, with no numpy call.  Only
+:mod:`qftarith.qstate` binds numpy.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +30,9 @@ from conftest import (
     run_gate_by_gate,
     step_kinds,
 )
+import qftarith
 import qftarith.circuit as circuit_module
+import qftarith.qstate as qstate_module
 from qftarith.arith import (
     build_adder,
     build_decrement,
@@ -306,8 +311,28 @@ class _NoNumpy:
 def test_compile_keeps_gate_keys_only_and_makes_no_numpy_call(circuit, monkeypatch):
     """A step holds the block's gate keys and what the matcher read from
     them: no Gate, no precomputed factor table and no permutation array."""
-    monkeypatch.setattr(circuit_module, "np", _NoNumpy())
+    monkeypatch.setattr(qstate_module, "np", _NoNumpy())
     steps, _ = circuit_module._compile(circuit.gates)
     for step in steps:
         held = list(_held([step.resolve.args, step.permute.args if step.permute else ()]))
         assert not any(isinstance(item, (Gate, np.ndarray)) for item in held)
+
+
+def _from_numpy(value) -> bool:
+    """numpy itself, or a module, function, class or instance of numpy's."""
+    names = (getattr(value, "__name__", None), getattr(value, "__module__", None),
+             type(value).__module__)
+    return any(isinstance(name, str) and name.split(".")[0] == "numpy" for name in names)
+
+
+def test_only_qstate_binds_numpy():
+    """numpy and the amplitude layout live in one module: every other
+    module of the package binds neither numpy nor anything from it.
+    ``__main__`` is left out, because importing it runs the CLI."""
+    bound = {}
+    for info in pkgutil.iter_modules(qftarith.__path__):
+        if info.name not in ("qstate", "__main__"):
+            module = importlib.import_module(f"qftarith.{info.name}")
+            bound[info.name] = sorted(name for name, value in vars(module).items()
+                                      if _from_numpy(value))
+    assert "circuit" in bound and not any(bound.values()), bound

@@ -35,7 +35,7 @@ from qftarith.circuit import (
 )
 from qftarith.multiplier import MultiplierSpec, build_multiplier, multiplier_layout
 from qftarith.qft import build_inverse_qft, build_qft
-from qftarith.qstate import StateVector, new_basis_state
+from qftarith.qstate import StateVector, _phase_table, new_basis_state
 
 ATOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -220,6 +220,48 @@ def test_controlled_sandwich_inside_a_wider_state():
     assert step_kinds(circuit).count("_shift_kernels") == 1
     _check_against_references(circuit, random_state(n, np.random.default_rng(11)))
     _check_against_references(circuit, new_basis_state(n, 0b0100101).amplitudes)
+
+
+_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+@st.composite
+def phase_kicks(draw):
+    """``(ndim, kicks)``: a scalar kick, up to six kicks on random axes
+    from 1 up, and a kick on axis 0 when drawn, in a random order.  Kick i's
+    factor is a unit times 2**(2**i), so every product is exact and names
+    the kicks it holds."""
+    ndim = draw(st.integers(0, 8))
+    bits = st.sampled_from([0, 1])
+    fixings = [[]]
+    if ndim > 1:
+        fixings += draw(st.lists(st.lists(st.tuples(st.integers(1, ndim - 1), bits),
+                                          unique_by=lambda pair: pair[0], min_size=1),
+                                 max_size=6))
+    if ndim and draw(st.booleans()):
+        fixings.append([(0, draw(bits))])
+    fixings = draw(st.permutations(fixings))
+    return ndim, [(fixed, _UNITS[draw(st.integers(0, 3))] * 2.0 ** (1 << i))
+                  for i, fixed in enumerate(fixings)]
+
+
+@SETTINGS
+@given(case=phase_kicks())
+def test_phase_table_is_the_product_of_the_kicks_index_by_index(case):
+    """The diagonal's table holds one row over the axes from the first one
+    a kick fixes to the last, and on the trailing axes equals, at every
+    index, the product of the kicks whose bits match it."""
+    ndim, kicks = case
+    table = _phase_table(ndim, kicks)
+    first = min((axis for fixed, _ in kicks for axis, _ in fixed), default=ndim)
+    assert table.shape == (1 << (ndim - first),)
+    expected = np.ones((2,) * ndim, dtype=np.complex128)
+    for index in np.ndindex(expected.shape):
+        for fixed, factor in kicks:
+            if all(index[axis] == bit for axis, bit in fixed):
+                expected[index] *= factor
+    assert np.array_equal(np.broadcast_to(table.reshape((2,) * (ndim - first)), expected.shape),
+                          expected)
 
 
 class TestBuildAndCompileOnce:

@@ -184,7 +184,7 @@ class TestSliceSizes:
         assert Counter(name for name, _ in kernel_calls) == {
             "_diagonal": blocks - 1,     # add[iter 1..15]
             "_shift": blocks,            # dec[iter 1..15], dec[restore]
-            "_x": blocks,                # check[0..15]
+            "_exchange": blocks,         # check[0..15]
             "_fourier": 2,               # qft and iqft on the accumulator
         }
         assert decode_registers(layout, extract_basis_index(state))["accumulator"] == 126
