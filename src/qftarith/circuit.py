@@ -20,9 +20,8 @@ mod 2^w, and one group per source qubit, controlled by it, is the
 register adder.  The steps are:
 
 * a *shift* for a sandwich, a block with both transforms.  The groups
-  commute.  Those whose controls are classical bits add up to one cyclic
-  roll of the register's axis; each other group is its own roll where its
-  controls hold;
+  commute, and each one whose classical controls hold is its own cyclic
+  roll of the register's axis, where its other controls hold;
 * a *transform* for a block that is exactly the Fourier transform on a
   register of two or more qubits, or its inverse, with no controls: one
   FFT along the register's axis, with the register's axes reversed;
@@ -75,6 +74,7 @@ from .qstate import (
     _fourier,
     _hadamard,
     _is_integer,
+    _pair,
     _phase,
     _phase_factor,
     _phase_table,
@@ -246,10 +246,11 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     expanded once to the other qubits, and the program runs on that one
     contiguous tensor.  A classical step rewrites the bits and calls no
     kernel.  Every other step is resolved against the current bits, once
-    per value of the classical qubits it reads: a gate or kick group whose
-    classical control fails is dropped, and one whose controls hold loses
-    them.  A sandwich's groups with classical controls merge into one shift,
-    and a transform is one FFT.  From ``new_basis_state`` the multiplier
+    per value of the classical qubits it reads.  A gate or kick group acts
+    where a (qubit, bit) pattern holds: its controls, with a PHASE gate's
+    target at 1.  One whose classical bits fail is dropped, and one whose
+    classical bits hold loses them.  A sandwich is one shift per group that
+    is left, and a transform is one FFT.  From ``new_basis_state`` the multiplier
     holds its 2^(2n)-amplitude accumulator and the adder and the decrement
     one amplitude; a dense state has no classical qubit and runs whole.
 
@@ -455,33 +456,35 @@ def _fourier_block(key: tuple) -> tuple[int, int, bool, tuple, bool] | None:
     return first, width, head, tuple(groups), tail
 
 
-def _free_controls(controls, bits: dict[int, int], pos: dict[int, int]):
-    """The controls on the tensor's qubits, renumbered by ``pos``; None
-    when a classical control does not hold ``bits``."""
+def _tensor_pattern(pattern, bits: dict[int, int], pos: dict[int, int]):
+    """The (qubit, bit) pattern on the tensor's axes, renumbered by ``pos``,
+    with its classical qubits left out; None when one of them does not hold
+    its bit in ``bits``."""
     fixed = []
-    for q, pol in controls:
+    for q, bit in pattern:
         if q not in bits:
-            fixed.append((pos[q], pol))
-        elif bits[q] != pol:
+            fixed.append((pos[q], bit))
+        elif bits[q] != bit:
             return None
     return fixed
 
 
 def _phase_fixed(gate: tuple, bits: dict[int, int], pos: dict[int, int]):
-    """``(fixed, factor)`` for a PHASE gate's key: the (axis, bit) pairs it
-    multiplies at on the tensor and its factor, from the exact ratio; None
-    when it acts as the identity there."""
-    _, (t,), (num, den), controls = gate
-    fixed = _free_controls(controls, bits, pos)
-    if fixed is None or num == 0 or t in bits and not bits[t]:  # a zero turn is an exact identity
-        return None
-    return (fixed if t in bits else [(pos[t], 1), *fixed]), _phase_factor(num / den)
+    """``(fixed, factor)`` for a PHASE gate's key: its target's 1 and its
+    controls as a pattern on the tensor (see :func:`_tensor_pattern`), and
+    the factor from the exact ratio; None where the pattern does not hold
+    or the angle is a whole number of turns, an exact identity."""
+    _, (t,), turns, controls = gate
+    fixed = _tensor_pattern(((t, 1), *controls), bits, pos)
+    factor = None if fixed is None else _phase_factor(turns)
+    return None if factor is None else (fixed, factor)
 
 
 def _gate_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
     """``(kernel, *args)`` for each gate of the key that acts on the tensor
     where the classical qubits hold ``bits``, with its qubits renumbered by
-    ``pos``."""
+    ``pos``.  The two patterns of :func:`~qftarith.qstate._pair` hold or
+    fail together: no H, X or SWAP target is classical here."""
     kernels = []
     for gate in key:
         kind, targets, _, controls = gate
@@ -490,17 +493,9 @@ def _gate_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
             if kick is not None:
                 kernels.append((_phase, *kick))
             continue
-        fixed = _free_controls(controls, bits, pos)
-        if fixed is None:
-            continue
-        t = pos[targets[0]]
-        if kind is GateKind.HADAMARD:
-            kernels.append((_hadamard, t, fixed))
-        elif kind is GateKind.X:
-            kernels.append((_exchange, [(t, 0), *fixed], [(t, 1), *fixed]))
-        else:
-            u = pos[targets[1]]
-            kernels.append((_exchange, [(t, 0), (u, 1), *fixed], [(t, 1), (u, 0), *fixed]))
+        a, b = (_tensor_pattern(pattern, bits, pos) for pattern in _pair(targets, controls))
+        if a is not None:
+            kernels.append((_hadamard if kind is GateKind.HADAMARD else _exchange, a, b))
     return kernels
 
 
@@ -514,20 +509,11 @@ def _diagonal_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
 
 def _shift_kernels(first: int, width: int, groups,
                    bits: dict[int, int], pos: dict[int, int]):
-    """The sandwich's shifts on the tensor.  The groups whose controls are
-    all classical and hold add up to one shift, left out if it adds 0 mod
-    2^width; a group with a control on the tensor is its own shift; a group
-    with a classical control that fails is dropped."""
-    kernels, amount = [], 0
-    for group_amount, controls in groups:
-        fixed = _free_controls(controls, bits, pos)
-        if fixed:
-            kernels.append((_shift, pos[first], width, group_amount, fixed))
-        elif fixed is not None:
-            amount += group_amount
-    if amount % (1 << width):
-        kernels.append((_shift, pos[first], width, amount, []))
-    return kernels
+    """The sandwich on the tensor: one shift per kick group whose classical
+    controls hold, where its other controls hold.  The groups commute and
+    each roll is an exact permutation, so no two are merged."""
+    return [(_shift, pos[first], width, amount, fixed) for amount, controls in groups
+            if (fixed := _tensor_pattern(controls, bits, pos)) is not None]
 
 
 def _fourier_kernels(first: int, width: int, sign: int,

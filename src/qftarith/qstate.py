@@ -10,7 +10,8 @@ explicit 2^n x 2^n matrix.
 Phase angles are expressed in *turns* (multiples of 2*pi).  The circuit
 builders keep them as exact ``fractions.Fraction`` values with power-of-two
 denominators; conversion to a complex exponential happens once, here, at
-application time.
+application time.  ``_phase_factor`` takes whole turns off the angle's exact
+ratio first, so a huge angle keeps its fraction and whole turns are no-ops.
 
 Controls are ``(qubit, polarity)`` pairs with polarity 1 ("active on |1>")
 or 0 ("active on |0>").  Amplitudes whose control bits do not match are
@@ -19,7 +20,10 @@ never touched, so disabled gates leave them bitwise unchanged.
 Each gate has two entry points.  The public ``apply_*`` functions check
 their qubits, polarities and angle against the state, then call a private
 kernel (``_phase``, ``_hadamard``, or ``_exchange`` for X and SWAP) that
-trusts its arguments and works on a bare ``(2,)*n`` array.  Three more
+trusts its arguments and works on a bare ``(2,)*n`` array.  ``_hadamard``
+mixes and ``_exchange`` swaps the amplitudes of two ``(qubit, bit)``
+patterns, the two that ``_pair`` gives: the target's 0 and 1 for H and X,
+01 and 10 for SWAP's targets, each with the controls.  Three more
 kernels apply a whole block of gates at once: ``_shift`` adds a constant to
 a register of adjacent qubits with one cyclic roll, ``_diagonal``
 multiplies by a ``_phase_table`` that depends on the last k qubits, and
@@ -256,8 +260,19 @@ def _fixed_axes(num_qubits: int, fixed: Iterable[tuple[int, int]]):
     return tuple(idx)
 
 
-def _phase_factor(phase_turns) -> complex:
-    return cmath.exp(2j * math.pi * float(phase_turns))
+def _phase_factor(ratio: tuple[int, int]) -> complex | None:
+    """exp(2*pi*i*num/den) for an angle's exact ratio, den > 0, with whole
+    turns taken off exactly and the sign kept; None for whole turns only."""
+    num, den = ratio
+    num = num % den if num >= 0 else -(-num % den)
+    return cmath.exp(2j * math.pi * (num / den)) if num else None
+
+
+def _pair(targets: Sequence[int], controls: Controls) -> tuple[list, list]:
+    """The two (qubit, bit) patterns that H or X on one target mixes or
+    exchanges, or SWAP on two targets exchanges, each with the controls."""
+    target_bits = ((0,), (1,)) if len(targets) == 1 else ((0, 1), (1, 0))
+    return tuple([*zip(targets, tb), *controls] for tb in target_bits)
 
 
 # -- trusted kernels ---------------------------------------------------------
@@ -271,19 +286,19 @@ def _phase(psi: np.ndarray, fixed: Controls, factor: complex) -> None:
     psi[_fixed_axes(psi.ndim, fixed)] *= factor
 
 
-def _hadamard(psi: np.ndarray, target: int, controls: Controls) -> None:
-    i0 = _fixed_axes(psi.ndim, [(target, 0), *controls])
-    i1 = _fixed_axes(psi.ndim, [(target, 1), *controls])
-    a, b = psi[i0], psi[i1]
-    s = (a + b) * _INV_SQRT2
-    d = (a - b) * _INV_SQRT2
-    psi[i0] = s
-    psi[i1] = d
+def _hadamard(psi: np.ndarray, a: Controls, b: Controls) -> None:
+    """Mix the amplitudes matching pattern ``a`` with those matching ``b``."""
+    ia, ib = _fixed_axes(psi.ndim, a), _fixed_axes(psi.ndim, b)
+    x, y = psi[ia], psi[ib]
+    s = (x + y) * _INV_SQRT2
+    d = (x - y) * _INV_SQRT2
+    psi[ia] = s
+    psi[ib] = d
 
 
 def _exchange(psi: np.ndarray, a: Controls, b: Controls) -> None:
     """Swap the amplitudes whose bits match every (qubit, bit) in ``a`` with
-    those matching ``b``: X and SWAP, each pattern with the controls."""
+    those matching ``b``: X and SWAP, the patterns of :func:`_pair`."""
     ia, ib = _fixed_axes(psi.ndim, a), _fixed_axes(psi.ndim, b)
     tmp = psi[ia].copy()
     psi[ia] = psi[ib]
@@ -355,24 +370,23 @@ def apply_phase(
 ) -> StateVector:
     """Multiply the target's |1> component by exp(2*pi*i*phase_turns)."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _validate_turns(phase_turns)
-    if phase_turns == 0:
-        return state  # exact identity, amplitudes untouched
-    _phase(_expand(state, ()), [(target, 1), *controls], _phase_factor(phase_turns))
+    factor = _phase_factor(_validate_turns(phase_turns).as_integer_ratio())
+    if factor is not None:  # a whole number of turns is an exact identity
+        _phase(_expand(state, ()), [(target, 1), *controls], factor)
     return state
 
 
 def apply_hadamard(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """Standard 2x2 Hadamard on the target, subject to controls."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _hadamard(_expand(state, ()), target, controls)
+    _hadamard(_expand(state, ()), *_pair((target,), controls))
     return state
 
 
 def apply_x(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """NOT on the target: swaps amplitude pairs differing in the target bit."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _exchange(_expand(state, ()), [(target, 0), *controls], [(target, 1), *controls])
+    _exchange(_expand(state, ()), *_pair((target,), controls))
     return state
 
 
@@ -381,6 +395,5 @@ def apply_swap(
 ) -> StateVector:
     """Exchange two qubits: swaps amplitudes of the 01 and 10 target patterns."""
     _validate_qubits(state.num_qubits, (target_a, target_b), controls)
-    _exchange(_expand(state, ()), [(target_a, 0), (target_b, 1), *controls],
-              [(target_a, 1), (target_b, 0), *controls])
+    _exchange(_expand(state, ()), *_pair((target_a, target_b), controls))
     return state

@@ -251,6 +251,43 @@ class TestRun:
             s_j = run(circuit, new_basis_state(3, int(j))).amplitudes
             np.testing.assert_allclose(combined, alpha * s_i + beta * s_j, atol=1e-9)
 
+    @pytest.mark.parametrize("angle", [1e308, 3e307, -1e308, 10**307, Fraction(10**308)],
+                             ids=["1e308", "3e307", "-1e308", "10**307", "Fraction(10**308)"])
+    @pytest.mark.parametrize("path", ["apply_phase", "replay", "compiled"])
+    def test_a_huge_whole_turn_angle_is_an_exact_identity(self, monkeypatch, path, angle):
+        """Every float from 2^53 up is a whole number of turns.  Taken off
+        exactly, it leaves no factor; exp(2*pi*i*angle) in floats overflows
+        from about 2.9e307 and gives a wrong factor below that."""
+        if path == "compiled":
+            monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+        amps = random_state(2, np.random.default_rng(11))
+        state = StateVector(2, amps)
+        if path == "apply_phase":
+            apply_phase(state, 1, angle, ((0, 1),))
+        else:
+            run(Circuit(2, (Gate.phase(angle, 1, ((0, 1),)),)), state)
+        np.testing.assert_array_equal(state.amplitudes, amps)
+
+    @pytest.mark.parametrize("whole, part", [(10**307, Fraction(1, 4)), (-(10**307), Fraction(-3, 8)),
+                                             (2, 0.5), (-7, -0.125)],
+                             ids=["10**307+1/4", "-10**307-3/8", "2+0.5", "-7-0.125"])
+    @pytest.mark.parametrize("path", ["apply_phase", "replay", "compiled"])
+    def test_whole_turns_come_off_an_angle_exactly_with_its_sign(self, monkeypatch, path,
+                                                                 whole, part):
+        """An angle of whole turns plus a part multiplies by the part's own
+        factor, bit for bit, whatever the size of the whole."""
+        if path == "compiled":
+            monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+        amps = random_state(2, np.random.default_rng(12))
+        states = [StateVector(2, amps), StateVector(2, amps)]
+        for state, angle in zip(states, (Fraction(whole) + Fraction(part), part)):
+            if path == "apply_phase":
+                apply_phase(state, 1, angle)
+            else:
+                run(Circuit(2, (Gate.phase(angle, 1),)), state)
+        np.testing.assert_array_equal(states[0].amplitudes, states[1].amplitudes)
+        assert not np.array_equal(states[0].amplitudes, amps)
+
     def test_norm_survives_a_hundred_thousand_gates(self):
         rng = np.random.default_rng(41)
         gates = []
@@ -416,6 +453,20 @@ class TestConcat:
     def test_concat_orders_gates(self):
         c = concat([Circuit(1, (Gate.hadamard(0),)), Circuit(1, (Gate.x(0),))])
         assert [g.kind for g in c.gates] == [GateKind.HADAMARD, GateKind.X]
+
+    def test_iterating_a_circuit_yields_its_gates(self):
+        gates = (Gate.hadamard(0), Gate.x(1, ((0, 0),)))
+        assert list(Circuit(2, gates)) == list(gates)
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: concat([]), ValueError, "nothing to concatenate"),
+        (lambda: Circuit(1) + 1, TypeError, "unsupported operand"),
+        (lambda: encode_registers(RegisterLayout([("a", 2)]), {"z": 1}), KeyError,
+         "unknown register 'z'"),
+    ], ids=["concat_nothing", "add_a_non_circuit", "encode_unknown_register"])
+    def test_misuse_raises_a_typed_error(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestLinearAssembly:

@@ -1,0 +1,35 @@
+"""``tools/code_lines.py`` counts the lines that hold code: not comments,
+docstrings, blank lines or indentation, but every line of a multi-line
+string that is part of a statement."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+MODULE = '''"""Module docstring,
+on two lines."""
+# a comment
+
+import os  # counted
+
+
+def f(x):
+    """Docstring."""
+
+    return os.path.join(
+        """a string argument
+        on two lines""",
+        x,
+    )
+'''
+
+
+def test_counts_code_lines_per_module_and_in_total(tmp_path):
+    (tmp_path / "a.py").write_text(MODULE)
+    (tmp_path / "b.py").write_text('"""Only a docstring."""\n')
+    out = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)], check=True,
+                         capture_output=True, text=True).stdout
+    assert [line.split() for line in out.splitlines()] == [["a.py", "7"], ["b.py", "0"],
+                                                            ["total", "7"]]

@@ -209,6 +209,21 @@ class TestClassicalQubits:
         expected = run_gate_by_gate(circuit, new_basis_state(10, index)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
+    def test_register_adder_rolls_once_per_classical_group_that_holds(self, kernel_calls):
+        """An H on a destination qubit puts the adder's sandwich on the
+        tensor while the source stays bits.  Each source bit that is 1 is
+        a group whose one classical control holds, and each is its own
+        roll, with the bits that are 0 dropped."""
+        layout = RegisterLayout([("a", 5), ("b", 5)])
+        circuit = concat([Circuit(10, (Gate.hadamard(layout["b"][2], label="prepare"),)),
+                          labeled(build_adder(layout), "add")])
+        index = encode_registers(layout, {"a": 0b10110, "b": 9})
+        state = run(circuit, new_basis_state(10, index))
+        assert [q for q, _ in state._fixed] == list(layout["a"])
+        assert [name for name, _ in kernel_calls] == ["_hadamard", "_shift", "_shift", "_shift"]
+        expected = run_gate_by_gate(circuit, new_basis_state(10, index)).amplitudes
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+
 
 @st.composite
 def compact_states(draw):

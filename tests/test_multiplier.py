@@ -69,6 +69,10 @@ class TestSpec:
         with pytest.raises(SpecInvariantViolation):
             MultiplierSpec(n=2, m=3, iterations=3)
 
+    def test_width_below_one_rejected(self):
+        with pytest.raises(SpecInvariantViolation, match="need n >= 1, got 0"):
+            MultiplierSpec(n=0, m=0, iterations=0)
+
     def test_negative_iterations_rejected(self):
         with pytest.raises(SpecInvariantViolation):
             MultiplierSpec(n=2, m=4, iterations=-1)
