@@ -29,18 +29,21 @@ register adder.  The steps are:
   the product of their phases;
 * *gates* for anything else, one kernel call each.
 
-The qubits that a compact state fixes stay fixed as *classical* bits when
-every step either leaves them alone or only permutes them: a shift, or a
-block of X and SWAP gates, all of whose qubits are classical.  Such a step
-rewrites the bits and calls no kernel, and the other steps are resolved
+The qubits that a compact state fixes stay *classical* bits until a step
+moves them as amplitudes.  :func:`run` decides this in order, step by
+step: a shift, or a block of X and SWAP gates, all of whose qubits are
+still classical, rewrites the bits and calls no kernel; any other step
+first expands the block to the classical qubits it moves, and is resolved
 against the bits of the moment.  So a basis-state input has amplitudes
-only over the qubits that some other step moves: the decrement, the adder
-and the zero check run as bit arithmetic, and the multiplier simulates
-its accumulator alone, with x as bits, as two transforms and one diagonal
-per addition.  Both paths of :func:`run` call the trusted private
-kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated
-every gate on construction.  Steps pass them axes, bits and factors, and
-this module imports no numpy: arrays are built in :mod:`~qftarith.qstate`.
+only over the qubits that some step mixes: the decrement, the adder and
+the zero check run as bit arithmetic, and the multiplier simulates its
+accumulator alone, expanded at its first transform, with x as bits, as
+two transforms and one diagonal per addition.  The replay below the
+threshold is a program of one step that moves every qubit, run through
+the same loop.  Every step calls the trusted private kernels of
+:mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated every gate on
+construction.  Steps pass them axes, bits and factors, and this module
+imports no numpy: arrays are built in :mod:`~qftarith.qstate`.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -105,7 +108,8 @@ class Gate:
     ``targets`` is stored as a tuple and ``controls`` as a tuple of
     ``(qubit, polarity)`` tuples, whatever sequences they were given as, so
     equal gates compare and hash equal.  A ``kind`` that is no
-    :class:`GateKind` raises ValueError.
+    :class:`GateKind` raises ValueError, and a ``label`` that is neither
+    None nor a str raises TypeError.
     """
 
     kind: GateKind
@@ -127,6 +131,7 @@ class Gate:
         elif self.phase_turns is not None:
             raise ValueError(f"{self.kind.value} takes no phase")
         _validate_qubits(None, self.targets, self.controls)
+        _check_label(self.label)
 
     # -- constructors ---------------------------------------------------
 
@@ -213,14 +218,22 @@ def labeled(circuit: Circuit, label: str | None) -> Circuit:
     The builders emit unlabelled gates, and this is the one way to name a
     block.  Neither the gates nor the circuit are checked again: a label
     cannot make a valid gate invalid.  So a builder can make one block and
-    reuse its gates under many labels at the cost of a copy per gate.
+    reuse its gates under many labels at the cost of a copy per gate.  A
+    label that is neither None nor a str raises TypeError.
     """
+    _check_label(label)
     gates = []
     for g in circuit.gates:
         copy = object.__new__(Gate)
         copy.__dict__.update(g.__dict__, label=label)
         gates.append(copy)
     return _trusted(circuit.num_qubits, tuple(gates))
+
+
+def _check_label(label) -> None:
+    """A label is None or a str: it is hashed with the gate and listed."""
+    if label is not None and not isinstance(label, str):
+        raise TypeError(f"gate label must be a str or None, got {label!r}")
 
 
 def _trusted(num_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
@@ -234,25 +247,31 @@ def _trusted(num_qubits: int, gates: tuple[Gate, ...]) -> Circuit:
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the gates in order.  Mutates ``state`` in place and returns it.
 
-    Below ``_FUSE_FROM_QUBITS`` qubits this is the replay: the state is
-    expanded to the full vector and gets the kernel calls of a gate-by-gate
-    run of the public ``apply_*``, bitwise equal to it for every input.
+    Below ``_FUSE_FROM_QUBITS`` qubits the program is the replay: one step
+    of all the gates, which moves every qubit.  So the state is expanded to
+    the full vector and gets the kernel calls of a gate-by-gate run of the
+    public ``apply_*``, bitwise equal to it for every input.
 
     From that size up the circuit is compiled once per circuit object (see
     :func:`_compile`), and the program is kept on the circuit outside its
-    fields, so not in ``==``, the hash, the repr or ``replace``.  The
-    *classical* qubits are those a compact state fixes and every step
-    leaves alone or permutes as bits (see :func:`_classical`).  The block is
-    expanded once to the other qubits, and the program runs on that one
-    contiguous tensor.  A classical step rewrites the bits and calls no
-    kernel.  Every other step is resolved against the current bits, once
-    per value of the classical qubits it reads.  A gate or kick group acts
-    where a (qubit, bit) pattern holds: its controls, with a PHASE gate's
-    target at 1.  One whose classical bits fail is dropped, and one whose
-    classical bits hold loses them.  A sandwich is one shift per group that
-    is left, and a transform is one FFT.  From ``new_basis_state`` the multiplier
-    holds its 2^(2n)-amplitude accumulator and the adder and the decrement
-    one amplitude; a dense state has no classical qubit and runs whole.
+    fields, so not in ``==``, the hash, the repr or ``replace``.
+
+    One loop runs either program in order.  The qubits a compact state
+    fixes start as *classical* bits.  A step that permutes basis states (a
+    shift, or X and SWAP gates only), all of whose qubits are still bits,
+    rewrites them and calls no kernel.  Any other step first un-fixes the
+    bits it moves: the bits are written back as the fixed pairs and the
+    block is expanded to those qubits, the one place where the amplitudes
+    held grow.  The step is then resolved against the bits, once per value
+    of the bits it reads until the next expansion, and runs on the block
+    as one contiguous tensor.  A gate or kick group acts where a (qubit,
+    bit) pattern holds: its controls, with a PHASE gate's target at 1.  One
+    whose classical bits fail is dropped, and one whose classical bits hold
+    loses them.  A sandwich is one shift per group that is left, and a
+    transform is one FFT.  From ``new_basis_state`` the multiplier expands
+    its 2^(2n)-amplitude accumulator at its first transform, and the adder
+    and the decrement hold one amplitude; a dense state has no classical
+    qubit and runs whole.  The final bits are the fixed pairs.
 
     The compiled run agrees with the replay within rounding: a phase table
     multiplies by a product of factors, a shift moves whole amplitudes that
@@ -264,49 +283,34 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     if state.num_qubits != n:
         raise QubitCountMismatch(f"circuit has {n} qubits, state has {state.num_qubits}")
     if n < _FUSE_FROM_QUBITS:
-        psi = _expand(state, ())
-        for kernel, *args in _gate_kernels(tuple(map(_gate_key, circuit.gates)), {}, range(n)):
-            kernel(psi, *args)
-        return state
-    # Frozen, so written through vars().  Threads racing here may compile
-    # twice and keep either program: both are the same.
-    if "_compiled" not in vars(circuit):
-        vars(circuit)["_compiled"] = _compile(circuit.gates)
-    steps, program = vars(circuit)["_compiled"]
-    classical = _classical(steps, [q for q, _ in state._fixed])
-    bits = {q: bit for q, bit in state._fixed if q in classical}
-    bitwise = {i for i, step in enumerate(steps) if step.permute and step.used <= classical}
-    reads = [sorted(step.used & classical) for step in steps]
-    psi = _expand(state, tuple(bits.items()))
-    pos = {q: i for i, q in enumerate(q for q in range(n) if q not in bits)}
-    resolved: dict[tuple, list] = {}
+        every = frozenset(range(n))
+        steps, program = [_Step(partial(_gate_kernels, tuple(map(_gate_key, circuit.gates))),
+                                every, every)], [0]
+    else:
+        # Frozen, so written through vars().  Threads racing here may compile
+        # twice and keep either program: both are the same.
+        if "_compiled" not in vars(circuit):
+            vars(circuit)["_compiled"] = _compile(circuit.gates)
+        steps, program = vars(circuit)["_compiled"]
+    bits, psi = dict(state._fixed), None
     for i in program:
-        if i in bitwise:
-            steps[i].permute(bits)
+        step = steps[i]
+        if step.permute and bits.keys() >= step.used:
+            step.permute(bits)
             continue
-        key = (i, *(bits[q] for q in reads[i]))
+        if psi is None or not step.moved.isdisjoint(bits):
+            state._fixed = tuple(bits.items())  # permuting bits keeps the qubits' order
+            bits = {q: bit for q, bit in state._fixed if q not in step.moved}
+            psi = _expand(state, tuple(bits.items()))
+            pos = {q: axis for axis, q in enumerate(q for q in range(n) if q not in bits)}
+            resolved: dict[tuple, list] = {}
+        key = (i, *map(bits.get, step.used))
         if key not in resolved:
-            resolved[key] = steps[i].resolve(bits, pos)
+            resolved[key] = step.resolve(bits, pos)
         for kernel, *args in resolved[key]:
             kernel(psi, *args)
-    state._fixed = tuple(bits.items())  # permuting bits keeps the qubits' order
+    state._fixed = tuple(bits.items())
     return state
-
-
-def _classical(steps: Sequence[_Step], fixed: Iterable[int]) -> set[int]:
-    """The fixed qubits that every step leaves alone or permutes as bits.
-
-    A qubit stays classical unless some step moves it and that step is no
-    permutation or uses a qubit that is not classical.  Dropping a qubit can
-    disqualify a step that kept another one, so this repeats until nothing
-    changes.
-    """
-    classical = set(fixed)
-    while dropped := {q for step in steps
-                      if not (step.permute and step.used <= classical)
-                      for q in step.moved & classical}:
-        classical -= dropped
-    return classical
 
 
 class _Step(NamedTuple):
@@ -524,8 +528,10 @@ def _fourier_kernels(first: int, width: int, sign: int,
 
 
 def inverse(circuit: Circuit) -> Circuit:
-    """Reversed gate order with negated phases; undoes the circuit exactly."""
-    return Circuit(circuit.num_qubits, tuple(g.inverse() for g in reversed(circuit.gates)))
+    """Reversed gate order with negated phases; undoes the circuit exactly.
+    Each inverse gate has its gate's qubits, already checked against the
+    width, so the result is not checked again."""
+    return _trusted(circuit.num_qubits, tuple(g.inverse() for g in reversed(circuit.gates)))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, inverse
 
 
 def _widen(
@@ -42,13 +42,13 @@ def _widen(
     return qs, n
 
 
-def _qft_gates(qs: list[int], sign: int) -> list[Gate]:
-    """The forward transform's gates in order, every angle times ``sign``."""
+def _qft_gates(qs: list[int]) -> list[Gate]:
+    """The forward transform's gates in order."""
     gates: list[Gate] = []
     for j in range(len(qs)):
         gates.append(Gate.hadamard(qs[j]))
         for k in range(2, len(qs) - j + 1):
-            gates.append(Gate.phase(Fraction(sign, 1 << k), qs[j], controls=((qs[j + k - 1], 1),)))
+            gates.append(Gate.phase(Fraction(1, 1 << k), qs[j], controls=((qs[j + k - 1], 1),)))
     return gates
 
 
@@ -59,10 +59,9 @@ def build_qft(qubits: Sequence[int] | range, num_qubits: int | None = None) -> C
     rotations by exact dyadic angles 1/2**k turns.
     """
     qs, n = _widen(qubits, num_qubits)
-    return Circuit(n, tuple(_qft_gates(qs, 1)))
+    return Circuit(n, tuple(_qft_gates(qs)))
 
 
 def build_inverse_qft(qubits: Sequence[int] | range, num_qubits: int | None = None) -> Circuit:
     """Inverse transform: the reversed, phase-negated Fourier circuit."""
-    qs, n = _widen(qubits, num_qubits)
-    return Circuit(n, tuple(reversed(_qft_gates(qs, -1))))
+    return inverse(build_qft(qubits, num_qubits))

@@ -42,11 +42,12 @@ fixes every qubit and holds one amplitude, so it allocates nothing of size
 ``norm``, ``amplitude``, ``extract_basis_index`` and ``StateVector.copy``
 read the block as it is.  Reading ``amplitudes`` expands the block into the
 full 2^n vector once, and the state stays dense from then on, so every
-public ``apply_*`` works on the full vector.  A compiled ``run`` keeps
-*classical* the fixed qubits that its steps leave alone or only permute, a
-shift or an X and SWAP block on classical qubits alone: it rewrites their
-bits, expands the block only to the other qubits, and writes the final
-bits back as the fixed pairs (see :func:`qftarith.circuit.run`).
+public ``apply_*`` works on the full vector.  A compiled ``run`` keeps a
+fixed qubit *classical* until a step moves it other than as a shift or an
+X and SWAP block on classical qubits alone: it rewrites the bits, expands
+the block to the qubits such a step moves when it reaches that step, and
+writes the final bits back as the fixed pairs (see
+:func:`qftarith.circuit.run`).
 
 All kernels mutate their amplitudes in place; the public ones return the
 state.  Distinct states may be driven from distinct threads concurrently;

@@ -41,7 +41,7 @@ def dense_gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
         if gate.kind is GateKind.PHASE:
             tbit = bit_of(col, gate.targets[0], num_qubits)
             mat[col, col] = (
-                np.exp(2j * np.pi * float(gate.phase_turns)) if tbit else 1.0
+                np.exp(2j * np.pi * float(Fraction(gate.phase_turns) % 1)) if tbit else 1.0
             )
         elif gate.kind is GateKind.X:
             flipped = col ^ (1 << (num_qubits - 1 - gate.targets[0]))

@@ -184,6 +184,17 @@ class TestGateModel:
         with pytest.raises(ValueError, match="must be a GateKind"):
             Gate(kind, targets)
 
+    @pytest.mark.parametrize("bad", [["a"], 5, b"a"], ids=repr)
+    def test_label_that_is_no_str_is_rejected(self, bad):
+        """A list label made a gate that could not be hashed, and ``labeled``
+        listed an int label as ``# 5``: a label is None or a str, checked
+        where a gate is built and where ``labeled`` sets one."""
+        with pytest.raises(TypeError, match="label must be a str or None"):
+            Gate(GateKind.X, (0,), label=bad)
+        with pytest.raises(TypeError, match="label must be a str or None"):
+            labeled(Circuit(1, (Gate.x(0),)), bad)
+        assert labeled(Circuit(1, (Gate.x(0, label="a"),)), None).gates == (Gate.x(0),)
+
 
 class TestRun:
     def test_empty_circuit_is_identity(self):
@@ -287,6 +298,17 @@ class TestRun:
                 run(Circuit(2, (Gate.phase(angle, 1),)), state)
         np.testing.assert_array_equal(states[0].amplitudes, states[1].amplitudes)
         assert not np.array_equal(states[0].amplitudes, amps)
+
+    @pytest.mark.parametrize("angle", [10**307 + Fraction(1, 4), 1e308],
+                             ids=["10**307+1/4", "1e308"])
+    def test_dense_oracle_takes_whole_turns_off_exactly(self, angle):
+        """``circuit_matrix``, the tests' independent oracle, agrees with
+        ``run`` from 2^53 turns up: a factor of i for 10**307 + 1/4 turns,
+        and none for 1e308, a whole number of turns."""
+        circuit = Circuit(1, (Gate.phase(angle, 0),))
+        amps = random_state(1, np.random.default_rng(13))
+        got = run(circuit, StateVector(1, amps.copy())).amplitudes
+        np.testing.assert_allclose(got, circuit_matrix(circuit) @ amps, rtol=0, atol=1e-12)
 
     def test_norm_survives_a_hundred_thousand_gates(self):
         rng = np.random.default_rng(41)

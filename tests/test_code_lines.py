@@ -1,6 +1,7 @@
 """``tools/code_lines.py`` counts the lines that hold code: not comments,
 docstrings, blank lines or indentation, but every line of a multi-line
-string that is part of a statement."""
+string that is part of a statement.  It prints each module's physical
+lines beside them."""
 
 import subprocess
 import sys
@@ -27,9 +28,11 @@ def f(x):
 
 
 def test_counts_code_lines_per_module_and_in_total(tmp_path):
+    """Code lines beside the lines ``wc -l`` counts, one per newline."""
     (tmp_path / "a.py").write_text(MODULE)
     (tmp_path / "b.py").write_text('"""Only a docstring."""\n')
     out = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)], check=True,
                          capture_output=True, text=True).stdout
-    assert [line.split() for line in out.splitlines()] == [["a.py", "7"], ["b.py", "0"],
-                                                            ["total", "7"]]
+    assert [line.split() for line in out.splitlines()] == [
+        ["module", "code", "lines"], ["a.py", "7", "15"], ["b.py", "0", "1"],
+        ["total", "7", "16"]]

@@ -55,12 +55,12 @@ def dense_basis_state(n: int, index: int) -> StateVector:
 def _classical_by_rule(circuit):
     """The qubits a compiled ``run`` keeps as bits when it starts from a
     basis state, found from the circuit's gates: every qubit starts
-    classical, and a label block that moves a classical qubit drops all it
-    moves unless it is a permutation (X and SWAP gates only, or a Fourier
-    block with both transforms, which ``_fourier_block`` recognises and
-    tests/test_run_fusion.py holds to modular addition) whose qubits are all
-    classical; repeated to a fixed point."""
-    blocks = []
+    classical, and the label blocks are walked in order.  A permutation
+    block (X and SWAP gates only, or a Fourier block with both transforms,
+    which ``_fourier_block`` recognises and tests/test_run_fusion.py holds
+    to modular addition) whose qubits are all still classical keeps them;
+    any other block drops every qubit it moves."""
+    classical = set(range(circuit.num_qubits))
     for _, group in groupby(circuit.gates, key=lambda g: g.label):
         gates = list(group)
         used = {q for g in gates for q in (*g.targets, *(c for c, _ in g.controls))}
@@ -68,15 +68,8 @@ def _classical_by_rule(circuit):
         fourier = circuit_module._fourier_block(tuple(map(circuit_module._gate_key, gates)))
         permutes = (all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
                     or fourier is not None and fourier[2] and fourier[4])
-        blocks.append((used, moved, permutes))
-    classical = set(range(circuit.num_qubits))
-    changed = True
-    while changed:
-        changed = False
-        for used, moved, permutes in blocks:
-            if moved & classical and not (permutes and used <= classical):
-                classical -= moved
-                changed = True
+        if not (permutes and used <= classical):
+            classical -= moved
     return sorted(classical)
 
 
@@ -157,15 +150,28 @@ class TestClassicalQubits:
     @pytest.mark.parametrize("index", [0b01, 0b11])
     def test_a_later_mixing_step_takes_back_what_an_earlier_one_kept(self, monkeypatch,
                                                                      index):
-        """X(1) controlled on qubit 0, H(0), X(1) again: the X block uses
-        only fixed qubits, but the H mixes its control, so qubit 1 must not
-        stay a bit either.  One pass over the steps would keep it."""
+        """X(1) controlled on qubit 0, H(0), X(1) again: the first X block
+        uses only fixed qubits and flips a bit, but the H mixes its control,
+        so the second X block cannot act on bits and qubit 1 must stop being
+        a bit there too."""
         monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         flip = Gate.x(1, controls=((0, 1),), label="a")
         circuit = Circuit(2, (flip, Gate.hadamard(0, label="b"), flip))
         state = run(circuit, new_basis_state(2, index))
         assert state._fixed == ()
         expected = run_gate_by_gate(circuit, new_basis_state(2, index)).amplitudes
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+
+    def test_a_qubit_stays_a_bit_until_a_step_mixes_it(self, monkeypatch):
+        """X(1) controlled on qubit 0, then H(0): the X acts on bits while
+        both are bits, and nothing after it moves qubit 1, so only qubit 0
+        is expanded and the block holds 2 amplitudes."""
+        monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+        circuit = Circuit(2, (Gate.x(1, ((0, 1),), label="a"), Gate.hadamard(0, label="b")))
+        state = run(circuit, new_basis_state(2, 0b10))
+        assert state._fixed == ((1, 1),)
+        assert state._block.size == 2
+        expected = run_gate_by_gate(circuit, new_basis_state(2, 0b10)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
     def test_x_and_swap_blocks_act_on_bits(self, monkeypatch, kernel_calls):

@@ -5,8 +5,9 @@
 A line counts when it holds a token other than a comment, a docstring or
 layout (line breaks and indentation); a token that spans lines, such as a
 multi-line string argument, counts on each line it spans.  A docstring is
-a statement made of string literals alone.  Prints each module's count,
-then the total.  Only the standard library's ``tokenize`` is used.
+a statement made of string literals alone.  Prints each module's code
+lines beside its physical lines (the count ``wc -l`` gives), then both
+totals.  Only the standard library's ``tokenize`` is used.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     package = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent / "src" / "qftarith")
-    counts = {path.name: code_lines(path) for path in sorted(package.glob("*.py"))}
-    width = max(map(len, counts), default=0)
-    for name, count in counts.items():
-        print(f"{name:<{width}} {count:>5}")
-    print(f"{'total':<{width}} {sum(counts.values()):>5}")
+    counts = {path.name: (code_lines(path), path.read_bytes().count(b"\n"))
+              for path in sorted(package.glob("*.py"))}
+    width = max(map(len, ["module", *counts]))
+    print(f"{'module':<{width}} {'code':>5} {'lines':>5}")
+    for name, (code, lines) in counts.items():
+        print(f"{name:<{width}} {code:>5} {lines:>5}")
+    code, lines = map(sum, zip((0, 0), *counts.values()))
+    print(f"{'total':<{width}} {code:>5} {lines:>5}")
     return 0
 
 
