@@ -30,20 +30,24 @@ register adder.  The steps are:
 * *gates* for anything else, one kernel call each.
 
 The qubits that a compact state fixes stay *classical* bits until a step
-moves them as amplitudes.  :func:`run` decides this in order, step by
-step: a shift, or a block of X and SWAP gates, all of whose qubits are
-still classical, rewrites the bits and calls no kernel; any other step
-first expands the block to the classical qubits it moves, and is resolved
-against the bits of the moment.  So a basis-state input has amplitudes
-only over the qubits that some step mixes: the decrement, the adder and
-the zero check run as bit arithmetic, and the multiplier simulates its
-accumulator alone, expanded at its first transform, with x as bits, as
-two transforms and one diagonal per addition.  The replay below the
-threshold is a program of one step that moves every qubit, run through
-the same loop.  Every step calls the trusted private kernels of
-:mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated every gate on
-construction.  Steps pass them axes, bits and factors, and this module
-imports no numpy: arrays are built in :mod:`~qftarith.qstate`.
+moves them as amplitudes.  They are one word, ``(mask, value)`` in
+basis-index bit order, as the state fixes them and ``encode_register``
+places registers.  :func:`run` decides this in order, step by step: a
+shift, or a block of X and SWAP gates, all of whose qubits are still
+classical, rewrites the value and calls no kernel (a shift is one add on
+the register's field of the word, and each X or SWAP exchanges the words
+of its two patterns); any other step first expands the block to the
+classical qubits it moves, and is resolved against the value of the
+moment.  So a basis-state input has amplitudes only over the qubits that
+some step mixes: the decrement, the adder and the zero check run as bit
+arithmetic, and the multiplier simulates its accumulator alone, expanded
+at its first transform, with x as bits, as two transforms and one
+diagonal per addition.  The replay below the threshold is a program of
+one step that moves every qubit, run through the same loop.  Every step
+calls the trusted private kernels of :mod:`qftarith.qstate`: ``Gate`` and
+``Circuit`` validated every gate on construction.  Steps pass them axes,
+bits and factors, and this module imports no numpy: arrays are built in
+:mod:`~qftarith.qstate`.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -75,6 +79,7 @@ from .qstate import (
     _exchange,
     _expand,
     _fourier,
+    _free,
     _hadamard,
     _is_integer,
     _pair,
@@ -169,7 +174,9 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable ordered gate sequence over a fixed number of qubits."""
+    """Immutable ordered gate sequence over a fixed number of qubits.  An
+    item that is no :class:`Gate` raises TypeError, and a gate on a qubit
+    past ``num_qubits`` raises IndexOutOfRange."""
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
@@ -178,6 +185,8 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         _validate_count(self.num_qubits)
         for g in self.gates:
+            if not isinstance(g, Gate):
+                raise TypeError(f"a circuit holds Gate objects, got {g!r}")
             if g.max_qubit() >= self.num_qubits:
                 raise IndexOutOfRange(
                     f"gate {g.kind.value} touches qubit {g.max_qubit()} "
@@ -256,22 +265,23 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     :func:`_compile`), and the program is kept on the circuit outside its
     fields, so not in ``==``, the hash, the repr or ``replace``.
 
-    One loop runs either program in order.  The qubits a compact state
-    fixes start as *classical* bits.  A step that permutes basis states (a
-    shift, or X and SWAP gates only), all of whose qubits are still bits,
-    rewrites them and calls no kernel.  Any other step first un-fixes the
-    bits it moves: the bits are written back as the fixed pairs and the
-    block is expanded to those qubits, the one place where the amplitudes
-    held grow.  The step is then resolved against the bits, once per value
-    of the bits it reads until the next expansion, and runs on the block
-    as one contiguous tensor.  A gate or kick group acts where a (qubit,
+    One loop runs either program in order, on the word ``(mask, value)``
+    that the state fixes: the qubits in ``mask`` start as *classical* bits.
+    A step that permutes basis states (a shift, or X and SWAP gates only),
+    all of whose qubits are still in the mask, maps the value to a new
+    value and calls no kernel.  Any other step first un-fixes the bits it
+    moves: the value is written back to the state, and the block is
+    expanded to those qubits, the one place where the amplitudes held grow.
+    The step is then resolved against the value, once per value of the
+    bits it uses until the next expansion, and runs on the block as one
+    contiguous tensor.  A gate or kick group acts where a (qubit,
     bit) pattern holds: its controls, with a PHASE gate's target at 1.  One
     whose classical bits fail is dropped, and one whose classical bits hold
     loses them.  A sandwich is one shift per group that is left, and a
     transform is one FFT.  From ``new_basis_state`` the multiplier expands
     its 2^(2n)-amplitude accumulator at its first transform, and the adder
     and the decrement hold one amplitude; a dense state has no classical
-    qubit and runs whole.  The final bits are the fixed pairs.
+    qubit and runs whole.  The final word is the state's fixed word.
 
     The compiled run agrees with the replay within rounding: a phase table
     multiplies by a product of factors, a shift moves whole amplitudes that
@@ -283,44 +293,55 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     if state.num_qubits != n:
         raise QubitCountMismatch(f"circuit has {n} qubits, state has {state.num_qubits}")
     if n < _FUSE_FROM_QUBITS:
-        every = frozenset(range(n))
-        steps, program = [_Step(partial(_gate_kernels, tuple(map(_gate_key, circuit.gates))),
+        every = (1 << n) - 1
+        steps, program = [_Step(partial(_gate_kernels, n, tuple(map(_gate_key, circuit.gates))),
                                 every, every)], [0]
     else:
         # Frozen, so written through vars().  Threads racing here may compile
         # twice and keep either program: both are the same.
         if "_compiled" not in vars(circuit):
-            vars(circuit)["_compiled"] = _compile(circuit.gates)
+            vars(circuit)["_compiled"] = _compile(n, circuit.gates)
         steps, program = vars(circuit)["_compiled"]
-    bits, psi = dict(state._fixed), None
+    (mask, value), psi = state._fixed, None
     for i in program:
         step = steps[i]
-        if step.permute and bits.keys() >= step.used:
-            step.permute(bits)
+        if step.permute and mask & step.used == step.used:
+            value = step.permute(value)
             continue
-        if psi is None or not step.moved.isdisjoint(bits):
-            state._fixed = tuple(bits.items())  # permuting bits keeps the qubits' order
-            bits = {q: bit for q, bit in state._fixed if q not in step.moved}
-            psi = _expand(state, tuple(bits.items()))
-            pos = {q: axis for axis, q in enumerate(q for q in range(n) if q not in bits)}
+        if psi is None or mask & step.moved:
+            state._fixed, mask = (mask, value), mask & ~step.moved
+            value &= mask
+            psi = _expand(state, mask)
+            pos = {q: axis for axis, q in enumerate(_free(n, mask))}
             resolved: dict[tuple, list] = {}
-        key = (i, *map(bits.get, step.used))
+        key = (i, value & step.used)
         if key not in resolved:
-            resolved[key] = step.resolve(bits, pos)
+            resolved[key] = step.resolve(value, pos)
         for kernel, *args in resolved[key]:
             kernel(psi, *args)
-    state._fixed = tuple(bits.items())
+    state._fixed = (mask, value)
     return state
 
 
 class _Step(NamedTuple):
-    resolve: Callable  # (bits, pos) -> [(kernel, *args), ...] on the tensor
-    moved: frozenset   # qubits an H, X or SWAP targets
-    used: frozenset    # qubits a gate targets or is controlled by
-    permute: Callable | None = None  # (bits) -> None: the step on basis bits, in place
+    resolve: Callable  # (value, pos) -> [(kernel, *args), ...] on the tensor
+    moved: int         # mask of the qubits an H, X or SWAP targets
+    used: int          # mask of the qubits a gate targets or is controlled by
+    permute: Callable | None = None  # (value) -> value: the step on the classical word
 
 
-def _compile(gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
+def _mask(n: int, qubits: Iterable[int]) -> int:
+    """The qubits as bits of a basis index of ``n`` qubits: q at bit n-1-q."""
+    return sum(1 << (n - 1 - q) for q in set(qubits))
+
+
+def _word(n: int, pattern: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """``(mask, value)`` of a (qubit, bit) pattern, as ``StateVector`` holds
+    its fixed qubits."""
+    return _mask(n, (q for q, _ in pattern)), _mask(n, (q for q, bit in pattern if bit))
+
+
+def _compile(n: int, gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
     """The distinct steps and the program as indices into them.
 
     Blocks are runs of gates with one label; two blocks with the same
@@ -336,7 +357,7 @@ def _compile(gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
         key = tuple(map(_gate_key, group))
         index = seen.setdefault(key, len(steps))
         if index == len(steps):
-            steps.append(_block_step(key))
+            steps.append(_block_step(n, key))
         program.append(index)
     return steps, program
 
@@ -348,49 +369,47 @@ def _gate_key(g: Gate) -> tuple:
     return g.kind, g.targets, turns, g.controls
 
 
-def _block_step(key: tuple) -> _Step:
-    used = frozenset(q for _, targets, _, controls in key
-                     for q in chain(targets, (c for c, _ in controls)))
-    moved = frozenset(q for kind, targets, _, _ in key if kind is not GateKind.PHASE
-                      for q in targets)
+def _block_step(n: int, key: tuple) -> _Step:
+    used = _mask(n, (q for _, targets, _, controls in key
+                     for q in chain(targets, (c for c, _ in controls))))
+    moved = _mask(n, (q for kind, targets, _, _ in key if kind is not GateKind.PHASE
+                      for q in targets))
     fourier = _fourier_block(key)
     if fourier is not None:
         first, width, head, groups, tail = fourier
         if head and tail:
-            return _Step(partial(_shift_kernels, first, width, groups), moved, used,
-                         partial(_shift_bits, first, width, groups))
+            low = n - first - width
+            words = tuple((amount << low, *_word(n, controls)) for amount, controls in groups)
+            return _Step(partial(_shift_kernels, n, first, width, groups), moved, used,
+                         partial(_shift_bits, ((1 << width) - 1) << low, words))
         if not groups and width >= 2:
             return _Step(partial(_fourier_kernels, first, width, 1 if head else -1), moved, used)
     if not moved:
-        return _Step(partial(_diagonal_kernels, key), moved, used)
-    flips = all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key)
-    return _Step(partial(_gate_kernels, key), moved, used,
-                 partial(_flip_bits, key) if flips else None)
+        return _Step(partial(_diagonal_kernels, n, key), moved, used)
+    if all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key):
+        words = tuple(tuple(_word(n, p) for p in _pair(targets, controls))
+                      for _, targets, _, controls in key)
+        return _Step(partial(_gate_kernels, n, key), moved, used, partial(_flip_bits, words))
+    return _Step(partial(_gate_kernels, n, key), moved, used)
 
 
-def _holds(controls, bits: dict[int, int]) -> bool:
-    return all(bits[q] == pol for q, pol in controls)
+def _shift_bits(field: int, groups, value: int) -> int:
+    """The sandwich on the classical word: one add, modulo the field's
+    width, on the register's ``field`` of the value.  It adds the amounts
+    of the groups whose controls hold; a group is ``(amount, mask, want)``,
+    its amount shifted onto the field and its controls as a word."""
+    amount = sum(amount for amount, mask, want in groups if value & mask == want)
+    return value & ~field | (value + amount) & field
 
 
-def _shift_bits(first: int, width: int, groups, bits: dict[int, int]) -> None:
-    """The sandwich on a basis state: add to the register's bits, most
-    significant first, the sum modulo 2^width of the groups' amounts whose
-    controls hold."""
-    amount = sum(amount for amount, controls in groups if _holds(controls, bits))
-    last = first + width - 1
-    value = sum(bits[q] << (last - q) for q in range(first, last + 1)) + amount
-    bits.update((q, value >> (last - q) & 1) for q in range(first, last + 1))
-
-
-def _flip_bits(key: tuple, bits: dict[int, int]) -> None:
-    """A block of X and SWAP gates on a basis state, gate by gate."""
-    for kind, targets, _, controls in key:
-        if _holds(controls, bits):
-            if kind is GateKind.X:
-                bits[targets[0]] ^= 1
-            else:
-                a, b = targets
-                bits[a], bits[b] = bits[b], bits[a]
+def _flip_bits(words: tuple, value: int) -> int:
+    """A block of X and SWAP gates on the classical word, gate by gate:
+    each exchanges the words of the two patterns that
+    :func:`~qftarith.qstate._pair` gives, which share one mask."""
+    for (mask, a), (_, b) in words:
+        if value & mask in (a, b):
+            value ^= a ^ b
+    return value
 
 
 def _qft_key(qs: Sequence[int], sign: int) -> list[tuple]:
@@ -460,68 +479,67 @@ def _fourier_block(key: tuple) -> tuple[int, int, bool, tuple, bool] | None:
     return first, width, head, tuple(groups), tail
 
 
-def _tensor_pattern(pattern, bits: dict[int, int], pos: dict[int, int]):
+def _tensor_pattern(n: int, pattern, value: int, pos: dict[int, int]):
     """The (qubit, bit) pattern on the tensor's axes, renumbered by ``pos``,
-    with its classical qubits left out; None when one of them does not hold
-    its bit in ``bits``."""
+    with its classical qubits, those outside ``pos``, left out; None when
+    one of them does not hold its bit in the word's ``value``."""
     fixed = []
     for q, bit in pattern:
-        if q not in bits:
+        if q in pos:
             fixed.append((pos[q], bit))
-        elif bits[q] != bit:
+        elif value >> (n - 1 - q) & 1 != bit:
             return None
     return fixed
 
 
-def _phase_fixed(gate: tuple, bits: dict[int, int], pos: dict[int, int]):
+def _phase_fixed(n: int, gate: tuple, value: int, pos: dict[int, int]):
     """``(fixed, factor)`` for a PHASE gate's key: its target's 1 and its
     controls as a pattern on the tensor (see :func:`_tensor_pattern`), and
     the factor from the exact ratio; None where the pattern does not hold
     or the angle is a whole number of turns, an exact identity."""
     _, (t,), turns, controls = gate
-    fixed = _tensor_pattern(((t, 1), *controls), bits, pos)
+    fixed = _tensor_pattern(n, ((t, 1), *controls), value, pos)
     factor = None if fixed is None else _phase_factor(turns)
     return None if factor is None else (fixed, factor)
 
 
-def _gate_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
+def _gate_kernels(n: int, key: tuple, value: int, pos: dict[int, int]):
     """``(kernel, *args)`` for each gate of the key that acts on the tensor
-    where the classical qubits hold ``bits``, with its qubits renumbered by
-    ``pos``.  The two patterns of :func:`~qftarith.qstate._pair` hold or
-    fail together: no H, X or SWAP target is classical here."""
+    where the classical qubits hold their bits of ``value``, with its qubits
+    renumbered by ``pos``.  The two patterns of
+    :func:`~qftarith.qstate._pair` hold or fail together: no H, X or SWAP
+    target is classical here."""
     kernels = []
     for gate in key:
         kind, targets, _, controls = gate
         if kind is GateKind.PHASE:
-            kick = _phase_fixed(gate, bits, pos)
+            kick = _phase_fixed(n, gate, value, pos)
             if kick is not None:
                 kernels.append((_phase, *kick))
             continue
-        a, b = (_tensor_pattern(pattern, bits, pos) for pattern in _pair(targets, controls))
+        a, b = (_tensor_pattern(n, pattern, value, pos) for pattern in _pair(targets, controls))
         if a is not None:
             kernels.append((_hadamard if kind is GateKind.HADAMARD else _exchange, a, b))
     return kernels
 
 
-def _diagonal_kernels(key: tuple, bits: dict[int, int], pos: dict[int, int]):
+def _diagonal_kernels(n: int, key: tuple, value: int, pos: dict[int, int]):
     """One multiply by the product of a PHASE block's kicks on the tensor,
     by the table :func:`~qftarith.qstate._phase_table` builds; none if no
     phase acts there."""
-    kicks = [kick for gate in key if (kick := _phase_fixed(gate, bits, pos)) is not None]
+    kicks = [kick for gate in key if (kick := _phase_fixed(n, gate, value, pos)) is not None]
     return [(_diagonal, _phase_table(len(pos), kicks))] if kicks else []
 
 
-def _shift_kernels(first: int, width: int, groups,
-                   bits: dict[int, int], pos: dict[int, int]):
+def _shift_kernels(n: int, first: int, width: int, groups, value: int, pos: dict[int, int]):
     """The sandwich on the tensor: one shift per kick group whose classical
     controls hold, where its other controls hold.  The groups commute and
     each roll is an exact permutation, so no two are merged."""
     return [(_shift, pos[first], width, amount, fixed) for amount, controls in groups
-            if (fixed := _tensor_pattern(controls, bits, pos)) is not None]
+            if (fixed := _tensor_pattern(n, controls, value, pos)) is not None]
 
 
-def _fourier_kernels(first: int, width: int, sign: int,
-                     bits: dict[int, int], pos: dict[int, int]):
+def _fourier_kernels(first: int, width: int, sign: int, value: int, pos: dict[int, int]):
     """The transform's one FFT on the tensor.  Its qubits are never
     classical, because it mixes them."""
     return [(_fourier, pos[first], width, sign)]

@@ -34,11 +34,13 @@ because ``Gate`` and ``Circuit`` validated every gate on construction;
 that also lets it drive arrays that are only part of a state.  No other
 module of the package imports numpy.
 
-A :class:`StateVector` may be *compact*: a tuple of fixed ``(qubit, bit)``
-pairs, outside which every amplitude is exactly 0, plus a block of 2^r
-amplitudes over the r other qubits, in index order.  ``new_basis_state``
-fixes every qubit and holds one amplitude, so it allocates nothing of size
-2^n; the public constructor builds a dense state, with no qubit fixed.
+A :class:`StateVector` may be *compact*: a fixed word ``(mask, value)``
+of two ints in basis-index bit order (qubit q at bit n-1-q), the qubits set
+in ``mask`` holding their bits of ``value``, outside which every amplitude
+is exactly 0, plus a block of 2^r amplitudes over the r other qubits, in
+index order.  ``new_basis_state`` fixes every qubit, stores the index as
+the value and holds one amplitude, so it allocates nothing of size 2^n; the
+public constructor builds a dense state, with no qubit fixed.
 ``norm``, ``amplitude``, ``extract_basis_index`` and ``StateVector.copy``
 read the block as it is.  Reading ``amplitudes`` expands the block into the
 full 2^n vector once, and the state stays dense from then on, so every
@@ -46,7 +48,7 @@ public ``apply_*`` works on the full vector.  A compiled ``run`` keeps a
 fixed qubit *classical* until a step moves it other than as a shift or an
 X and SWAP block on classical qubits alone: it rewrites the bits, expands
 the block to the qubits such a step moves when it reaches that step, and
-writes the final bits back as the fixed pairs (see
+writes the final bits back as the fixed word (see
 :func:`qftarith.circuit.run`).
 
 All kernels mutate their amplitudes in place; the public ones return the
@@ -78,11 +80,13 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 class StateVector:
     """2^n complex amplitudes over ``num_qubits`` qubits, unit norm.
 
-    Stored as the fixed ``(qubit, bit)`` pairs and a block: the amplitudes
-    where every fixed qubit holds its bit, over the other qubits in
-    ascending order, as a flat C-contiguous array.  Every amplitude outside
-    the block is exactly 0.  The constructor copies and checks a full
-    vector and fixes no qubit; ``new_basis_state`` fixes every qubit.
+    Stored as the fixed word ``(mask, value)``, ints with qubit q at bit
+    n-1-q and ``value & ~mask == 0``, and a block: the amplitudes where
+    every qubit in ``mask`` holds its bit of ``value``, over the other
+    qubits in ascending order, as a flat C-contiguous array.  Every
+    amplitude outside the block is exactly 0.  The constructor copies and
+    checks a full vector and fixes no qubit; ``new_basis_state`` fixes
+    every qubit.
 
     ``amplitudes`` is the full vector.  On a compact state the first read
     expands the block into it, allocating 2^n amplitudes once; the state is
@@ -106,12 +110,12 @@ class StateVector:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"state must be normalized: sum |amp|^2 = {total!r}")
         self.num_qubits = num_qubits
-        self._fixed = ()
+        self._fixed = (0, 0)
         self._block = amps
 
     @property
     def amplitudes(self) -> np.ndarray:
-        _expand(self, ())
+        _expand(self, 0)
         return self._block
 
     def copy(self) -> "StateVector":
@@ -121,29 +125,32 @@ class StateVector:
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
-def _compact(num_qubits: int, fixed: tuple, block: np.ndarray) -> StateVector:
-    """A state from trusted parts, with no copy and no check: ``fixed``
-    sorted by qubit, ``block`` flat with one amplitude per value of the
-    other qubits."""
+def _compact(num_qubits: int, fixed: tuple[int, int], block: np.ndarray) -> StateVector:
+    """A state from trusted parts, with no copy and no check: ``fixed`` the
+    word ``(mask, value)``, ``block`` flat with one amplitude per value of
+    the qubits outside ``mask``."""
     state = object.__new__(StateVector)
     state.num_qubits, state._fixed, state._block = num_qubits, fixed, block
     return state
 
 
-def _expand(state: StateVector, keep: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Widen the block to every qubit outside ``keep``, a subset of the
-    fixed pairs, and return it as a ``(2,)*r`` tensor over those qubits.
-    Nothing is allocated when ``keep`` is every fixed pair."""
-    n = state.num_qubits
-    if len(keep) < len(state._fixed):
-        kept = dict(keep)
-        spread = {q: bit for q, bit in state._fixed if q not in kept}
-        rest = [q for q in range(n) if q not in kept]
-        block = np.zeros(1 << len(rest), dtype=np.complex128)
-        block.reshape((2,) * len(rest))[tuple(spread.get(q, slice(None)) for q in rest)] = (
-            state._block.reshape((2,) * (len(rest) - len(spread))))
-        state._fixed, state._block = tuple(keep), block
-    return state._block.reshape((2,) * (n - len(keep)))
+def _free(num_qubits: int, mask: int) -> list[int]:
+    """The qubits outside ``mask``, in ascending order: the block's axes."""
+    return [q for q in range(num_qubits) if not mask >> (num_qubits - 1 - q) & 1]
+
+
+def _expand(state: StateVector, keep: int) -> np.ndarray:
+    """Widen the block to every qubit outside ``keep``, a submask of the
+    fixed mask, and return it as a ``(2,)*r`` tensor over those qubits.
+    Nothing is allocated when ``keep`` is the whole fixed mask."""
+    n, (mask, value) = state.num_qubits, state._fixed
+    rest = _free(n, keep)
+    if keep != mask:
+        block = np.zeros((2,) * len(rest), dtype=np.complex128)
+        block[tuple(value >> (n - 1 - q) & 1 if mask >> (n - 1 - q) & 1 else slice(None)
+                    for q in rest)] = state._block.reshape((2,) * len(_free(n, mask)))
+        state._fixed, state._block = (keep, value & keep), block.reshape(-1)
+    return state._block.reshape((2,) * len(rest))
 
 
 def _check_budget(total_qubits: int) -> None:
@@ -158,9 +165,8 @@ def new_basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational-basis state |index> on ``num_qubits`` qubits: compact,
     with every qubit fixed and one amplitude; the index must be an integer."""
     _validate_count(num_qubits)
-    _check_index(index, num_qubits)
-    fixed = tuple((q, index >> (num_qubits - 1 - q) & 1) for q in range(num_qubits))
-    return _compact(num_qubits, fixed, np.ones(1, dtype=np.complex128))
+    index = _check_index(index, num_qubits)
+    return _compact(num_qubits, ((1 << num_qubits) - 1, index), np.ones(1, dtype=np.complex128))
 
 
 def norm(state: StateVector) -> float:
@@ -170,13 +176,13 @@ def norm(state: StateVector) -> float:
 
 def amplitude(state: StateVector, index: int) -> complex:
     """Amplitude at one basis index, an integer."""
-    n = state.num_qubits
-    _check_index(index, n)
-    bits, fixed = [index >> (n - 1 - q) & 1 for q in range(n)], dict(state._fixed)
-    if any(bits[q] != bit for q, bit in fixed.items()):
+    n, (mask, value) = state.num_qubits, state._fixed
+    index = _check_index(index, n)
+    if index & mask != value:
         return 0j
-    free_bits = tuple(bit for q, bit in enumerate(bits) if q not in fixed)
-    return complex(state._block.reshape((2,) * len(free_bits))[free_bits])
+    free = _free(n, mask)
+    bits = tuple(index >> (n - 1 - q) & 1 for q in free)
+    return complex(state._block.reshape((2,) * len(free))[bits])
 
 
 def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
@@ -189,10 +195,9 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
         raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
     magnitudes = np.abs(state._block)
     position = int(np.argmax(magnitudes))
-    n, bits = state.num_qubits, dict(state._fixed)
-    free = [q for q in range(n) if q not in bits]
-    bits.update((q, position >> (len(free) - 1 - k) & 1) for k, q in enumerate(free))
-    best = sum(bit << (n - 1 - q) for q, bit in bits.items())
+    n, (mask, best) = state.num_qubits, state._fixed
+    free = _free(n, mask)
+    best |= sum((position >> (len(free) - 1 - k) & 1) << (n - 1 - q) for k, q in enumerate(free))
     prob = float(magnitudes[position]) ** 2
     if prob < 1.0 - tol:
         raise NotBasisState(
@@ -208,11 +213,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_index(index: int, num_qubits: int) -> None:
+def _check_index(index: int, num_qubits: int) -> int:
+    """Returns the index as a Python int, so a numpy integer meets the word's
+    wide masks without overflow."""
     if not _is_integer(index) or not 0 <= index < 1 << num_qubits:
         raise IndexOutOfRange(
             f"basis index must be an integer in [0, 2^{num_qubits}), got {index!r}"
         )
+    return int(index)
 
 
 def _validate_count(num_qubits: int) -> None:
@@ -373,21 +381,21 @@ def apply_phase(
     _validate_qubits(state.num_qubits, (target,), controls)
     factor = _phase_factor(_validate_turns(phase_turns).as_integer_ratio())
     if factor is not None:  # a whole number of turns is an exact identity
-        _phase(_expand(state, ()), [(target, 1), *controls], factor)
+        _phase(_expand(state, 0), [(target, 1), *controls], factor)
     return state
 
 
 def apply_hadamard(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """Standard 2x2 Hadamard on the target, subject to controls."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _hadamard(_expand(state, ()), *_pair((target,), controls))
+    _hadamard(_expand(state, 0), *_pair((target,), controls))
     return state
 
 
 def apply_x(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """NOT on the target: swaps amplitude pairs differing in the target bit."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _exchange(_expand(state, ()), *_pair((target,), controls))
+    _exchange(_expand(state, 0), *_pair((target,), controls))
     return state
 
 
@@ -396,5 +404,5 @@ def apply_swap(
 ) -> StateVector:
     """Exchange two qubits: swaps amplitudes of the 01 and 10 target patterns."""
     _validate_qubits(state.num_qubits, (target_a, target_b), controls)
-    _exchange(_expand(state, ()), *_pair((target_a, target_b), controls))
+    _exchange(_expand(state, 0), *_pair((target_a, target_b), controls))
     return state

@@ -26,6 +26,20 @@ def bit_of(index: int, qubit: int, num_qubits: int) -> int:
     return (index >> (num_qubits - 1 - qubit)) & 1
 
 
+def fixed_pairs(state: StateVector) -> tuple[tuple[int, int], ...]:
+    """A state's fixed qubits as ``(qubit, bit)`` pairs in qubit order,
+    decoded from its ``(mask, value)`` word."""
+    n, (mask, value) = state.num_qubits, state._fixed
+    return tuple((q, bit_of(value, q, n)) for q in range(n) if bit_of(mask, q, n))
+
+
+def fixed_word(num_qubits: int, pairs) -> tuple[int, int]:
+    """The ``(mask, value)`` word of ``(qubit, bit)`` pairs, as ``_compact``
+    takes it: qubit q at bit n-1-q."""
+    return (sum(1 << (num_qubits - 1 - q) for q, _ in pairs),
+            sum(bit << (num_qubits - 1 - q) for q, bit in pairs))
+
+
 def bit_reverse(index: int, width: int) -> int:
     return int(format(index, f"0{width}b")[::-1], 2)
 
@@ -111,7 +125,7 @@ def fuse_small_circuits(monkeypatch):
 def step_kinds(circuit: Circuit) -> list[str]:
     """The resolve function's name of each block in ``circuit``'s program,
     such as ``"_shift_kernels"`` or ``"_gate_kernels"``."""
-    steps, program = circuit_module._compile(circuit.gates)
+    steps, program = circuit_module._compile(circuit.num_qubits, circuit.gates)
     return [steps[i].resolve.func.__name__ for i in program]
 
 

@@ -168,6 +168,11 @@ class TestGateModel:
         with pytest.raises(IndexOutOfRange):
             Circuit(2, (Gate.x(2),))
 
+    def test_circuit_item_that_is_no_gate_is_rejected_by_name(self):
+        """It failed with AttributeError on ``max_qubit``."""
+        with pytest.raises(TypeError, match="holds Gate objects, got 'foo'"):
+            Circuit(2, (Gate.x(0), "foo"))
+
     def test_gate_built_from_lists_equals_and_hashes_like_one_built_from_tuples(self):
         """The fields are stored as tuples, so the gate can key the compile
         memo of a circuit wide enough to be compiled."""
@@ -246,7 +251,7 @@ class TestRun:
         state = run(circuit, StateVector(n, amps))
         expected = run_gate_by_gate(circuit, StateVector(n, amps))
         np.testing.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
-        assert circuit_module._compile(circuit.gates)[1] == [0, 1, 1, 2]
+        assert circuit_module._compile(circuit.num_qubits, circuit.gates)[1] == [0, 1, 1, 2]
 
     def test_run_is_linear_on_superpositions(self):
         rng = np.random.default_rng(23)

@@ -36,3 +36,12 @@ def test_counts_code_lines_per_module_and_in_total(tmp_path):
     assert [line.split() for line in out.splitlines()] == [
         ["module", "code", "lines"], ["a.py", "7", "15"], ["b.py", "0", "1"],
         ["total", "7", "16"]]
+
+
+def test_a_directory_with_no_module_exits_2(tmp_path):
+    """A mistyped path printed ``total 0 0`` and exited 0."""
+    for path in (tmp_path, tmp_path / "no_such_dir"):
+        done = subprocess.run([sys.executable, str(SCRIPT), str(path)], capture_output=True,
+                              text=True)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"no module in {path}\n"

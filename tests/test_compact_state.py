@@ -1,5 +1,5 @@
-"""Compact states: fixed ``(qubit, bit)`` pairs plus a block over the other
-qubits, as ``new_basis_state`` makes them and ``run`` leaves them.
+"""Compact states: a fixed ``(mask, value)`` word plus a block over the
+other qubits, as ``new_basis_state`` makes them and ``run`` leaves them.
 
 ``run`` from a compact basis state must agree with ``run`` from the same
 basis state held densely and with the gate-by-gate reference; reading a
@@ -14,12 +14,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qftarith.circuit as circuit_module
-from conftest import circuits, run_gate_by_gate
-from qftarith.arith import build_adder, build_decrement
+from conftest import (
+    circuit_matrix,
+    circuits,
+    fixed_pairs,
+    fixed_word,
+    run_gate_by_gate,
+    step_kinds,
+)
+from qftarith.arith import build_adder, build_decrement, build_fourier_add_constant
 from qftarith.circuit import (
     Circuit,
     Gate,
@@ -34,6 +41,7 @@ from qftarith.circuit import (
 from qftarith.cli import main
 from qftarith.errors import NotBasisState, QubitBudgetExceeded
 from qftarith.multiplier import MultiplierSpec, build_multiplier, multiplier_layout, multiply
+from qftarith.qft import build_inverse_qft, build_qft
 from qftarith.qstate import (
     StateVector,
     _compact,
@@ -86,9 +94,9 @@ def test_run_from_compact_matches_dense_and_reference(fuse_from, data):
         compact = run(circuit, new_basis_state(n, index))
         dense = run(circuit, dense_basis_state(n, index))
     classical = _classical_by_rule(circuit) if n >= fuse_from else []
-    assert [q for q, _ in compact._fixed] == classical
+    assert [q for q, _ in fixed_pairs(compact)] == classical
     assert compact._block.size == 1 << (n - len(classical))
-    assert dense._fixed == ()
+    assert fixed_pairs(dense) == ()
     expected = run_gate_by_gate(circuit, new_basis_state(n, index)).amplitudes
     np.testing.assert_allclose(compact.amplitudes, dense.amplitudes, rtol=0, atol=ATOL)
     np.testing.assert_allclose(compact.amplitudes, expected, rtol=0, atol=ATOL)
@@ -140,7 +148,7 @@ class TestClassicalQubits:
         run(build_multiplier(spec), state)
         assert kernel_calls and max(size for _, size in kernel_calls) <= 1 << (2 * n)
         assert not {"_shift", "_exchange"} & {name for name, _ in kernel_calls}
-        fixed = dict(state._fixed)
+        fixed = dict(fixed_pairs(state))
         assert sorted(fixed) == [*layout["x"], *layout["y"], *layout["control"]]
         bits = sum(bit << (layout.num_qubits - 1 - q) for q, bit in fixed.items())
         assert decode_registers(layout, bits) == {"accumulator": 0, "x": 13, "y": 11,
@@ -158,7 +166,7 @@ class TestClassicalQubits:
         flip = Gate.x(1, controls=((0, 1),), label="a")
         circuit = Circuit(2, (flip, Gate.hadamard(0, label="b"), flip))
         state = run(circuit, new_basis_state(2, index))
-        assert state._fixed == ()
+        assert fixed_pairs(state) == ()
         expected = run_gate_by_gate(circuit, new_basis_state(2, index)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
@@ -169,7 +177,7 @@ class TestClassicalQubits:
         monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         circuit = Circuit(2, (Gate.x(1, ((0, 1),), label="a"), Gate.hadamard(0, label="b")))
         state = run(circuit, new_basis_state(2, 0b10))
-        assert state._fixed == ((1, 1),)
+        assert fixed_pairs(state) == ((1, 1),)
         assert state._block.size == 2
         expected = run_gate_by_gate(circuit, new_basis_state(2, 0b10)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
@@ -187,7 +195,7 @@ class TestClassicalQubits:
         ))
         for index in range(16):
             state = run(circuit, new_basis_state(4, index))
-            assert len(state._fixed) == 4
+            assert len(fixed_pairs(state)) == 4
             expected = run_gate_by_gate(circuit, new_basis_state(4, index)).amplitudes
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
         assert {name for name, _ in kernel_calls} == {"_diagonal"}
@@ -206,10 +214,10 @@ class TestClassicalQubits:
         index = encode_registers(layout, {"v": 5})
         state = run(circuit, new_basis_state(10, index))
         if prepare == "H":
-            assert state._fixed == ()
+            assert fixed_pairs(state) == ()
             assert [name for name, _ in kernel_calls] == ["_hadamard", "_shift"]
         else:
-            assert kernel_calls == [] and len(state._fixed) == 10
+            assert kernel_calls == [] and len(fixed_pairs(state)) == 10
             outputs = {"c": 1, "v": 4} if prepare == "X" else {"c": 0, "v": 5}
             assert decode_registers(layout, extract_basis_index(state)) == outputs
         expected = run_gate_by_gate(circuit, new_basis_state(10, index)).amplitudes
@@ -225,10 +233,65 @@ class TestClassicalQubits:
                           labeled(build_adder(layout), "add")])
         index = encode_registers(layout, {"a": 0b10110, "b": 9})
         state = run(circuit, new_basis_state(10, index))
-        assert [q for q, _ in state._fixed] == list(layout["a"])
+        assert [q for q, _ in fixed_pairs(state)] == list(layout["a"])
         assert [name for name, _ in kernel_calls] == ["_hadamard", "_shift", "_shift", "_shift"]
         expected = run_gate_by_gate(circuit, new_basis_state(10, index)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+
+
+@st.composite
+def flip_blocks(draw):
+    """Blocks of X and SWAP gates on 2..8 qubits, each gate under up to
+    three controls of either polarity, one label per block."""
+    n = draw(st.integers(2, 8))
+    gates = []
+    for block in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 5))):
+            swap = draw(st.booleans())
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=1 + swap,
+                                    max_size=1 + swap, unique=True))
+            others = [q for q in range(n) if q not in targets]
+            picked = (draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+                      if others else [])
+            controls = tuple((q, draw(st.integers(0, 1))) for q in picked)
+            make = Gate.swap if swap else Gate.x
+            gates.append(make(*targets, controls, f"block {block}"))
+    return Circuit(n, tuple(gates))
+
+
+class TestWordSteps:
+    """Bit steps on the classical word permute basis indices as the dense
+    matrix of their gates does, and call no kernel."""
+
+    @staticmethod
+    def _assert_permutes_like_the_matrix(circuit, kernel_calls):
+        n = circuit.num_qubits
+        matrix = circuit_matrix(circuit)
+        for index in range(1 << n):
+            state = run(circuit, new_basis_state(n, index))
+            image = int(np.argmax(np.abs(matrix[:, index])))
+            assert abs(matrix[image, index]) == pytest.approx(1, abs=ATOL)
+            assert extract_basis_index(state) == image
+            assert len(fixed_pairs(state)) == n
+        assert kernel_calls == []
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(circuit=flip_blocks())
+    def test_x_and_swap_blocks_match_the_dense_matrix(self, monkeypatch, kernel_calls, circuit):
+        monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+        self._assert_permutes_like_the_matrix(circuit, kernel_calls)
+
+    def test_a_negative_shift_wraps_inside_its_field(self, monkeypatch, kernel_calls):
+        """v - 5 on qubits 2..5 of 8, where qubit 0 is 0 and qubit 7 is 1:
+        below 5 it wraps modulo 16, and no borrow reaches qubits 0 and 1."""
+        monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
+        register = range(2, 6)
+        sandwich = concat([build_qft(register, 8),
+                           build_fourier_add_constant(register, -5, ((0, 0), (7, 1)), 8),
+                           build_inverse_qft(register, 8)])
+        assert step_kinds(sandwich) == ["_shift_kernels"]
+        self._assert_permutes_like_the_matrix(sandwich, kernel_calls)
 
 
 @st.composite
@@ -249,7 +312,7 @@ def compact_states(draw):
         if all(bits[q] == bit for q, bit in fixed):
             full[index] = block[position]  # the block runs in index order
             position += 1
-    return _compact(n, fixed, block), full
+    return _compact(n, fixed_word(n, fixed), block), full
 
 
 class TestReadingCompactStates:
@@ -259,7 +322,7 @@ class TestReadingCompactStates:
         state, full = case
         amplitudes = state.amplitudes
         np.testing.assert_array_equal(amplitudes, full)
-        assert state._fixed == ()
+        assert fixed_pairs(state) == ()
         assert state.amplitudes is amplitudes
         amplitudes[0] += 1.0  # the caller may write through it
         assert state.amplitudes[0] == full[0] + 1.0
@@ -268,13 +331,13 @@ class TestReadingCompactStates:
     @given(case=compact_states())
     def test_norm_amplitude_and_copy_read_the_block(self, case):
         state, full = case
-        fixed, block = state._fixed, state._block
+        fixed, block = fixed_pairs(state), state._block
         assert norm(state) == pytest.approx(np.linalg.norm(full), abs=ATOL)
         for index in range(full.size):
             assert amplitude(state, index) == full[index]
         duplicate = state.copy()
-        assert state._fixed == fixed and state._block is block  # nothing expanded
-        assert duplicate._fixed == fixed and duplicate._block is not block
+        assert fixed_pairs(state) == fixed and state._block is block  # nothing expanded
+        assert fixed_pairs(duplicate) == fixed and duplicate._block is not block
         duplicate._block[0] += 1.0
         assert state._block[0] == full[np.flatnonzero(full)[0]]
         np.testing.assert_array_equal(state.amplitudes, full)
@@ -283,7 +346,7 @@ class TestReadingCompactStates:
     def test_extract_basis_index_reads_the_block(self, index):
         state = new_basis_state(4, index)
         assert extract_basis_index(state) == index
-        assert len(state._fixed) == 4 and state._block.size == 1
+        assert len(fixed_pairs(state)) == 4 and state._block.size == 1
 
     def test_superposition_left_compact_is_not_a_basis_state(self, monkeypatch):
         """A lone H on qubit 2; qubit 0 is static and qubit 1 untouched, so
@@ -291,7 +354,7 @@ class TestReadingCompactStates:
         monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         circuit = Circuit(3, (Gate.hadamard(2), Gate.phase(Fraction(1, 4), 0)))
         state = run(circuit, new_basis_state(3, 0b101))
-        assert state._fixed == ((0, 1), (1, 0)) and state._block.size == 2
+        assert fixed_pairs(state) == ((0, 1), (1, 0)) and state._block.size == 2
         with pytest.raises(NotBasisState, match="max \\|amp\\|\\^2 = 0.500000"):
             extract_basis_index(state)
         assert amplitude(state, 0b100) == pytest.approx(0.5**0.5 * 1j)

@@ -26,6 +26,8 @@ from conftest import (
     bit_reverse,
     circuit_matrix,
     dft_matrix,
+    fixed_pairs,
+    fixed_word,
     random_state,
     run_gate_by_gate,
     step_kinds,
@@ -86,7 +88,7 @@ def inputs(draw, n):
         return new_basis_state(n, draw(st.integers(0, (1 << n) - 1)))
     qubits = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
     fixed = tuple((q, draw(st.integers(0, 1))) for q in qubits)
-    return _compact(n, fixed, random_state(n - len(fixed), rng))
+    return _compact(n, fixed_word(n, fixed), random_state(n - len(fixed), rng))
 
 
 def _assert_run_matches_reference(circuit, state):
@@ -174,7 +176,7 @@ def test_adder_from_a_basis_state_is_bit_arithmetic(n, kernel_calls):
     for a in range(1 << n):
         for b in range(1 << n):
             state = run(circuit, new_basis_state(2 * n, encode_registers(layout, {"a": a, "b": b})))
-            assert len(state._fixed) == 2 * n
+            assert len(fixed_pairs(state)) == 2 * n
             expected = encode_registers(layout, {"a": a, "b": (a + b) % (1 << n)})
             assert state.amplitudes[expected] == 1
     assert kernel_calls == []
@@ -312,7 +314,7 @@ def test_compile_keeps_gate_keys_only_and_makes_no_numpy_call(circuit, monkeypat
     """A step holds the block's gate keys and what the matcher read from
     them: no Gate, no precomputed factor table and no permutation array."""
     monkeypatch.setattr(qstate_module, "np", _NoNumpy())
-    steps, _ = circuit_module._compile(circuit.gates)
+    steps, _ = circuit_module._compile(circuit.num_qubits, circuit.gates)
     for step in steps:
         held = list(_held([step.resolve.args, step.permute.args if step.permute else ()]))
         assert not any(isinstance(item, (Gate, np.ndarray)) for item in held)

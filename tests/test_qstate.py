@@ -52,6 +52,10 @@ class TestBasisStates:
 
     def test_numpy_integer_index_accepted(self):
         np.testing.assert_array_equal(new_basis_state(2, np.int64(1)).amplitudes, [0, 1, 0, 0])
+        index = extract_basis_index(new_basis_state(8, np.int64(5)))
+        assert index == 5 and type(index) is int
+        wide = new_basis_state(70, np.int64(5))  # past 64 bits, as a compact state
+        assert amplitude(wide, np.int64(5)) == 1 and amplitude(wide, np.int64(4)) == 0
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qftarith.circuit as circuit_module
-from conftest import circuit_matrix, circuits, random_state, run_gate_by_gate
+from conftest import circuit_matrix, circuits, fixed_pairs, random_state, run_gate_by_gate
 from qftarith.arith import build_adder, build_decrement
 from qftarith.circuit import (
     Circuit,
@@ -102,7 +102,7 @@ def test_dense_run_below_fusion_is_bitwise_equal_to_reference(case, seed, compac
         prepare = partial(StateVector, n, random_state(n, rng))
     with mock.patch.object(circuit_module, "_FUSE_FROM_QUBITS", UNFUSED_BELOW):
         state = run(circuit, prepare())
-    assert state._fixed == ()
+    assert fixed_pairs(state) == ()
     expected = run_gate_by_gate(circuit, prepare())
     np.testing.assert_array_equal(state.amplitudes, expected.amplitudes)
 
@@ -202,7 +202,7 @@ class TestSliceSizes:
         layout = RegisterLayout([("a", n), ("b", n)])
         state = new_basis_state(2 * n, encode_registers(layout, {"a": 45, "b": 30}))
         run(build_adder(layout), state)
-        assert kernel_calls == [] and len(state._fixed) == 2 * n
+        assert kernel_calls == [] and len(fixed_pairs(state)) == 2 * n
         assert decode_registers(layout, extract_basis_index(state)) == {"a": 45, "b": 11}
 
     def test_cli_add_makes_no_kernel_call(self, kernel_calls, capsys):
@@ -250,7 +250,7 @@ class TestSliceSizes:
         ))
         for index in (0b00011, 0b01010, 0b10110, 0b11111):
             state = run(circuit, new_basis_state(n, index))
-            assert len(state._fixed) == n
+            assert len(fixed_pairs(state)) == n
             expected = run_gate_by_gate(circuit, new_basis_state(n, index)).amplitudes
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
         assert kernel_calls and {size for _, size in kernel_calls} == {1}

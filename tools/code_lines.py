@@ -7,7 +7,8 @@ layout (line breaks and indentation); a token that spans lines, such as a
 multi-line string argument, counts on each line it spans.  A docstring is
 a statement made of string literals alone.  Prints each module's code
 lines beside its physical lines (the count ``wc -l`` gives), then both
-totals.  Only the standard library's ``tokenize`` is used.
+totals.  Exits 2 with a message when the directory holds no module, so a
+mistyped path fails.  Only the standard library's ``tokenize`` is used.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ def main(argv: list[str]) -> int:
     package = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent / "src" / "qftarith")
     counts = {path.name: (code_lines(path), path.read_bytes().count(b"\n"))
               for path in sorted(package.glob("*.py"))}
+    if not counts:
+        print(f"no module in {package}", file=sys.stderr)
+        return 2
     width = max(map(len, ["module", *counts]))
     print(f"{'module':<{width}} {'code':>5} {'lines':>5}")
     for name, (code, lines) in counts.items():
