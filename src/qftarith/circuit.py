@@ -38,16 +38,20 @@ classical, rewrites the value and calls no kernel (a shift is one add on
 the register's field of the word, and each X or SWAP exchanges the words
 of its two patterns); any other step first expands the block to the
 classical qubits it moves, and is resolved against the value of the
-moment.  So a basis-state input has amplitudes only over the qubits that
-some step mixes: the decrement, the adder and the zero check run as bit
-arithmetic, and the multiplier simulates its accumulator alone, expanded
-at its first transform, with x as bits, as two transforms and one
-diagonal per addition.  The replay below the threshold is a program of
-one step that moves every qubit, run through the same loop.  Every step
-calls the trusted private kernels of :mod:`qftarith.qstate`: ``Gate`` and
-``Circuit`` validated every gate on construction.  Steps pass them axes,
-bits and factors, and this module imports no numpy: arrays are built in
-:mod:`~qftarith.qstate`.
+moment.  A forward transform on a register of classical qubits is held
+back as a *frame*: the register's field keeps the value v of the state
+QFT|v>, a block of kick groups on it adds their amounts to the field, and
+the inverse transform closes it.  Any other use of the register, and the
+end of the run, *materialise* the frame: the held transform runs then
+(see :func:`run`).  So a basis-state input has amplitudes only over the
+qubits that some step mixes: the decrement, the adder, the zero check and
+the whole multiplier, its accumulator a frame from its transform to its
+inverse, run as arithmetic on the word and hold one amplitude.  The
+replay below the threshold is a program of one step that moves every
+qubit, run through the same loop.  Every step calls the trusted private
+kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated
+every gate on construction.  Steps pass them axes, bits and factors, and
+this module imports no numpy: arrays are built in :mod:`~qftarith.qstate`.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -94,8 +98,10 @@ from .qstate import (
 
 # Below this many qubits ``run`` is the gate-by-gate replay, bitwise equal to
 # it for every input; from here up it agrees within rounding.  That keeps the
-# 9-qubit multiplier of perfbench/test_perfbench.py bitwise equal; compiled,
-# one of its multiplies takes 0.15 ms instead of 0.8-0.9 (2-core x86, numpy 2.4).
+# 9-qubit multiplier of perfbench/test_perfbench.py bitwise equal.  The replay
+# expands even a basis state to the full vector, so it imports numpy: compiled,
+# a basis-state multiply on those 9 qubits calls no kernel and takes 0.017 ms,
+# against 0.76 ms as the replay (2-core x86, numpy 2.4).
 _FUSE_FROM_QUBITS = 10
 
 
@@ -278,47 +284,80 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     bit) pattern holds: its controls, with a PHASE gate's target at 1.  One
     whose classical bits fail is dropped, and one whose classical bits hold
     loses them.  A sandwich is one shift per group that is left, and a
-    transform is one FFT.  From ``new_basis_state`` the multiplier expands
-    its 2^(2n)-amplitude accumulator at its first transform, and the adder
-    and the decrement hold one amplitude; a dense state has no classical
-    qubit and runs whole.  The final word is the state's fixed word.
+    transform is one FFT.
+
+    A forward transform on a register whose qubits are all classical, while
+    no frame is held, opens a *frame*: the transform is held back, and the
+    register's field of the word keeps the value v of the state QFT|v>,
+    the rest of the state untouched.  While it is held, a step that uses
+    none of the register passes by.  A block that parses on the register
+    as kick groups (see :func:`_fourier_block`), possibly ending with the
+    inverse transform, every qubit it uses classical, adds the amounts of
+    the groups whose controls hold to the field, as a sandwich does: by
+    Draper's identity (arXiv:quant-ph/0008033) a group of amount c maps
+    QFT|v> to QFT|v + c> exactly.  The inverse transform closes the frame
+    at no cost, and v stays as bits.  Any other step that uses the
+    register, and the end of the program, first *materialise* the frame:
+    the held step runs as it would have, expanding the register and making
+    its one FFT, and the step then runs.  What each step does to a frame
+    is parsed once per circuit object.  From ``new_basis_state`` the
+    multiplier, the adder and the decrement so hold one amplitude and call
+    no kernel; a dense state has no classical qubit, opens no frame and
+    runs whole.  The final word is the state's fixed word.
 
     The compiled run agrees with the replay within rounding: a phase table
     multiplies by a product of factors, a shift moves whole amplitudes that
     the gates mix through Hadamards, an FFT sums in another order than the
     gates, and a gate on a smaller array may round differently in the last
-    bit.  Classical steps are exact.
+    bit.  Classical steps, and the kicks a frame adds, are exact.
     """
     n = circuit.num_qubits
     if state.num_qubits != n:
         raise QubitCountMismatch(f"circuit has {n} qubits, state has {state.num_qubits}")
     if n < _FUSE_FROM_QUBITS:
         every = (1 << n) - 1
-        steps, program = [_Step(partial(_gate_kernels, n, tuple(map(_gate_key, circuit.gates))),
-                                every, every)], [0]
+        gates = tuple(map(_gate_key, circuit.gates))
+        replay = _Step(partial(_gate_kernels, n, gates), every, every)
+        steps, program, frames = [replay], [0], {}
     else:
         # Frozen, so written through vars().  Threads racing here may compile
         # twice and keep either program: both are the same.
         if "_compiled" not in vars(circuit):
-            vars(circuit)["_compiled"] = _compile(n, circuit.gates)
-        steps, program = vars(circuit)["_compiled"]
-    (mask, value), psi = state._fixed, None
-    for i in program:
-        step = steps[i]
-        if step.permute and mask & step.used == step.used:
-            value = step.permute(value)
+            vars(circuit)["_compiled"] = (*_compile(n, circuit.gates), {})
+        steps, program, frames = vars(circuit)["_compiled"]
+    # ``held`` is the index of a forward transform whose register the word
+    # keeps in Fourier form; ``frames`` memoises what each step does to it
+    # (threads racing on one circuit may parse a step twice, to one rule).
+    (mask, value), psi, held = state._fixed, None, None
+    for i in chain(program, [None]):
+        step, todo = (_END, ()) if i is None else (steps[i], (i,))
+        if held is not None and step.used & steps[held].used:
+            if (held, i) not in frames:
+                frames[held, i] = _frame_rule(n, steps[held].opens, step.key)
+            rule = frames[held, i]
+            if rule and mask & step.used == step.used:
+                value, held = rule[0](value), None if rule[1] else held
+                continue
+            todo, held = (held, *todo), None  # the held transform runs, then the step
+        elif held is None and step.opens and mask & step.used == step.used:
+            held = i
             continue
-        if psi is None or mask & step.moved:
-            state._fixed, mask = (mask, value), mask & ~step.moved
-            value &= mask
-            psi = _expand(state, mask)
-            pos = {q: axis for axis, q in enumerate(_free(n, mask))}
-            resolved: dict[tuple, list] = {}
-        key = (i, value & step.used)
-        if key not in resolved:
-            resolved[key] = step.resolve(value, pos)
-        for kernel, *args in resolved[key]:
-            kernel(psi, *args)
+        for i in todo:
+            step = steps[i]
+            if step.permute and mask & step.used == step.used:
+                value = step.permute(value)
+                continue
+            if psi is None or mask & step.moved:
+                state._fixed, mask = (mask, value), mask & ~step.moved
+                value &= mask
+                psi = _expand(state, mask)
+                pos = {q: axis for axis, q in enumerate(_free(n, mask))}
+                resolved: dict[tuple, list] = {}
+            key = (i, value & step.used)
+            if key not in resolved:
+                resolved[key] = step.resolve(value, pos)
+            for kernel, *args in resolved[key]:
+                kernel(psi, *args)
     state._fixed = (mask, value)
     return state
 
@@ -328,6 +367,12 @@ class _Step(NamedTuple):
     moved: int         # mask of the qubits an H, X or SWAP targets
     used: int          # mask of the qubits a gate targets or is controlled by
     permute: Callable | None = None  # (value) -> value: the step on the classical word
+    key: tuple = ()    # the block's gate keys, which a held frame parses
+    opens: tuple[int, int] | None = None  # (first, width) of a forward transform
+
+
+# The end of the program reads every qubit, so it materialises a held frame.
+_END = _Step(None, 0, -1)
 
 
 def _mask(n: int, qubits: Iterable[int]) -> int:
@@ -357,7 +402,7 @@ def _compile(n: int, gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
         key = tuple(map(_gate_key, group))
         index = seen.setdefault(key, len(steps))
         if index == len(steps):
-            steps.append(_block_step(n, key))
+            steps.append(_block_step(n, key)._replace(key=key))
         program.append(index)
     return steps, program
 
@@ -378,12 +423,11 @@ def _block_step(n: int, key: tuple) -> _Step:
     if fourier is not None:
         first, width, head, groups, tail = fourier
         if head and tail:
-            low = n - first - width
-            words = tuple((amount << low, *_word(n, controls)) for amount, controls in groups)
             return _Step(partial(_shift_kernels, n, first, width, groups), moved, used,
-                         partial(_shift_bits, ((1 << width) - 1) << low, words))
+                         _shift_word(n, first, width, groups))
         if not groups and width >= 2:
-            return _Step(partial(_fourier_kernels, first, width, 1 if head else -1), moved, used)
+            return _Step(partial(_fourier_kernels, first, width, 1 if head else -1), moved, used,
+                         opens=(first, width) if head else None)
     if not moved:
         return _Step(partial(_diagonal_kernels, n, key), moved, used)
     if all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key):
@@ -393,11 +437,35 @@ def _block_step(n: int, key: tuple) -> _Step:
     return _Step(partial(_gate_kernels, n, key), moved, used)
 
 
+def _frame_rule(n: int, register: tuple[int, int], key: tuple) -> tuple[Callable, bool] | None:
+    """``(permute, closes)`` for a block on a register that a held frame
+    keeps in Fourier form: the block's kick groups as one add on the
+    register's field of the word, and whether the block ends with the
+    inverse transform, which closes the frame.  None for a block that is no
+    such Fourier block on the register, or that starts with a transform:
+    it needs the amplitudes."""
+    fourier = _fourier_block(key, register)
+    if fourier is None or fourier[2]:
+        return None
+    first, width, _, groups, tail = fourier
+    return _shift_word(n, first, width, groups), tail
+
+
+def _shift_word(n: int, first: int, width: int, groups) -> Callable:
+    """Kick groups on the register ``first`` .. ``first + width - 1`` as
+    :func:`_shift_bits` on its field of the word: each amount shifted onto
+    the field, and its controls as a word."""
+    low = n - first - width
+    words = tuple((amount << low, *_word(n, controls)) for amount, controls in groups)
+    return partial(_shift_bits, ((1 << width) - 1) << low, words)
+
+
 def _shift_bits(field: int, groups, value: int) -> int:
-    """The sandwich on the classical word: one add, modulo the field's
-    width, on the register's ``field`` of the value.  It adds the amounts
-    of the groups whose controls hold; a group is ``(amount, mask, want)``,
-    its amount shifted onto the field and its controls as a word."""
+    """A sandwich, or kick groups on a held frame, on the classical word:
+    one add, modulo the field's width, on the register's ``field`` of the
+    value.  It adds the amounts of the groups whose controls hold; a group
+    is ``(amount, mask, want)``, its amount shifted onto the field and its
+    controls as a word."""
     amount = sum(amount for amount, mask, want in groups if value & mask == want)
     return value & ~field | (value + amount) & field
 
@@ -423,23 +491,29 @@ def _qft_key(qs: Sequence[int], sign: int) -> list[tuple]:
     return key
 
 
-def _fourier_block(key: tuple) -> tuple[int, int, bool, tuple, bool] | None:
+def _fourier_block(key: tuple, register: tuple[int, int] | None = None
+                   ) -> tuple[int, int, bool, tuple, bool] | None:
     """``(first, width, head, groups, tail)`` when the block is a Fourier
     block on the register ``first`` .. ``first + width - 1``, else None.
+    The register is ``register`` if given, else the one the block's
+    Hadamards span.
 
     A Fourier block is the transform on the register (``head``; a lone
     Hadamard at width 1), a middle of consecutive kick groups, and the
-    inverse transform (``tail``), with at least one of the transforms.
-    ``groups`` holds one ``(amount, controls)`` pair per group: one phase
-    kick of amount/2^(width-j) turns (taken mod 1 with the amount's sign,
-    zero kicks left out) on each wire j, all under the group's controls,
-    which lie outside the register, for a nonzero integer amount below
-    2^width in magnitude.  Its kick on wire 0 is never zero, so every group
-    starts there.  One group is Draper's constant adder, v -> v + amount
-    mod 2^width where the controls hold.  Between the two transforms the
-    groups commute, so the block adds the sum of the amounts whose controls
-    hold: with one group per source qubit, controlled by it, this is the
-    register adder.  An empty middle adds 0.
+    inverse transform (``tail``).  Without ``register`` it has at least one
+    of the transforms; on a given register it may have neither, and be
+    kick groups alone.  ``groups`` holds one ``(amount, controls)`` pair
+    per group: one phase kick of amount/2^(width-j) turns (taken mod 1
+    with the amount's sign, zero kicks left out) on each wire j, all under
+    the group's controls, which lie outside the register, for a nonzero
+    integer amount below 2^width in magnitude.  Its kick on wire 0 is never
+    zero, so every group starts there.  One group is Draper's constant
+    adder, v -> v + amount mod 2^width where the controls hold; on the
+    transformed register it maps QFT|v> to QFT|v + amount> exactly.
+    Between the two transforms the groups commute, so the block adds the
+    sum of the amounts whose controls hold: with one group per source
+    qubit, controlled by it, this is the register adder.  An empty middle
+    adds 0.
 
     The rules are written out here from the transform's definition, not
     taken from the builders, and angles are compared exactly, so a builder
@@ -447,9 +521,9 @@ def _fourier_block(key: tuple) -> tuple[int, int, bool, tuple, bool] | None:
     tests.
     """
     hs = [targets[0] for kind, targets, _, _ in key if kind is GateKind.HADAMARD]
-    if not hs:
+    if register is None and not hs:
         return None
-    first, width = min(hs), max(hs) - min(hs) + 1
+    first, width = register or (min(hs), max(hs) - min(hs) + 1)
     qs = list(range(first, first + width))
     head = hs[:width] == qs
     tail = len(hs) > width * head

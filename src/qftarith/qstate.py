@@ -32,39 +32,46 @@ adjacent qubits, or its inverse, as one FFT with the register's axes
 reversed.  :func:`qftarith.circuit.run` calls the private kernels directly,
 because ``Gate`` and ``Circuit`` validated every gate on construction;
 that also lets it drive arrays that are only part of a state.  No other
-module of the package imports numpy.
+module of the package imports numpy, and this one imports it on first use:
+``np`` starts as a stand-in whose first attribute read imports numpy and
+rebinds ``np`` to it, so a process that only runs basis states through
+classical steps never loads numpy, and the kernels read the module
+itself.
 
 A :class:`StateVector` may be *compact*: a fixed word ``(mask, value)``
 of two ints in basis-index bit order (qubit q at bit n-1-q), the qubits set
 in ``mask`` holding their bits of ``value``, outside which every amplitude
 is exactly 0, plus a block of 2^r amplitudes over the r other qubits, in
 index order.  ``new_basis_state`` fixes every qubit, stores the index as
-the value and holds one amplitude, so it allocates nothing of size 2^n; the
-public constructor builds a dense state, with no qubit fixed.
-``norm``, ``amplitude``, ``extract_basis_index`` and ``StateVector.copy``
-read the block as it is.  Reading ``amplitudes`` expands the block into the
-full 2^n vector once, and the state stays dense from then on, so every
-public ``apply_*`` works on the full vector.  A compiled ``run`` keeps a
-fixed qubit *classical* until a step moves it other than as a shift or an
-X and SWAP block on classical qubits alone: it rewrites the bits, expands
-the block to the qubits such a step moves when it reaches that step, and
+the value and holds its one amplitude as a Python complex, so it needs no
+array at all; ``_expand`` makes it an array when a kernel needs one.  The
+public constructor builds a dense state, with no qubit fixed.  ``norm``,
+``amplitude``, ``extract_basis_index`` and ``StateVector.copy`` read the
+block, or the one complex, as it is.  Reading ``amplitudes`` expands the
+block into the full 2^n vector once, and the state stays dense from then
+on, so every public ``apply_*`` works on the full vector.  A compiled
+``run`` keeps a fixed qubit *classical* until a step moves it other than
+as a shift, an X and SWAP block on classical qubits alone, or a Fourier
+transform that it holds as a frame: it rewrites the bits, expands the
+block to the qubits such a step moves when it reaches that step, and
 writes the final bits back as the fixed word (see
 :func:`qftarith.circuit.run`).
 
 All kernels mutate their amplitudes in place; the public ones return the
 state.  Distinct states may be driven from distinct threads concurrently;
-nothing here is global.
+nothing here is global but ``np``, which is rebound once, to the same
+module whichever thread reads it first.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import numbers
+import sys
 from contextlib import suppress
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DuplicateQubit, IndexOutOfRange, NotBasisState, QubitBudgetExceeded
 
@@ -77,16 +84,29 @@ MAX_QUBITS = 24
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+class _Numpy:
+    """numpy, imported on the first attribute read, which rebinds ``np`` to
+    the module itself: later reads are plain global lookups."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
+
+
 class StateVector:
     """2^n complex amplitudes over ``num_qubits`` qubits, unit norm.
 
     Stored as the fixed word ``(mask, value)``, ints with qubit q at bit
     n-1-q and ``value & ~mask == 0``, and a block: the amplitudes where
     every qubit in ``mask`` holds its bit of ``value``, over the other
-    qubits in ascending order, as a flat C-contiguous array.  Every
-    amplitude outside the block is exactly 0.  The constructor copies and
-    checks a full vector and fixes no qubit; ``new_basis_state`` fixes
-    every qubit.
+    qubits in ascending order, as a flat C-contiguous array, or as one
+    Python complex when every qubit is fixed.  Every amplitude outside the
+    block is exactly 0.  The constructor copies and checks a full vector
+    and fixes no qubit; ``new_basis_state`` fixes every qubit.
 
     ``amplitudes`` is the full vector.  On a compact state the first read
     expands the block into it, allocating 2^n amplitudes once; the state is
@@ -119,16 +139,17 @@ class StateVector:
         return self._block
 
     def copy(self) -> "StateVector":
-        return _compact(self.num_qubits, self._fixed, self._block.copy())
+        return _compact(self.num_qubits, self._fixed, copy.copy(self._block))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
-def _compact(num_qubits: int, fixed: tuple[int, int], block: np.ndarray) -> StateVector:
+def _compact(num_qubits: int, fixed: tuple[int, int], block: np.ndarray | complex) -> StateVector:
     """A state from trusted parts, with no copy and no check: ``fixed`` the
     word ``(mask, value)``, ``block`` flat with one amplitude per value of
-    the qubits outside ``mask``."""
+    the qubits outside ``mask``, or a Python complex when ``mask`` holds
+    every qubit."""
     state = object.__new__(StateVector)
     state.num_qubits, state._fixed, state._block = num_qubits, fixed, block
     return state
@@ -142,15 +163,17 @@ def _free(num_qubits: int, mask: int) -> list[int]:
 def _expand(state: StateVector, keep: int) -> np.ndarray:
     """Widen the block to every qubit outside ``keep``, a submask of the
     fixed mask, and return it as a ``(2,)*r`` tensor over those qubits.
-    Nothing is allocated when ``keep`` is the whole fixed mask."""
-    n, (mask, value) = state.num_qubits, state._fixed
+    When ``keep`` is the whole fixed mask nothing is allocated, except the
+    one-amplitude array that a Python complex amplitude becomes."""
+    n, (mask, value), block = state.num_qubits, state._fixed, np.atleast_1d(state._block)
     rest = _free(n, keep)
     if keep != mask:
-        block = np.zeros((2,) * len(rest), dtype=np.complex128)
-        block[tuple(value >> (n - 1 - q) & 1 if mask >> (n - 1 - q) & 1 else slice(None)
-                    for q in rest)] = state._block.reshape((2,) * len(_free(n, mask)))
-        state._fixed, state._block = (keep, value & keep), block.reshape(-1)
-    return state._block.reshape((2,) * len(rest))
+        wide = np.zeros((2,) * len(rest), dtype=np.complex128)
+        wide[tuple(value >> (n - 1 - q) & 1 if mask >> (n - 1 - q) & 1 else slice(None)
+                   for q in rest)] = block.reshape((2,) * len(_free(n, mask)))
+        state._fixed, block = (keep, value & keep), wide.reshape(-1)
+    state._block = block
+    return block.reshape((2,) * len(rest))
 
 
 def _check_budget(total_qubits: int) -> None:
@@ -163,15 +186,17 @@ def _check_budget(total_qubits: int) -> None:
 
 def new_basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational-basis state |index> on ``num_qubits`` qubits: compact,
-    with every qubit fixed and one amplitude; the index must be an integer."""
+    with every qubit fixed and one amplitude, a Python complex; the index
+    must be an integer."""
     _validate_count(num_qubits)
     index = _check_index(index, num_qubits)
-    return _compact(num_qubits, ((1 << num_qubits) - 1, index), np.ones(1, dtype=np.complex128))
+    return _compact(num_qubits, ((1 << num_qubits) - 1, index), 1 + 0j)
 
 
 def norm(state: StateVector) -> float:
     """Euclidean norm of the amplitude vector."""
-    return float(np.linalg.norm(state._block))
+    block = state._block
+    return abs(block) if isinstance(block, complex) else float(np.linalg.norm(block))
 
 
 def amplitude(state: StateVector, index: int) -> complex:
@@ -180,6 +205,8 @@ def amplitude(state: StateVector, index: int) -> complex:
     index = _check_index(index, n)
     if index & mask != value:
         return 0j
+    if isinstance(state._block, complex):  # every qubit fixed, at this index
+        return state._block
     free = _free(n, mask)
     bits = tuple(index >> (n - 1 - q) & 1 for q in free)
     return complex(state._block.reshape((2,) * len(free))[bits])
@@ -193,12 +220,15 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
     """
     if not 0.0 < tol < 0.5:
         raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
-    magnitudes = np.abs(state._block)
-    position = int(np.argmax(magnitudes))
-    n, (mask, best) = state.num_qubits, state._fixed
+    n, (mask, best), block = state.num_qubits, state._fixed, state._block
+    if isinstance(block, complex):
+        position, prob = 0, abs(block) ** 2
+    else:
+        magnitudes = np.abs(block)
+        position = int(np.argmax(magnitudes))
+        prob = float(magnitudes[position]) ** 2
     free = _free(n, mask)
     best |= sum((position >> (len(free) - 1 - k) & 1) << (n - 1 - q) for k, q in enumerate(free))
-    prob = float(magnitudes[position]) ** 2
     if prob < 1.0 - tol:
         raise NotBasisState(
             f"no dominant basis amplitude: max |amp|^2 = {prob:.6f} "
@@ -252,13 +282,17 @@ def _validate_turns(phase_turns):
     None, bools, NaN, +-inf and exact numbers too large for a float raise
     ValueError, and strings, complex numbers and other non-reals TypeError.
     The messages leave out the value, whose ``repr`` fails for huge ints.
-    Returns the angle, a numpy scalar as the Python number it holds."""
-    given = phase_turns is not None and not isinstance(phase_turns, (bool, np.bool_))
+    Returns the angle, a numpy scalar as the Python number it holds.  numpy's
+    types are looked up only if numpy is loaded: no numpy scalar exists
+    before that."""
+    numpy = sys.modules.get("numpy")
+    bools, scalars = ((bool, numpy.bool_), numpy.generic) if numpy else (bool, ())
+    given = phase_turns is not None and not isinstance(phase_turns, bools)
     if given and not isinstance(phase_turns, numbers.Real):
         raise TypeError(f"PHASE needs a real angle, got {type(phase_turns).__name__}")
     with suppress(OverflowError):
         if given and math.isfinite(float(phase_turns)):
-            return phase_turns.item() if isinstance(phase_turns, np.generic) else phase_turns
+            return phase_turns.item() if isinstance(phase_turns, scalars) else phase_turns
     raise ValueError("PHASE needs an angle that is a finite float")
 
 

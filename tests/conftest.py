@@ -10,6 +10,7 @@ the whole state, with no slicing.
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ def fixed_pairs(state: StateVector) -> tuple[tuple[int, int], ...]:
     decoded from its ``(mask, value)`` word."""
     n, (mask, value) = state.num_qubits, state._fixed
     return tuple((q, bit_of(value, q, n)) for q in range(n) if bit_of(mask, q, n))
+
+
+def held_amplitudes(state: StateVector) -> int:
+    """How many amplitudes a state holds: the size of its block, which is
+    one Python complex when every qubit is fixed."""
+    return np.size(state._block)
 
 
 def fixed_word(num_qubits: int, pairs) -> tuple[int, int]:
@@ -139,6 +146,48 @@ def kernel_calls(monkeypatch):
             return _kernel(psi, *args)
         monkeypatch.setattr(circuit_module, name, recording)
     return calls
+
+
+def classical_by_rule(circuit: Circuit) -> list[int]:
+    """The qubits a compiled ``run`` keeps as bits when it starts from a
+    basis state, found from the circuit's gates: every qubit starts
+    classical, and the label blocks are walked in order.  A permutation
+    block (X and SWAP gates only, or a Fourier block with both transforms,
+    which ``_fourier_block`` recognises and tests/test_run_fusion.py holds
+    to modular addition) whose qubits are all still classical keeps them;
+    any other block drops every qubit it moves.
+
+    The frame rule: a block that is the forward transform alone, on two or
+    more classical qubits, while no frame is held, opens a frame on its
+    register and keeps its qubits.  While the frame is held, a block that
+    uses none of the register passes by; one that parses on the register
+    as kick groups, possibly followed by the inverse transform, with every
+    qubit it uses classical, keeps them, and the inverse transform closes
+    the frame.  Any other block that uses the register, and the end of the
+    circuit, drop the register's qubits, and the block then follows the
+    rules above."""
+    classical, frame = set(range(circuit.num_qubits)), None
+    for _, group in groupby(circuit.gates, key=lambda g: g.label):
+        gates = list(group)
+        used = {q for g in gates for q in (*g.targets, *(c for c, _ in g.controls))}
+        moved = {q for g in gates if g.kind is not GateKind.PHASE for q in g.targets}
+        key = tuple(map(circuit_module._gate_key, gates))
+        fourier = circuit_module._fourier_block(key)
+        if frame is not None and used & set(frame):
+            kicks = circuit_module._fourier_block(key, (frame[0], len(frame)))
+            if kicks is not None and not kicks[2] and used <= classical:
+                frame = None if kicks[4] else frame
+                continue
+            classical, frame = classical - set(frame), None
+        elif (frame is None and fourier is not None and fourier[2] and not fourier[3]
+              and not fourier[4] and fourier[1] >= 2 and used <= classical):
+            frame = range(fourier[0], fourier[0] + fourier[1])
+            continue
+        permutes = (all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
+                    or fourier is not None and fourier[2] and fourier[4])
+        if not (permutes and used <= classical):
+            classical -= moved
+    return sorted(classical - set(frame or ()))
 
 
 PHASES = st.one_of(

@@ -297,3 +297,43 @@ class TestBenchmarkHooks:
     ])
     def test_worker_reaches_every_hook(self, worker, mode, argv):
         assert worker.serve({"mode": mode, "argv": argv})["rc"] == 0
+
+
+_NUMPY_FREE = """
+import json, sys
+import qftarith.cli as cli
+assert "numpy" not in sys.modules, "importing qftarith.cli loaded numpy"
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+import qftarith.qstate as qstate
+from qftarith import StateVector, apply_hadamard
+state = apply_hadamard(StateVector(1, [0, 1]), 0)  # a dense state imports numpy
+assert qstate.np is sys.modules["numpy"], "np was not rebound to numpy"
+assert qstate.np.allclose(state.amplitudes, [0.5 ** 0.5, -(0.5 ** 0.5)])
+"""
+
+
+class TestNumpyFree:
+    """A basis-state command at 10 qubits or more loads no numpy: ``run``
+    keeps its qubits as bits, and the multiplier's accumulator as a frame,
+    and ``qftarith.qstate`` imports numpy only when an array is needed.
+    Below ``_FUSE_FROM_QUBITS`` (10 qubits) ``run`` is the gate-by-gate
+    replay, which expands the state and so imports numpy; the threshold
+    stays, because perfbench/test_perfbench.py holds the 9-qubit
+    multiplier's run bitwise equal to that replay."""
+
+    COMMANDS = (["add", "5", "9", "--n", "10"], ["dec", "5", "--n", "12"],
+                ["mul", "5", "6", "--n", "3"], ["mul", "31", "31", "--n", "5"])
+
+    def test_basis_state_commands_never_import_numpy(self, tmp_path):
+        argvs = [[*argv, *flags] for argv in self.COMMANDS
+                 for flags in (["--json"], ["--emit-circuit", str(tmp_path / "listing.txt")])]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", _NUMPY_FREE, json.dumps(argvs)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.count('"verified": true') == len(self.COMMANDS)
+        assert result.stdout.count("verified  : yes") == len(self.COMMANDS)

@@ -9,7 +9,7 @@ basis-state run must hold only its populated slice in memory.
 
 import tracemalloc
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -21,8 +21,10 @@ import qftarith.circuit as circuit_module
 from conftest import (
     circuit_matrix,
     circuits,
+    classical_by_rule,
     fixed_pairs,
     fixed_word,
+    held_amplitudes,
     run_gate_by_gate,
     step_kinds,
 )
@@ -30,7 +32,6 @@ from qftarith.arith import build_adder, build_decrement, build_fourier_add_const
 from qftarith.circuit import (
     Circuit,
     Gate,
-    GateKind,
     RegisterLayout,
     concat,
     decode_registers,
@@ -60,27 +61,6 @@ def dense_basis_state(n: int, index: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def _classical_by_rule(circuit):
-    """The qubits a compiled ``run`` keeps as bits when it starts from a
-    basis state, found from the circuit's gates: every qubit starts
-    classical, and the label blocks are walked in order.  A permutation
-    block (X and SWAP gates only, or a Fourier block with both transforms,
-    which ``_fourier_block`` recognises and tests/test_run_fusion.py holds
-    to modular addition) whose qubits are all still classical keeps them;
-    any other block drops every qubit it moves."""
-    classical = set(range(circuit.num_qubits))
-    for _, group in groupby(circuit.gates, key=lambda g: g.label):
-        gates = list(group)
-        used = {q for g in gates for q in (*g.targets, *(c for c, _ in g.controls))}
-        moved = {q for g in gates if g.kind is not GateKind.PHASE for q in g.targets}
-        fourier = circuit_module._fourier_block(tuple(map(circuit_module._gate_key, gates)))
-        permutes = (all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
-                    or fourier is not None and fourier[2] and fourier[4])
-        if not (permutes and used <= classical):
-            classical -= moved
-    return sorted(classical)
-
-
 @pytest.mark.parametrize("fuse_from", [1, 100])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -93,9 +73,9 @@ def test_run_from_compact_matches_dense_and_reference(fuse_from, data):
     with mock.patch.object(circuit_module, "_FUSE_FROM_QUBITS", fuse_from):
         compact = run(circuit, new_basis_state(n, index))
         dense = run(circuit, dense_basis_state(n, index))
-    classical = _classical_by_rule(circuit) if n >= fuse_from else []
+    classical = classical_by_rule(circuit) if n >= fuse_from else []
     assert [q for q, _ in fixed_pairs(compact)] == classical
-    assert compact._block.size == 1 << (n - len(classical))
+    assert held_amplitudes(compact) == 1 << (n - len(classical))
     assert fixed_pairs(dense) == ()
     expected = run_gate_by_gate(circuit, new_basis_state(n, index)).amplitudes
     np.testing.assert_allclose(compact.amplitudes, dense.amplitudes, rtol=0, atol=ATOL)
@@ -139,19 +119,19 @@ class TestClassicalQubits:
     """Fixed qubits that only shifts and X or SWAP blocks move stay bits."""
 
     def test_multiplier_keeps_x_counter_and_stop_qubit_as_bits(self, kernel_calls):
-        """n = 4: only the 2^(2n)-amplitude accumulator reaches a kernel;
-        every decrement and zero check acts on the bits."""
+        """n = 4: every decrement and zero check acts on the bits, and the
+        accumulator is a frame from its transform to its inverse, each
+        addition one add on its bits: no kernel is called."""
         n = 4
         spec = MultiplierSpec.for_width(n)
         layout = multiplier_layout(spec)
         state = new_basis_state(layout.num_qubits, encode_registers(layout, {"x": 13, "y": 11}))
         run(build_multiplier(spec), state)
-        assert kernel_calls and max(size for _, size in kernel_calls) <= 1 << (2 * n)
-        assert not {"_shift", "_exchange"} & {name for name, _ in kernel_calls}
+        assert kernel_calls == []
         fixed = dict(fixed_pairs(state))
-        assert sorted(fixed) == [*layout["x"], *layout["y"], *layout["control"]]
+        assert sorted(fixed) == list(range(layout.num_qubits))
         bits = sum(bit << (layout.num_qubits - 1 - q) for q, bit in fixed.items())
-        assert decode_registers(layout, bits) == {"accumulator": 0, "x": 13, "y": 11,
+        assert decode_registers(layout, bits) == {"accumulator": 143, "x": 13, "y": 11,
                                                   "control": 1}
         assert decode_registers(layout, extract_basis_index(state))["accumulator"] == 143
 
@@ -178,7 +158,7 @@ class TestClassicalQubits:
         circuit = Circuit(2, (Gate.x(1, ((0, 1),), label="a"), Gate.hadamard(0, label="b")))
         state = run(circuit, new_basis_state(2, 0b10))
         assert fixed_pairs(state) == ((1, 1),)
-        assert state._block.size == 2
+        assert held_amplitudes(state) == 2
         expected = run_gate_by_gate(circuit, new_basis_state(2, 0b10)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
@@ -346,7 +326,7 @@ class TestReadingCompactStates:
     def test_extract_basis_index_reads_the_block(self, index):
         state = new_basis_state(4, index)
         assert extract_basis_index(state) == index
-        assert len(fixed_pairs(state)) == 4 and state._block.size == 1
+        assert len(fixed_pairs(state)) == 4 and held_amplitudes(state) == 1
 
     def test_superposition_left_compact_is_not_a_basis_state(self, monkeypatch):
         """A lone H on qubit 2; qubit 0 is static and qubit 1 untouched, so
@@ -354,7 +334,7 @@ class TestReadingCompactStates:
         monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         circuit = Circuit(3, (Gate.hadamard(2), Gate.phase(Fraction(1, 4), 0)))
         state = run(circuit, new_basis_state(3, 0b101))
-        assert fixed_pairs(state) == ((0, 1), (1, 0)) and state._block.size == 2
+        assert fixed_pairs(state) == ((0, 1), (1, 0)) and held_amplitudes(state) == 2
         with pytest.raises(NotBasisState, match="max \\|amp\\|\\^2 = 0.500000"):
             extract_basis_index(state)
         assert amplitude(state, 0b100) == pytest.approx(0.5**0.5 * 1j)

@@ -21,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qftarith.circuit as circuit_module
-from conftest import circuit_matrix, circuits, fixed_pairs, random_state, run_gate_by_gate
+from conftest import (
+    circuit_matrix,
+    circuits,
+    fixed_pairs,
+    held_amplitudes,
+    random_state,
+    run_gate_by_gate,
+)
 from qftarith.arith import build_adder, build_decrement
 from qftarith.circuit import (
     Circuit,
@@ -210,15 +217,16 @@ class TestSliceSizes:
         assert "b=14" in capsys.readouterr().out
         assert kernel_calls == []
 
-    def test_n5_basis_state_multiply_makes_33_kernel_calls(self, kernel_calls):
-        """Two transforms of the accumulator and one diagonal per addition;
-        everything else is bit arithmetic."""
+    def test_n5_basis_state_multiply_makes_no_kernel_call(self, kernel_calls):
+        """The accumulator's transform opens a frame, each addition adds to
+        its bits and the inverse transform closes it; everything else is bit
+        arithmetic too, so the state holds its one amplitude throughout."""
         spec = MultiplierSpec.for_width(5)
         layout = multiplier_layout(spec)
         index = encode_registers(layout, {"x": 31, "y": 31})
         state = run(build_multiplier(spec), new_basis_state(layout.num_qubits, index))
-        assert Counter(name for name, _ in kernel_calls) == {"_fourier": 2, "_diagonal": 31}
-        assert {size for _, size in kernel_calls} == {1 << spec.m}
+        assert kernel_calls == []
+        assert held_amplitudes(state) == 1
         assert decode_registers(layout, extract_basis_index(state)) == {
             "accumulator": 961, "x": 31, "y": 31, "control": 1}
 
