@@ -29,29 +29,26 @@ register adder.  The steps are:
   the product of their phases;
 * *gates* for anything else, one kernel call each.
 
-The qubits that a compact state fixes stay *classical* bits until a step
-moves them as amplitudes.  They are one word, ``(mask, value)`` in
-basis-index bit order, as the state fixes them and ``encode_register``
-places registers.  :func:`run` decides this in order, step by step: a
-shift, or a block of X and SWAP gates, all of whose qubits are still
-classical, rewrites the value and calls no kernel (a shift is one add on
-the register's field of the word, and each X or SWAP exchanges the words
-of its two patterns); any other step first expands the block to the
-classical qubits it moves, and is resolved against the value of the
-moment.  A forward transform on a register of classical qubits is held
-back as a *frame*: the register's field keeps the value v of the state
-QFT|v>, a block of kick groups on it adds their amounts to the field, and
-the inverse transform closes it.  Any other use of the register, and the
-end of the run, *materialise* the frame: the held transform runs then
-(see :func:`run`).  So a basis-state input has amplitudes only over the
-qubits that some step mixes: the decrement, the adder, the zero check and
-the whole multiplier, its accumulator a frame from its transform to its
-inverse, run as arithmetic on the word and hold one amplitude.  The
-replay below the threshold is a program of one step that moves every
-qubit, run through the same loop.  Every step calls the trusted private
-kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated
-every gate on construction.  Steps pass them axes, bits and factors, and
-this module imports no numpy: arrays are built in :mod:`~qftarith.qstate`.
+A state is one of two forms: a basis state, its index one classical
+word in basis-index bit order as ``encode_register`` places registers, or
+the dense vector.  :func:`run` keeps the word while each step is a *word
+step*, which calls no kernel: a shift, one add on the register's field of
+the word, or a block of X and SWAP gates, each exchanging the words of its
+two patterns.  A forward transform on a register is held back as a
+*frame*: the register's field keeps the value v of the state QFT|v>, a
+block of kick groups on it adds their amounts to the field, and the
+inverse transform closes it.  At the first other step, or at the end of
+the run while a frame is held, the state is expanded to the full vector
+once, the held transform runs, and every later step runs on the tensor
+(see :func:`run`).  So the decrement, the adder, the zero check and the
+whole multiplier, its accumulator a frame from its transform to its
+inverse, run from a basis state as arithmetic on the word and hold one
+amplitude.  The replay below the threshold is a program of one step of
+all the gates, run through the same loop.  Every step calls the trusted
+private kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit``
+validated every gate on construction.  Steps pass them axes, bits and
+factors, and this module imports no numpy: arrays are built in
+:mod:`~qftarith.qstate`.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -83,7 +80,6 @@ from .qstate import (
     _exchange,
     _expand,
     _fourier,
-    _free,
     _hadamard,
     _is_integer,
     _pair,
@@ -263,61 +259,54 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     """Apply the gates in order.  Mutates ``state`` in place and returns it.
 
     Below ``_FUSE_FROM_QUBITS`` qubits the program is the replay: one step
-    of all the gates, which moves every qubit.  So the state is expanded to
-    the full vector and gets the kernel calls of a gate-by-gate run of the
-    public ``apply_*``, bitwise equal to it for every input.
+    of all the gates.  So the state is expanded to the full vector and gets
+    the kernel calls of a gate-by-gate run of the public ``apply_*``,
+    bitwise equal to it for every input.
 
     From that size up the circuit is compiled once per circuit object (see
     :func:`_compile`), and the program is kept on the circuit outside its
     fields, so not in ``==``, the hash, the repr or ``replace``.
 
-    One loop runs either program in order, on the word ``(mask, value)``
-    that the state fixes: the qubits in ``mask`` start as *classical* bits.
-    A step that permutes basis states (a shift, or X and SWAP gates only),
-    all of whose qubits are still in the mask, maps the value to a new
-    value and calls no kernel.  Any other step first un-fixes the bits it
-    moves: the value is written back to the state, and the block is
-    expanded to those qubits, the one place where the amplitudes held grow.
-    The step is then resolved against the value, once per value of the
-    bits it uses until the next expansion, and runs on the block as one
-    contiguous tensor.  A gate or kick group acts where a (qubit,
-    bit) pattern holds: its controls, with a PHASE gate's target at 1.  One
-    whose classical bits fail is dropped, and one whose classical bits hold
-    loses them.  A sandwich is one shift per group that is left, and a
-    transform is one FFT.
+    One loop runs either program in order.  A dense state runs every step
+    on the full ``(2,)*n`` tensor.  A basis state keeps its index as the
+    classical word while each step is a *word step*: a step that permutes
+    basis states (a shift, or X and SWAP gates only) maps the word to a new
+    word and calls no kernel, and so do a frame's open, kicks and close.
+    At the first other step the state is expanded to the full vector, the
+    one place where the amplitudes held grow, after the budget check of
+    ``_expand``; that step and every later one run on the tensor.  Each
+    step is resolved to its kernel calls once per run: a gate or kick group
+    acts where a (qubit, bit) pattern holds, its controls with a PHASE
+    gate's target at 1, a sandwich is one shift per group, and a transform
+    is one FFT.
 
-    A forward transform on a register whose qubits are all classical, while
-    no frame is held, opens a *frame*: the transform is held back, and the
+    A forward transform on a register, while the state is a word and no
+    frame is held, opens a *frame*: the transform is held back, and the
     register's field of the word keeps the value v of the state QFT|v>,
     the rest of the state untouched.  While it is held, a step that uses
     none of the register passes by.  A block that parses on the register
     as kick groups (see :func:`_fourier_block`), possibly ending with the
-    inverse transform, every qubit it uses classical, adds the amounts of
-    the groups whose controls hold to the field, as a sandwich does: by
-    Draper's identity (arXiv:quant-ph/0008033) a group of amount c maps
-    QFT|v> to QFT|v + c> exactly.  The inverse transform closes the frame
-    at no cost, and v stays as bits.  Any other step that uses the
-    register, and the end of the program, first *materialise* the frame:
-    the held step runs as it would have, expanding the register and making
-    its one FFT, and the step then runs.  What each step does to a frame
-    is parsed once per circuit object.  From ``new_basis_state`` the
-    multiplier, the adder and the decrement so hold one amplitude and call
-    no kernel; a dense state has no classical qubit, opens no frame and
-    runs whole.  The final word is the state's fixed word.
+    inverse transform, adds the amounts of the groups whose controls hold
+    to the field, as a sandwich does: by Draper's identity
+    (arXiv:quant-ph/0008033) a group of amount c maps QFT|v> to QFT|v + c>
+    exactly.  The inverse transform closes the frame at no cost, and v
+    stays in the word.  Any other step that uses the register, any step
+    that expands the state, and the end of the program first *materialise*
+    the frame: the state is expanded, the held transform makes its one FFT,
+    and the step then runs.  What each step does to a frame is parsed once
+    per circuit object.  From ``new_basis_state`` the multiplier, the adder
+    and the decrement so hold one amplitude and call no kernel.
 
     The compiled run agrees with the replay within rounding: a phase table
     multiplies by a product of factors, a shift moves whole amplitudes that
-    the gates mix through Hadamards, an FFT sums in another order than the
-    gates, and a gate on a smaller array may round differently in the last
-    bit.  Classical steps, and the kicks a frame adds, are exact.
+    the gates mix through Hadamards, and an FFT sums in another order than
+    the gates.  Word steps, and the kicks a frame adds, are exact.
     """
     n = circuit.num_qubits
     if state.num_qubits != n:
         raise QubitCountMismatch(f"circuit has {n} qubits, state has {state.num_qubits}")
     if n < _FUSE_FROM_QUBITS:
-        every = (1 << n) - 1
-        gates = tuple(map(_gate_key, circuit.gates))
-        replay = _Step(partial(_gate_kernels, n, gates), every, every)
+        replay = _Step(partial(_gate_kernels, tuple(map(_gate_key, circuit.gates))), -1)
         steps, program, frames = [replay], [0], {}
     else:
         # Frozen, so written through vars().  Threads racing here may compile
@@ -328,43 +317,42 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     # ``held`` is the index of a forward transform whose register the word
     # keeps in Fourier form; ``frames`` memoises what each step does to it
     # (threads racing on one circuit may parse a step twice, to one rule).
-    (mask, value), psi, held = state._fixed, None, None
+    (mask, value), held, resolved = state._fixed, None, {}
+    psi = None if mask else _expand(state)
     for i in chain(program, [None]):
         step, todo = (_END, ()) if i is None else (steps[i], (i,))
-        if held is not None and step.used & steps[held].used:
-            if (held, i) not in frames:
-                frames[held, i] = _frame_rule(n, steps[held].opens, step.key)
-            rule = frames[held, i]
-            if rule and mask & step.used == step.used:
-                value, held = rule[0](value), None if rule[1] else held
+        if psi is None:
+            if held is not None and step.used & steps[held].used:
+                if i is not None and (held, i) not in frames:
+                    frames[held, i] = _frame_rule(n, steps[held].opens, step.key)
+                rule = frames.get((held, i))
+                if rule:
+                    value, held = rule[0](value), None if rule[1] else held
+                    continue
+            elif held is None and step.opens:
+                held = i
                 continue
-            todo, held = (held, *todo), None  # the held transform runs, then the step
-        elif held is None and step.opens and mask & step.used == step.used:
-            held = i
-            continue
-        for i in todo:
-            step = steps[i]
-            if step.permute and mask & step.used == step.used:
+            elif step.permute:
                 value = step.permute(value)
                 continue
-            if psi is None or mask & step.moved:
-                state._fixed, mask = (mask, value), mask & ~step.moved
-                value &= mask
-                psi = _expand(state, mask)
-                pos = {q: axis for axis, q in enumerate(_free(n, mask))}
-                resolved: dict[tuple, list] = {}
-            key = (i, value & step.used)
-            if key not in resolved:
-                resolved[key] = step.resolve(value, pos)
-            for kernel, *args in resolved[key]:
+            elif i is None:
+                break
+            state._fixed = (mask, value)
+            psi = _expand(state)
+            if held is not None:  # the held transform runs, then the step
+                todo, held = (held, *todo), None
+        for i in todo:
+            if i not in resolved:
+                resolved[i] = steps[i].resolve()
+            for kernel, *args in resolved[i]:
                 kernel(psi, *args)
-    state._fixed = (mask, value)
+    if psi is None:
+        state._fixed = (mask, value)
     return state
 
 
 class _Step(NamedTuple):
-    resolve: Callable  # (value, pos) -> [(kernel, *args), ...] on the tensor
-    moved: int         # mask of the qubits an H, X or SWAP targets
+    resolve: Callable  # () -> [(kernel, *args), ...] on the full tensor
     used: int          # mask of the qubits a gate targets or is controlled by
     permute: Callable | None = None  # (value) -> value: the step on the classical word
     key: tuple = ()    # the block's gate keys, which a held frame parses
@@ -372,7 +360,7 @@ class _Step(NamedTuple):
 
 
 # The end of the program reads every qubit, so it materialises a held frame.
-_END = _Step(None, 0, -1)
+_END = _Step(None, -1)
 
 
 def _mask(n: int, qubits: Iterable[int]) -> int:
@@ -417,24 +405,22 @@ def _gate_key(g: Gate) -> tuple:
 def _block_step(n: int, key: tuple) -> _Step:
     used = _mask(n, (q for _, targets, _, controls in key
                      for q in chain(targets, (c for c, _ in controls))))
-    moved = _mask(n, (q for kind, targets, _, _ in key if kind is not GateKind.PHASE
-                      for q in targets))
     fourier = _fourier_block(key)
     if fourier is not None:
         first, width, head, groups, tail = fourier
         if head and tail:
-            return _Step(partial(_shift_kernels, n, first, width, groups), moved, used,
+            return _Step(partial(_shift_kernels, first, width, groups), used,
                          _shift_word(n, first, width, groups))
         if not groups and width >= 2:
-            return _Step(partial(_fourier_kernels, first, width, 1 if head else -1), moved, used,
+            return _Step(partial(_fourier_kernels, first, width, 1 if head else -1), used,
                          opens=(first, width) if head else None)
-    if not moved:
-        return _Step(partial(_diagonal_kernels, n, key), moved, used)
+    if all(kind is GateKind.PHASE for kind, *_ in key):
+        return _Step(partial(_diagonal_kernels, n, key), used)
     if all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key):
         words = tuple(tuple(_word(n, p) for p in _pair(targets, controls))
                       for _, targets, _, controls in key)
-        return _Step(partial(_gate_kernels, n, key), moved, used, partial(_flip_bits, words))
-    return _Step(partial(_gate_kernels, n, key), moved, used)
+        return _Step(partial(_gate_kernels, key), used, partial(_flip_bits, words))
+    return _Step(partial(_gate_kernels, key), used)
 
 
 def _frame_rule(n: int, register: tuple[int, int], key: tuple) -> tuple[Callable, bool] | None:
@@ -553,70 +539,49 @@ def _fourier_block(key: tuple, register: tuple[int, int] | None = None
     return first, width, head, tuple(groups), tail
 
 
-def _tensor_pattern(n: int, pattern, value: int, pos: dict[int, int]):
-    """The (qubit, bit) pattern on the tensor's axes, renumbered by ``pos``,
-    with its classical qubits, those outside ``pos``, left out; None when
-    one of them does not hold its bit in the word's ``value``."""
-    fixed = []
-    for q, bit in pattern:
-        if q in pos:
-            fixed.append((pos[q], bit))
-        elif value >> (n - 1 - q) & 1 != bit:
-            return None
-    return fixed
-
-
-def _phase_fixed(n: int, gate: tuple, value: int, pos: dict[int, int]):
+def _phase_fixed(gate: tuple):
     """``(fixed, factor)`` for a PHASE gate's key: its target's 1 and its
-    controls as a pattern on the tensor (see :func:`_tensor_pattern`), and
-    the factor from the exact ratio; None where the pattern does not hold
-    or the angle is a whole number of turns, an exact identity."""
+    controls as one (qubit, bit) pattern, and the factor from the exact
+    ratio; None where the angle is a whole number of turns, an exact
+    identity."""
     _, (t,), turns, controls = gate
-    fixed = _tensor_pattern(n, ((t, 1), *controls), value, pos)
-    factor = None if fixed is None else _phase_factor(turns)
-    return None if factor is None else (fixed, factor)
+    factor = _phase_factor(turns)
+    return None if factor is None else (((t, 1), *controls), factor)
 
 
-def _gate_kernels(n: int, key: tuple, value: int, pos: dict[int, int]):
-    """``(kernel, *args)`` for each gate of the key that acts on the tensor
-    where the classical qubits hold their bits of ``value``, with its qubits
-    renumbered by ``pos``.  The two patterns of
-    :func:`~qftarith.qstate._pair` hold or fail together: no H, X or SWAP
-    target is classical here."""
+def _gate_kernels(key: tuple):
+    """``(kernel, *args)`` for each gate of the key: a PHASE gate's kick, or
+    the two patterns of :func:`~qftarith.qstate._pair` that an H mixes and
+    an X or SWAP exchanges."""
     kernels = []
     for gate in key:
         kind, targets, _, controls = gate
-        if kind is GateKind.PHASE:
-            kick = _phase_fixed(n, gate, value, pos)
-            if kick is not None:
-                kernels.append((_phase, *kick))
-            continue
-        a, b = (_tensor_pattern(n, pattern, value, pos) for pattern in _pair(targets, controls))
-        if a is not None:
-            kernels.append((_hadamard if kind is GateKind.HADAMARD else _exchange, a, b))
+        if kind is not GateKind.PHASE:
+            kernels.append((_hadamard if kind is GateKind.HADAMARD else _exchange,
+                            *_pair(targets, controls)))
+        elif (kick := _phase_fixed(gate)) is not None:
+            kernels.append((_phase, *kick))
     return kernels
 
 
-def _diagonal_kernels(n: int, key: tuple, value: int, pos: dict[int, int]):
-    """One multiply by the product of a PHASE block's kicks on the tensor,
-    by the table :func:`~qftarith.qstate._phase_table` builds; none if no
-    phase acts there."""
-    kicks = [kick for gate in key if (kick := _phase_fixed(n, gate, value, pos)) is not None]
-    return [(_diagonal, _phase_table(len(pos), kicks))] if kicks else []
+def _diagonal_kernels(n: int, key: tuple):
+    """One multiply by the product of a PHASE block's kicks, by the table
+    :func:`~qftarith.qstate._phase_table` builds; none if every angle is a
+    whole number of turns."""
+    kicks = [kick for gate in key if (kick := _phase_fixed(gate)) is not None]
+    return [(_diagonal, _phase_table(n, kicks))] if kicks else []
 
 
-def _shift_kernels(n: int, first: int, width: int, groups, value: int, pos: dict[int, int]):
-    """The sandwich on the tensor: one shift per kick group whose classical
-    controls hold, where its other controls hold.  The groups commute and
-    each roll is an exact permutation, so no two are merged."""
-    return [(_shift, pos[first], width, amount, fixed) for amount, controls in groups
-            if (fixed := _tensor_pattern(n, controls, value, pos)) is not None]
+def _shift_kernels(first: int, width: int, groups):
+    """The sandwich on the tensor: one shift per kick group, where its
+    controls hold.  The groups commute and each roll is an exact
+    permutation, so no two are merged."""
+    return [(_shift, first, width, amount, controls) for amount, controls in groups]
 
 
-def _fourier_kernels(first: int, width: int, sign: int, value: int, pos: dict[int, int]):
-    """The transform's one FFT on the tensor.  Its qubits are never
-    classical, because it mixes them."""
-    return [(_fourier, pos[first], width, sign)]
+def _fourier_kernels(first: int, width: int, sign: int):
+    """The transform's one FFT on the tensor."""
+    return [(_fourier, first, width, sign)]
 
 
 def inverse(circuit: Circuit) -> Circuit:

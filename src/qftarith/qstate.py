@@ -30,32 +30,25 @@ multiplies by a ``_phase_table`` that depends on the last k qubits, and
 ``_fourier`` runs the swap-free Fourier transform on a register of
 adjacent qubits, or its inverse, as one FFT with the register's axes
 reversed.  :func:`qftarith.circuit.run` calls the private kernels directly,
-because ``Gate`` and ``Circuit`` validated every gate on construction;
-that also lets it drive arrays that are only part of a state.  No other
-module of the package imports numpy, and this one imports it on first use:
-``np`` starts as a stand-in whose first attribute read imports numpy and
-rebinds ``np`` to it, so a process that only runs basis states through
-classical steps never loads numpy, and the kernels read the module
-itself.
+because ``Gate`` and ``Circuit`` validated every gate on construction.  No
+other module of the package imports numpy, and this one imports it on first
+use: ``np`` starts as a stand-in whose first attribute read imports numpy
+and rebinds ``np`` to it, so a process that only runs basis states through
+classical steps never loads numpy, and the kernels read the module itself.
 
-A :class:`StateVector` may be *compact*: a fixed word ``(mask, value)``
-of two ints in basis-index bit order (qubit q at bit n-1-q), the qubits set
-in ``mask`` holding their bits of ``value``, outside which every amplitude
-is exactly 0, plus a block of 2^r amplitudes over the r other qubits, in
-index order.  ``new_basis_state`` fixes every qubit, stores the index as
-the value and holds its one amplitude as a Python complex, so it needs no
-array at all; ``_expand`` makes it an array when a kernel needs one.  The
-public constructor builds a dense state, with no qubit fixed.  ``norm``,
-``amplitude``, ``extract_basis_index`` and ``StateVector.copy`` read the
-block, or the one complex, as it is.  Reading ``amplitudes`` expands the
-block into the full 2^n vector once, and the state stays dense from then
-on, so every public ``apply_*`` works on the full vector.  A compiled
-``run`` keeps a fixed qubit *classical* until a step moves it other than
-as a shift, an X and SWAP block on classical qubits alone, or a Fourier
-transform that it holds as a frame: it rewrites the bits, expands the
-block to the qubits such a step moves when it reaches that step, and
-writes the final bits back as the fixed word (see
-:func:`qftarith.circuit.run`).
+A :class:`StateVector` has one of two forms.  A *compact* basis state,
+as ``new_basis_state`` makes it, is the fixed word ``(mask, value)`` of two
+ints in basis-index bit order (qubit q at bit n-1-q), ``mask`` every qubit
+and ``value`` the index, and its one amplitude as a Python complex, so it
+needs no array at all.  A dense state, as the public constructor makes it,
+has the word ``(0, 0)`` and the full 2^n vector.  ``norm``, ``amplitude``,
+``extract_basis_index`` and ``StateVector.copy`` read either form as it
+is.  ``_expand`` turns a basis state into the dense vector, the one place
+where a state grows, after the budget check; reading ``amplitudes`` and
+every public ``apply_*`` go through it, so they work on the full vector,
+and the state stays dense from then on.  A compiled ``run`` keeps the
+word while each step is arithmetic on the index, and expands the state at
+the first step that is not (see :func:`qftarith.circuit.run`).
 
 All kernels mutate their amplitudes in place; the public ones return the
 state.  Distinct states may be driven from distinct threads concurrently;
@@ -101,17 +94,16 @@ class StateVector:
     """2^n complex amplitudes over ``num_qubits`` qubits, unit norm.
 
     Stored as the fixed word ``(mask, value)``, ints with qubit q at bit
-    n-1-q and ``value & ~mask == 0``, and a block: the amplitudes where
-    every qubit in ``mask`` holds its bit of ``value``, over the other
-    qubits in ascending order, as a flat C-contiguous array, or as one
-    Python complex when every qubit is fixed.  Every amplitude outside the
-    block is exactly 0.  The constructor copies and checks a full vector
-    and fixes no qubit; ``new_basis_state`` fixes every qubit.
+    n-1-q, and a block, in one of two forms: a basis state, the word
+    ``(all ones, index)`` and its one amplitude as a Python complex, every
+    other amplitude exactly 0; or a dense state, the word ``(0, 0)`` and
+    the full vector as a flat C-contiguous array.  The constructor copies
+    and checks a full vector; ``new_basis_state`` makes a basis state.
 
-    ``amplitudes`` is the full vector.  On a compact state the first read
-    expands the block into it, allocating 2^n amplitudes once; the state is
-    dense from then on, and every later read returns the same array, which
-    the caller may modify in place.
+    ``amplitudes`` is the full vector.  On a basis state the first read
+    expands it, allocating 2^n amplitudes once within the qubit budget; the
+    state is dense from then on, and every later read returns the same
+    array, which the caller may modify in place.
     """
 
     __slots__ = ("num_qubits", "_fixed", "_block")
@@ -135,7 +127,7 @@ class StateVector:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        _expand(self, 0)
+        _expand(self)
         return self._block
 
     def copy(self) -> "StateVector":
@@ -146,34 +138,27 @@ class StateVector:
 
 
 def _compact(num_qubits: int, fixed: tuple[int, int], block: np.ndarray | complex) -> StateVector:
-    """A state from trusted parts, with no copy and no check: ``fixed`` the
-    word ``(mask, value)``, ``block`` flat with one amplitude per value of
-    the qubits outside ``mask``, or a Python complex when ``mask`` holds
-    every qubit."""
+    """A state from trusted parts, with no copy and no check: a basis state,
+    ``fixed`` the word ``(all ones, index)`` and ``block`` its amplitude as a
+    Python complex, or a dense one, ``fixed`` ``(0, 0)`` and ``block`` the
+    flat vector."""
     state = object.__new__(StateVector)
     state.num_qubits, state._fixed, state._block = num_qubits, fixed, block
     return state
 
 
-def _free(num_qubits: int, mask: int) -> list[int]:
-    """The qubits outside ``mask``, in ascending order: the block's axes."""
-    return [q for q in range(num_qubits) if not mask >> (num_qubits - 1 - q) & 1]
-
-
-def _expand(state: StateVector, keep: int) -> np.ndarray:
-    """Widen the block to every qubit outside ``keep``, a submask of the
-    fixed mask, and return it as a ``(2,)*r`` tensor over those qubits.
-    When ``keep`` is the whole fixed mask nothing is allocated, except the
-    one-amplitude array that a Python complex amplitude becomes."""
-    n, (mask, value), block = state.num_qubits, state._fixed, np.atleast_1d(state._block)
-    rest = _free(n, keep)
-    if keep != mask:
-        wide = np.zeros((2,) * len(rest), dtype=np.complex128)
-        wide[tuple(value >> (n - 1 - q) & 1 if mask >> (n - 1 - q) & 1 else slice(None)
-                   for q in rest)] = block.reshape((2,) * len(_free(n, mask)))
-        state._fixed, block = (keep, value & keep), wide.reshape(-1)
-    state._block = block
-    return block.reshape((2,) * len(rest))
+def _expand(state: StateVector) -> np.ndarray:
+    """The state as a ``(2,)*n`` tensor over every qubit.  A basis state
+    becomes the dense vector here, the one place where a state grows, after
+    ``_check_budget``: past the budget it raises QubitBudgetExceeded before
+    anything of size 2^n is allocated.  A dense state is only reshaped."""
+    n, (mask, value) = state.num_qubits, state._fixed
+    if mask:
+        _check_budget(n)
+        block = np.zeros(1 << n, dtype=np.complex128)
+        block[value] = state._block
+        state._fixed, state._block = (0, 0), block
+    return state._block.reshape((2,) * n)
 
 
 def _check_budget(total_qubits: int) -> None:
@@ -201,15 +186,11 @@ def norm(state: StateVector) -> float:
 
 def amplitude(state: StateVector, index: int) -> complex:
     """Amplitude at one basis index, an integer."""
-    n, (mask, value) = state.num_qubits, state._fixed
-    index = _check_index(index, n)
-    if index & mask != value:
-        return 0j
-    if isinstance(state._block, complex):  # every qubit fixed, at this index
-        return state._block
-    free = _free(n, mask)
-    bits = tuple(index >> (n - 1 - q) & 1 for q in free)
-    return complex(state._block.reshape((2,) * len(free))[bits])
+    (mask, value), block = state._fixed, state._block
+    index = _check_index(index, state.num_qubits)
+    if mask:  # a basis state
+        return block if index == value else 0j
+    return complex(block[index])
 
 
 def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
@@ -220,15 +201,13 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
     """
     if not 0.0 < tol < 0.5:
         raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
-    n, (mask, best), block = state.num_qubits, state._fixed, state._block
-    if isinstance(block, complex):
-        position, prob = 0, abs(block) ** 2
+    (mask, best), block = state._fixed, state._block
+    if mask:  # a basis state
+        prob = abs(block) ** 2
     else:
         magnitudes = np.abs(block)
-        position = int(np.argmax(magnitudes))
-        prob = float(magnitudes[position]) ** 2
-    free = _free(n, mask)
-    best |= sum((position >> (len(free) - 1 - k) & 1) << (n - 1 - q) for k, q in enumerate(free))
+        best = int(np.argmax(magnitudes))
+        prob = float(magnitudes[best]) ** 2
     if prob < 1.0 - tol:
         raise NotBasisState(
             f"no dominant basis amplitude: max |amp|^2 = {prob:.6f} "
@@ -415,21 +394,21 @@ def apply_phase(
     _validate_qubits(state.num_qubits, (target,), controls)
     factor = _phase_factor(_validate_turns(phase_turns).as_integer_ratio())
     if factor is not None:  # a whole number of turns is an exact identity
-        _phase(_expand(state, 0), [(target, 1), *controls], factor)
+        _phase(_expand(state), [(target, 1), *controls], factor)
     return state
 
 
 def apply_hadamard(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """Standard 2x2 Hadamard on the target, subject to controls."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _hadamard(_expand(state, 0), *_pair((target,), controls))
+    _hadamard(_expand(state), *_pair((target,), controls))
     return state
 
 
 def apply_x(state: StateVector, target: int, controls: Controls = ()) -> StateVector:
     """NOT on the target: swaps amplitude pairs differing in the target bit."""
     _validate_qubits(state.num_qubits, (target,), controls)
-    _exchange(_expand(state, 0), *_pair((target,), controls))
+    _exchange(_expand(state), *_pair((target,), controls))
     return state
 
 
@@ -438,5 +417,5 @@ def apply_swap(
 ) -> StateVector:
     """Exchange two qubits: swaps amplitudes of the 01 and 10 target patterns."""
     _validate_qubits(state.num_qubits, (target_a, target_b), controls)
-    _exchange(_expand(state, 0), *_pair((target_a, target_b), controls))
+    _exchange(_expand(state), *_pair((target_a, target_b), controls))
     return state

@@ -40,13 +40,6 @@ def held_amplitudes(state: StateVector) -> int:
     return np.size(state._block)
 
 
-def fixed_word(num_qubits: int, pairs) -> tuple[int, int]:
-    """The ``(mask, value)`` word of ``(qubit, bit)`` pairs, as ``_compact``
-    takes it: qubit q at bit n-1-q."""
-    return (sum(1 << (num_qubits - 1 - q) for q, _ in pairs),
-            sum(bit << (num_qubits - 1 - q) for q, bit in pairs))
-
-
 def bit_reverse(index: int, width: int) -> int:
     return int(format(index, f"0{width}b")[::-1], 2)
 
@@ -150,44 +143,39 @@ def kernel_calls(monkeypatch):
 
 def classical_by_rule(circuit: Circuit) -> list[int]:
     """The qubits a compiled ``run`` keeps as bits when it starts from a
-    basis state, found from the circuit's gates: every qubit starts
-    classical, and the label blocks are walked in order.  A permutation
-    block (X and SWAP gates only, or a Fourier block with both transforms,
-    which ``_fourier_block`` recognises and tests/test_run_fusion.py holds
-    to modular addition) whose qubits are all still classical keeps them;
-    any other block drops every qubit it moves.
+    basis state, found from the circuit's gates: all of them while every
+    label block, walked in order, is a word step, and none from the first
+    block that is not.
 
-    The frame rule: a block that is the forward transform alone, on two or
-    more classical qubits, while no frame is held, opens a frame on its
-    register and keeps its qubits.  While the frame is held, a block that
-    uses none of the register passes by; one that parses on the register
-    as kick groups, possibly followed by the inverse transform, with every
-    qubit it uses classical, keeps them, and the inverse transform closes
-    the frame.  Any other block that uses the register, and the end of the
-    circuit, drop the register's qubits, and the block then follows the
-    rules above."""
-    classical, frame = set(range(circuit.num_qubits)), None
+    A permutation block (X and SWAP gates only, or a Fourier block with
+    both transforms, which ``_fourier_block`` recognises and
+    tests/test_run_fusion.py holds to modular addition) is a word step.  So
+    is a block that is the forward transform alone, on two or more qubits,
+    while no frame is held: it opens a frame on its register.  While the
+    frame is held, a block that uses none of the register passes by, and
+    is a word step if it is a permutation; one that parses on the register
+    as kick groups, possibly followed by the inverse transform, is a word
+    step, and the inverse transform closes the frame.  Any other block that
+    uses the register is not a word step, and a frame still held at the
+    end of the circuit expands the state too."""
+    frame = None
     for _, group in groupby(circuit.gates, key=lambda g: g.label):
         gates = list(group)
         used = {q for g in gates for q in (*g.targets, *(c for c, _ in g.controls))}
-        moved = {q for g in gates if g.kind is not GateKind.PHASE for q in g.targets}
         key = tuple(map(circuit_module._gate_key, gates))
         fourier = circuit_module._fourier_block(key)
         if frame is not None and used & set(frame):
             kicks = circuit_module._fourier_block(key, (frame[0], len(frame)))
-            if kicks is not None and not kicks[2] and used <= classical:
-                frame = None if kicks[4] else frame
-                continue
-            classical, frame = classical - set(frame), None
+            if kicks is None or kicks[2]:
+                return []
+            frame = None if kicks[4] else frame
         elif (frame is None and fourier is not None and fourier[2] and not fourier[3]
-              and not fourier[4] and fourier[1] >= 2 and used <= classical):
+              and not fourier[4] and fourier[1] >= 2):
             frame = range(fourier[0], fourier[0] + fourier[1])
-            continue
-        permutes = (all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
-                    or fourier is not None and fourier[2] and fourier[4])
-        if not (permutes and used <= classical):
-            classical -= moved
-    return sorted(classical - set(frame or ()))
+        elif not (all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
+                  or fourier is not None and fourier[2] and fourier[4]):
+            return []
+    return [] if frame is not None else list(range(circuit.num_qubits))
 
 
 PHASES = st.one_of(

@@ -1,10 +1,13 @@
-"""Compact states: a fixed ``(mask, value)`` word plus a block over the
-other qubits, as ``new_basis_state`` makes them and ``run`` leaves them.
+"""Compact states: a basis state held as its ``(mask, value)`` word with
+every qubit fixed and one amplitude, as ``new_basis_state`` makes it and
+``run`` leaves it while every step is a word step.
 
 ``run`` from a compact basis state must agree with ``run`` from the same
 basis state held densely and with the gate-by-gate reference; reading a
-compact state must not expand it, except through ``amplitudes``; and a
-basis-state run must hold only its populated slice in memory.
+compact state must not expand it, except through ``amplitudes``; a
+basis-state run that only permutes basis states must hold one amplitude;
+and expanding a basis state past the qubit budget must raise before it
+allocates the vector.
 """
 
 import tracemalloc
@@ -23,7 +26,6 @@ from conftest import (
     circuits,
     classical_by_rule,
     fixed_pairs,
-    fixed_word,
     held_amplitudes,
     run_gate_by_gate,
     step_kinds,
@@ -47,6 +49,7 @@ from qftarith.qstate import (
     StateVector,
     _compact,
     amplitude,
+    apply_hadamard,
     extract_basis_index,
     new_basis_state,
     norm,
@@ -150,21 +153,23 @@ class TestClassicalQubits:
         expected = run_gate_by_gate(circuit, new_basis_state(2, index)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
-    def test_a_qubit_stays_a_bit_until_a_step_mixes_it(self, monkeypatch):
-        """X(1) controlled on qubit 0, then H(0): the X acts on bits while
-        both are bits, and nothing after it moves qubit 1, so only qubit 0
-        is expanded and the block holds 2 amplitudes."""
+    def test_a_qubit_stays_a_bit_until_a_step_mixes_it(self, monkeypatch, kernel_calls):
+        """X(1) controlled on qubit 0, then H(0): the X acts on the word and
+        calls no kernel, and the H expands the whole state, which then
+        holds all 4 amplitudes."""
         monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         circuit = Circuit(2, (Gate.x(1, ((0, 1),), label="a"), Gate.hadamard(0, label="b")))
         state = run(circuit, new_basis_state(2, 0b10))
-        assert fixed_pairs(state) == ((1, 1),)
-        assert held_amplitudes(state) == 2
+        assert kernel_calls == [("_hadamard", 4)]
+        assert fixed_pairs(state) == ()
+        assert held_amplitudes(state) == 4
         expected = run_gate_by_gate(circuit, new_basis_state(2, 0b10)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
     def test_x_and_swap_blocks_act_on_bits(self, monkeypatch, kernel_calls):
         """Controlled X and SWAP gates permute the bits, and a phase read
-        after them sees the permuted bits, on every input."""
+        after them, which expands the state, sees the permuted bits, on
+        every input: one diagonal on the whole tensor per run."""
         monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         circuit = Circuit(4, (
             Gate.x(0, label="perm"),
@@ -175,11 +180,10 @@ class TestClassicalQubits:
         ))
         for index in range(16):
             state = run(circuit, new_basis_state(4, index))
-            assert len(fixed_pairs(state)) == 4
+            assert fixed_pairs(state) == ()
             expected = run_gate_by_gate(circuit, new_basis_state(4, index)).amplitudes
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
-        assert {name for name, _ in kernel_calls} == {"_diagonal"}
-        assert {size for _, size in kernel_calls} == {1}
+        assert kernel_calls == [("_diagonal", 16)] * 16
 
     @pytest.mark.parametrize("prepare", ["H", "X", None])
     def test_controlled_decrement(self, kernel_calls, prepare):
@@ -203,18 +207,17 @@ class TestClassicalQubits:
         expected = run_gate_by_gate(circuit, new_basis_state(10, index)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
-    def test_register_adder_rolls_once_per_classical_group_that_holds(self, kernel_calls):
-        """An H on a destination qubit puts the adder's sandwich on the
-        tensor while the source stays bits.  Each source bit that is 1 is
-        a group whose one classical control holds, and each is its own
-        roll, with the bits that are 0 dropped."""
+    def test_register_adder_on_the_tensor_rolls_once_per_group(self, kernel_calls):
+        """An H on a destination qubit expands the state, so the adder's
+        sandwich runs on the tensor: each source bit is a group, one roll
+        where its control holds."""
         layout = RegisterLayout([("a", 5), ("b", 5)])
         circuit = concat([Circuit(10, (Gate.hadamard(layout["b"][2], label="prepare"),)),
                           labeled(build_adder(layout), "add")])
         index = encode_registers(layout, {"a": 0b10110, "b": 9})
         state = run(circuit, new_basis_state(10, index))
-        assert [q for q, _ in fixed_pairs(state)] == list(layout["a"])
-        assert [name for name, _ in kernel_calls] == ["_hadamard", "_shift", "_shift", "_shift"]
+        assert fixed_pairs(state) == ()
+        assert [name for name, _ in kernel_calls] == ["_hadamard"] + ["_shift"] * 5
         expected = run_gate_by_gate(circuit, new_basis_state(10, index)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
@@ -276,23 +279,19 @@ class TestWordSteps:
 
 @st.composite
 def compact_states(draw):
-    """A compact state with random fixed pairs and a random block, and the
-    same state written out index by index."""
+    """A basis state, its one amplitude a Python complex of random phase,
+    or a dense state, a random flat vector; and the same state written out
+    index by index."""
     n = draw(st.integers(1, 6))
-    qubits = draw(st.sets(st.integers(0, n - 1)))
-    fixed = tuple((q, draw(st.integers(0, 1))) for q in sorted(qubits))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = 1 << (n - len(fixed))
-    block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    block /= np.linalg.norm(block)
     full = np.zeros(1 << n, dtype=complex)
-    position = 0
-    for index in range(1 << n):
-        bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
-        if all(bits[q] == bit for q, bit in fixed):
-            full[index] = block[position]  # the block runs in index order
-            position += 1
-    return _compact(n, fixed_word(n, fixed), block), full
+    if draw(st.booleans()):
+        index = draw(st.integers(0, (1 << n) - 1))
+        full[index] = complex(np.exp(2j * np.pi * rng.random()))
+        return _compact(n, ((1 << n) - 1, index), complex(full[index])), full
+    full += rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    full /= np.linalg.norm(full)
+    return _compact(n, (0, 0), full.copy()), full
 
 
 class TestReadingCompactStates:
@@ -317,9 +316,8 @@ class TestReadingCompactStates:
             assert amplitude(state, index) == full[index]
         duplicate = state.copy()
         assert fixed_pairs(state) == fixed and state._block is block  # nothing expanded
-        assert fixed_pairs(duplicate) == fixed and duplicate._block is not block
-        duplicate._block[0] += 1.0
-        assert state._block[0] == full[np.flatnonzero(full)[0]]
+        assert fixed_pairs(duplicate) == fixed
+        duplicate.amplitudes[np.flatnonzero(full)[0]] += 1.0  # the copy shares no array
         np.testing.assert_array_equal(state.amplitudes, full)
 
     @pytest.mark.parametrize("index", [0, 5, 11])
@@ -328,13 +326,13 @@ class TestReadingCompactStates:
         assert extract_basis_index(state) == index
         assert len(fixed_pairs(state)) == 4 and held_amplitudes(state) == 1
 
-    def test_superposition_left_compact_is_not_a_basis_state(self, monkeypatch):
-        """A lone H on qubit 2; qubit 0 is static and qubit 1 untouched, so
-        both stay fixed."""
+    def test_superposition_from_a_basis_state_is_not_a_basis_state(self, monkeypatch):
+        """A lone H on qubit 2, then a phase on qubit 0: the H expands the
+        basis state to all 8 amplitudes, of which two are nonzero."""
         monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         circuit = Circuit(3, (Gate.hadamard(2), Gate.phase(Fraction(1, 4), 0)))
         state = run(circuit, new_basis_state(3, 0b101))
-        assert fixed_pairs(state) == ((0, 1), (1, 0)) and held_amplitudes(state) == 2
+        assert fixed_pairs(state) == () and held_amplitudes(state) == 8
         with pytest.raises(NotBasisState, match="max \\|amp\\|\\^2 = 0.500000"):
             extract_basis_index(state)
         assert amplitude(state, 0b100) == pytest.approx(0.5**0.5 * 1j)
@@ -343,7 +341,9 @@ class TestReadingCompactStates:
 
 
 class TestMemory:
-    """tracemalloc peaks: a basis-state run holds its populated slice only."""
+    """tracemalloc peaks: a basis-state run of word steps holds one
+    amplitude, and a basis state past the budget is refused before its
+    vector is allocated."""
 
     @staticmethod
     def _peak(fn) -> int:
@@ -355,7 +355,8 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_multiply_n5_holds_its_slice_not_the_state(self):
-        """21 qubits: the dense state would take 32 MiB, the x slice 1 MiB."""
+        """21 qubits: the dense state would take 32 MiB; every step is a
+        word step, so the state holds one amplitude."""
         spec = MultiplierSpec.for_width(5)
         layout = multiplier_layout(spec)
         circuit = build_multiplier(spec)
@@ -397,6 +398,21 @@ class TestMemory:
 
     def test_basis_state_on_24_qubits_allocates_nothing_of_size_2n(self):
         assert self._peak(lambda: new_basis_state(24, 0xABCDEF)) < 1 << 20
+
+    def test_expanding_past_the_budget_raises_before_allocating(self):
+        """A basis state grows to its 2^n vector at one place, which checks
+        the budget first: a 30-qubit run that materialises a frame, a public
+        kernel call and a read of ``amplitudes`` each refuse, where the
+        vector would take 16 GiB."""
+        transform = build_qft(range(3), 30)
+        for expand in (lambda: run(transform, new_basis_state(30, 5)),
+                       lambda: apply_hadamard(new_basis_state(30, 0), 0),
+                       lambda: new_basis_state(30, 0).amplitudes):
+            def refused():
+                with pytest.raises(QubitBudgetExceeded, match="30 qubits would need 2\\^30"):
+                    expand()
+
+            assert self._peak(refused) < 1 << 20
 
     def test_budget_still_counts_the_whole_register(self, capsys):
         """An n=6 multiply's slice would fit, but the budget bounds all 25

@@ -2,10 +2,11 @@
 
 From a basis state, ``run`` keeps the register's field of the word as the
 value v of the state QFT|v>.  Kick groups on it add to the field, the
-inverse transform closes the frame, and any other use of the register, or
-the end of the run, materialises it as the transform it held back.  These
-tests hold every such run to the gate-by-gate reference, from compact and
-dense inputs, and count the kernels a frame saves.
+inverse transform closes the frame.  Any other use of the register, any
+step that expands the state, and the end of the run materialise it: the
+state is expanded and the transform it held back runs.  These tests hold
+every such run to the gate-by-gate reference, from compact and dense
+inputs, and count the kernels a frame saves.
 """
 
 from fractions import Fraction
@@ -95,8 +96,9 @@ def frame_circuits(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(circuit=frame_circuits(), data=st.data())
 def test_frames_match_the_reference_from_compact_and_dense_inputs(circuit, data):
-    """From a basis state the run keeps the qubits of the frame rule as
-    bits; from either input it equals the replay."""
+    """From a basis state the run keeps every qubit as a bit while the
+    frame rule holds, and none after; from either input it equals the
+    replay."""
     n = circuit.num_qubits
     index = data.draw(st.integers(0, (1 << n) - 1))
     compact = run(circuit, new_basis_state(n, index))
@@ -141,13 +143,13 @@ class TestFrameKernels:
             kernel_calls.clear()
 
     def test_a_frame_open_at_the_end_is_materialised(self, kernel_calls):
-        """No inverse transform: the end of the run expands the register
-        and makes the held transform's one FFT, on the sum."""
+        """No inverse transform: the end of the run expands the state and
+        makes the held transform's one FFT, on the sum."""
         n, reg = self.N, self.REGISTER
         circuit = _blocks(build_qft(reg, n), build_fourier_add_constant(reg, 11, (), n))
         state = run(circuit, new_basis_state(n, 0b1000101101))
-        assert kernel_calls == [("_fourier", 1 << len(reg))]
-        assert held_amplitudes(state) == 1 << len(reg)
+        assert kernel_calls == [("_fourier", 1 << n)]
+        assert held_amplitudes(state) == 1 << n
         self._check(circuit, 0b1000101101)
 
     def test_a_block_that_reads_the_register_materialises_the_frame(self, kernel_calls):
@@ -165,13 +167,14 @@ class TestFrameKernels:
                                                       "_fourier"]
 
     def test_a_superposed_control_materialises_the_frame(self, kernel_calls):
-        """An H on a kick group's control passes the frame by, but the group
-        then holds on one branch only: the frame is materialised, and the
-        kicks run as a diagonal."""
+        """An H on a kick group's control uses none of the register, but it
+        expands the state: the held transform runs first, then the H, and
+        the kicks, whose group holds on one branch only, run as a
+        diagonal."""
         n, reg = self.N, self.REGISTER
         circuit = _blocks(build_qft(reg, n), Circuit(n, (Gate.hadamard(0),)),
                           build_fourier_add_constant(reg, 9, ((0, 1),), n),
                           build_inverse_qft(reg, n))
         self._check(circuit, 0b0001010000)
-        assert [name for name, _ in kernel_calls] == ["_hadamard", "_fourier", "_diagonal",
+        assert [name for name, _ in kernel_calls] == ["_fourier", "_hadamard", "_diagonal",
                                                       "_fourier"]

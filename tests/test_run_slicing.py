@@ -4,9 +4,9 @@ dense matrices, and sized as the classical bits promise.
 Random circuits run from basis, sparse and dense inputs.  Below the fusion
 threshold ``run`` is the replay: every input, dense or compact, gets the
 reference's kernel calls on the full vector, so it must agree bitwise.
-Above it, from ``new_basis_state`` the
-qubits that gates only control or phase stay bits, so the kernels see only
-the amplitudes over the other qubits.
+Above it, from ``new_basis_state`` the state stays one word while every
+step permutes basis states, and the first other step expands it to the
+full vector, on which every later kernel runs.
 """
 
 from collections import Counter
@@ -244,9 +244,10 @@ class TestSliceSizes:
         expected = run_gate_by_gate(circuit, StateVector(n, amps)).amplitudes
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
-    def test_all_static_circuit_runs_on_zero_qubit_slices(self, kernel_calls):
-        """PHASE gates only, so from a basis state every qubit stays a bit
-        and every kernel sees the one amplitude."""
+    def test_all_static_circuit_runs_whole_from_its_first_block(self, kernel_calls):
+        """PHASE gates only: from a basis state the first block, a diagonal,
+        expands the state, so every kernel sees the whole tensor, one
+        diagonal per block."""
         n = 5
         circuit = Circuit(n, (
             Gate.phase(Fraction(1, 4), 0, ((1, 1),), "a"),
@@ -258,7 +259,7 @@ class TestSliceSizes:
         ))
         for index in (0b00011, 0b01010, 0b10110, 0b11111):
             state = run(circuit, new_basis_state(n, index))
-            assert len(fixed_pairs(state)) == n
+            assert fixed_pairs(state) == ()
             expected = run_gate_by_gate(circuit, new_basis_state(n, index)).amplitudes
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
-        assert kernel_calls and {size for _, size in kernel_calls} == {1}
+        assert kernel_calls == [("_diagonal", 1 << n)] * 5 * 4  # blocks a, b, a, c, b
