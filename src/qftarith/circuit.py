@@ -37,18 +37,19 @@ the word, or a block of X and SWAP gates, each exchanging the words of its
 two patterns.  A forward transform on a register is held back as a
 *frame*: the register's field keeps the value v of the state QFT|v>, a
 block of kick groups on it adds their amounts to the field, and the
-inverse transform closes it.  At the first other step, or at the end of
-the run while a frame is held, the state is expanded to the full vector
-once, the held transform runs, and every later step runs on the tensor
-(see :func:`run`).  So the decrement, the adder, the zero check and the
-whole multiplier, its accumulator a frame from its transform to its
-inverse, run from a basis state as arithmetic on the word and hold one
-amplitude.  The replay below the threshold is a program of one step of
-all the gates, run through the same loop.  Every step calls the trusted
-private kernels of :mod:`qftarith.qstate`: ``Gate`` and ``Circuit``
-validated every gate on construction.  Steps pass them axes, bits and
-factors, and this module imports no numpy: arrays are built in
-:mod:`~qftarith.qstate`.
+inverse transform closes it.  These rules read the steps, never the word,
+so a circuit's *word path* is compiled once and serves every basis input.
+Where it stops, at the first other step or at the end of the run while a
+frame is held, the state is expanded to the full vector once, the held
+transform runs, and every later step runs on the tensor (see :func:`run`).
+So the decrement, the adder, the zero check and the whole multiplier, its
+accumulator a frame from its transform to its inverse, run from a basis
+state as arithmetic on the word and hold one amplitude.  The replay below
+the threshold is a program of one step of all the gates, run through the
+same loop.  Every step calls the trusted private kernels of
+:mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated every gate on
+construction.  Steps pass them axes, bits and factors, and this module
+imports no numpy: arrays are built in :mod:`~qftarith.qstate`.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby
@@ -165,9 +166,12 @@ class Gate:
     # --------------------------------------------------------------------
 
     def inverse(self) -> "Gate":
-        """H, X and SWAP are involutions; PHASE negates its angle."""
+        """H, X and SWAP are involutions; PHASE negates its angle, in a copy
+        not checked again."""
         if self.kind is GateKind.PHASE:
-            return replace(self, phase_turns=-self.phase_turns)
+            copy = object.__new__(type(self))
+            copy.__dict__.update(self.__dict__, phase_turns=-self.phase_turns)
+            return copy
         return self
 
     def max_qubit(self) -> int:
@@ -264,21 +268,22 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     bitwise equal to it for every input.
 
     From that size up the circuit is compiled once per circuit object (see
-    :func:`_compile`), and the program is kept on the circuit outside its
-    fields, so not in ``==``, the hash, the repr or ``replace``.
+    :func:`_compile`), and the program and word path are kept on the
+    circuit outside its fields, so not in ``==``, the hash, the repr or
+    ``replace``.
 
-    One loop runs either program in order.  A dense state runs every step
-    on the full ``(2,)*n`` tensor.  A basis state keeps its index as the
-    classical word while each step is a *word step*: a step that permutes
-    basis states (a shift, or X and SWAP gates only) maps the word to a new
-    word and calls no kernel, and so do a frame's open, kicks and close.
-    At the first other step the state is expanded to the full vector, the
-    one place where the amplitudes held grow, after the budget check of
-    ``_expand``; that step and every later one run on the tensor.  Each
-    step is resolved to its kernel calls once per run: a gate or kick group
-    acts where a (qubit, bit) pattern holds, its controls with a PHASE
-    gate's target at 1, a sandwich is one shift per group, and a transform
-    is one FFT.
+    A dense state runs every step on the full ``(2,)*n`` tensor.  A basis
+    state keeps its index as the classical word while each step is a *word
+    step*: a step that permutes basis states (a shift, or X and SWAP gates
+    only) maps the word to a new word and calls no kernel, and so do a
+    frame's open, kicks and close.  The run applies the maps of the word
+    path (see :func:`_word_path`).  Where the path stops the state is
+    expanded to the full vector, the one place where the amplitudes held
+    grow, after the budget check of ``_expand``; that step and every later
+    one run on the tensor.  Each step is resolved to its kernel calls once
+    per run: a gate or kick group acts where a (qubit, bit) pattern holds,
+    its controls with a PHASE gate's target at 1, a sandwich is one shift
+    per group, and a transform is one FFT.
 
     A forward transform on a register, while the state is a word and no
     frame is held, opens a *frame*: the transform is held back, and the
@@ -307,47 +312,29 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
         raise QubitCountMismatch(f"circuit has {n} qubits, state has {state.num_qubits}")
     if n < _FUSE_FROM_QUBITS:
         replay = _Step(partial(_gate_kernels, tuple(map(_gate_key, circuit.gates))), -1)
-        steps, program, frames = [replay], [0], {}
+        steps, program, path = [replay], [0], ((), 0, None)
     else:
         # Frozen, so written through vars().  Threads racing here may compile
         # twice and keep either program: both are the same.
         if "_compiled" not in vars(circuit):
-            vars(circuit)["_compiled"] = (*_compile(n, circuit.gates), {})
-        steps, program, frames = vars(circuit)["_compiled"]
-    # ``held`` is the index of a forward transform whose register the word
-    # keeps in Fourier form; ``frames`` memoises what each step does to it
-    # (threads racing on one circuit may parse a step twice, to one rule).
-    (mask, value), held, resolved = state._fixed, None, {}
-    psi = None if mask else _expand(state)
-    for i in chain(program, [None]):
-        step, todo = (_END, ()) if i is None else (steps[i], (i,))
-        if psi is None:
-            if held is not None and step.used & steps[held].used:
-                if i is not None and (held, i) not in frames:
-                    frames[held, i] = _frame_rule(n, steps[held].opens, step.key)
-                rule = frames.get((held, i))
-                if rule:
-                    value, held = rule[0](value), None if rule[1] else held
-                    continue
-            elif held is None and step.opens:
-                held = i
-                continue
-            elif step.permute:
-                value = step.permute(value)
-                continue
-            elif i is None:
-                break
-            state._fixed = (mask, value)
-            psi = _expand(state)
-            if held is not None:  # the held transform runs, then the step
-                todo, held = (held, *todo), None
-        for i in todo:
-            if i not in resolved:
-                resolved[i] = steps[i].resolve()
-            for kernel, *args in resolved[i]:
-                kernel(psi, *args)
-    if psi is None:
+            steps, program = _compile(n, circuit.gates)
+            vars(circuit)["_compiled"] = steps, program, _word_path(n, steps, program)
+        steps, program, path = vars(circuit)["_compiled"]
+    (mask, value), todo = state._fixed, program
+    if mask:
+        maps, stop, held = path
+        for word_map in maps:
+            value = word_map(value)
         state._fixed = (mask, value)
+        if stop is None:
+            return state
+        todo = program[stop:] if held is None else [held, *program[stop:]]
+    psi, resolved = _expand(state), {}
+    for i in todo:
+        if i not in resolved:
+            resolved[i] = steps[i].resolve()
+        for kernel, *args in resolved[i]:
+            kernel(psi, *args)
     return state
 
 
@@ -357,10 +344,6 @@ class _Step(NamedTuple):
     permute: Callable | None = None  # (value) -> value: the step on the classical word
     key: tuple = ()    # the block's gate keys, which a held frame parses
     opens: tuple[int, int] | None = None  # (first, width) of a forward transform
-
-
-# The end of the program reads every qubit, so it materialises a held frame.
-_END = _Step(None, -1)
 
 
 def _mask(n: int, qubits: Iterable[int]) -> int:
@@ -393,6 +376,35 @@ def _compile(n: int, gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
             steps.append(_block_step(n, key)._replace(key=key))
         program.append(index)
     return steps, program
+
+
+def _word_path(n: int, steps: Sequence[_Step], program: Sequence[int]
+               ) -> tuple[tuple[Callable, ...], int | None, int | None]:
+    """``(maps, stop, held)`` for a run from a basis state: the word maps
+    of the program's steps (see :func:`run`) up to ``stop``, the position
+    of the first step that needs the tensor, None if none does, and the
+    index of the forward transform whose frame is held there, or None.
+    Every decision reads the steps, never the word, so one path serves
+    every input.  A frame held after the last step stops the path at
+    ``len(program)``: the held transform runs at the end.  A step is parsed
+    against a frame once, however often the program repeats it."""
+    maps, held, rules = [], None, {}
+    for stop, i in enumerate(program):
+        step = steps[i]
+        if held is not None and step.used & steps[held].used:
+            rule = rules.get((held, i)) or _frame_rule(n, steps[held].opens, step.key)
+            if rule is None:
+                return tuple(maps), stop, held
+            rules[held, i] = rule
+            maps.append(rule[0])
+            held = None if rule[1] else held
+        elif held is None and step.opens:
+            held = i
+        elif step.permute:
+            maps.append(step.permute)
+        else:
+            return tuple(maps), stop, held
+    return tuple(maps), None if held is None else len(program), held
 
 
 def _gate_key(g: Gate) -> tuple:
@@ -452,8 +464,11 @@ def _shift_bits(field: int, groups, value: int) -> int:
     value.  It adds the amounts of the groups whose controls hold; a group
     is ``(amount, mask, want)``, its amount shifted onto the field and its
     controls as a word."""
-    amount = sum(amount for amount, mask, want in groups if value & mask == want)
-    return value & ~field | (value + amount) & field
+    total = 0
+    for amount, mask, want in groups:
+        if value & mask == want:
+            total += amount
+    return value & ~field | (value + total) & field
 
 
 def _flip_bits(words: tuple, value: int) -> int:
@@ -667,9 +682,7 @@ def encode_register(layout: RegisterLayout, name: str, value: int) -> int:
 def decode_register(layout: RegisterLayout, name: str, index: int) -> int:
     """Integer held by one register inside a full basis index, an integer
     in [0, 2^num_qubits)."""
-    _check_index(index, layout.num_qubits)
-    width = layout.width(name)
-    return (index >> (layout.num_qubits - layout[name].stop)) & ((1 << width) - 1)
+    return decode_registers(layout, index)[name]
 
 
 def encode_registers(layout: RegisterLayout, values: Mapping[str, int]) -> int:
@@ -683,8 +696,10 @@ def encode_registers(layout: RegisterLayout, values: Mapping[str, int]) -> int:
 
 
 def decode_registers(layout: RegisterLayout, index: int) -> dict[str, int]:
-    """Per-register values decoded from a full basis index."""
-    return {name: decode_register(layout, name, index) for name in layout.names()}
+    """Per-register values decoded from a full basis index, checked once."""
+    index, n = _check_index(index, layout.num_qubits), layout.num_qubits
+    return {name: (index >> (n - r.stop)) & ((1 << len(r)) - 1)
+            for name, r in layout._ranges.items()}
 
 
 # -- circuit listing ------------------------------------------------------

@@ -79,7 +79,10 @@ class MultiplierSpec:
         return cls(n=n, m=2 * n, iterations=(1 << n) - 1)
 
 
+@lru_cache(maxsize=8)
 def multiplier_layout(spec: MultiplierSpec) -> RegisterLayout:
+    """The spec's registers, memoised per spec as :func:`build_multiplier` is:
+    equal specs share one layout, which has no mutator."""
     return RegisterLayout(
         [("accumulator", spec.m), ("x", spec.n), ("y", spec.n), ("control", 1)]
     )

@@ -218,8 +218,9 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
 
 def _is_integer(value) -> bool:
     """An integer, numpy's included.  A bool or a float is none, even where
-    it equals one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    it equals one.  A plain int, the common case, skips the ABC check."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _check_index(index: int, num_qubits: int) -> int:

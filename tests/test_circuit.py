@@ -1,6 +1,7 @@
 """Circuit data model: execution, inversion, register codecs, statistics,
 and the text listing format."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 
 import qftarith.circuit as circuit_module
 from conftest import circuit_matrix, random_state, run_gate_by_gate
-from qftarith.arith import build_decrement
+from qftarith.arith import (
+    build_adder,
+    build_decrement,
+    build_fourier_add_constant,
+    build_fourier_add_register,
+)
 from qftarith.circuit import (
     Circuit,
     CircuitStats,
@@ -33,7 +39,7 @@ from qftarith.errors import (
     QubitCountMismatch,
     ValueTooWide,
 )
-from qftarith.multiplier import MultiplierSpec, build_multiplier
+from qftarith.multiplier import MultiplierSpec, build_multiplier, build_zero_check
 from qftarith.qft import build_inverse_qft, build_qft
 from qftarith.qstate import (
     StateVector,
@@ -45,6 +51,23 @@ from qftarith.qstate import (
     new_basis_state,
     norm,
 )
+
+# Each builds one of the package's circuits at register width n, with a
+# float angle in the last.
+BUILDERS = {
+    "build_qft": lambda n: build_qft(range(n)),
+    "build_inverse_qft": lambda n: build_inverse_qft(range(1, n + 1)),
+    "build_fourier_add_constant": lambda n: build_fourier_add_constant(
+        range(n), 1 - (1 << n), ((n, 0),)),
+    "build_fourier_add_register": lambda n: build_fourier_add_register(
+        range(n), range(n, 2 * n), ((2 * n, 1),)),
+    "build_adder": lambda n: build_adder(RegisterLayout([("a", n), ("b", n)])),
+    "build_decrement": lambda n: build_decrement(RegisterLayout([("v", n)]), "v"),
+    "build_zero_check": lambda n: build_zero_check(range(n), n),
+    "build_multiplier": lambda n: build_multiplier(MultiplierSpec.for_width(n)),
+    "float angles": lambda n: Circuit(n + 1, tuple(
+        Gate.phase(0.1 * k - 0.3, k, ((n, 1),), label="f") for k in range(n))),
+}
 
 # Each takes a target and controls, with qubits 0 and 2 free for a second
 # target or a control.
@@ -343,6 +366,20 @@ class TestInverse:
     def test_structural_involution(self):
         circuit = build_qft(range(3)) + Circuit(3, (Gate.x(1, controls=((0, 0),)),))
         assert inverse(inverse(circuit)) == circuit
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_inverse_equals_the_checked_copy(self, builder, n):
+        """``inverse`` copies each PHASE gate without checking it again; the
+        result equals, gate for gate and angle type for angle type, the
+        reverse built through ``dataclasses.replace``, which checks every
+        gate."""
+        circuit = BUILDERS[builder](n)
+        reference = Circuit(circuit.num_qubits, tuple(
+            dataclasses.replace(g, phase_turns=-g.phase_turns) if g.kind is GateKind.PHASE
+            else g for g in reversed(circuit.gates)))
+        assert inverse(circuit) == reference
+        assert circuit_listing(inverse(circuit)) == circuit_listing(reference)
 
     def test_inverse_undoes_run(self):
         circuit = build_qft(range(3))

@@ -5,13 +5,15 @@ import dataclasses
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qftarith.arith import build_decrement, build_fourier_add_register
+from qftarith.arith import build_adder, build_decrement, build_fourier_add_register
 from qftarith.circuit import (
     Circuit,
+    RegisterLayout,
     concat,
     decode_register,
     decode_registers,
@@ -275,6 +277,31 @@ class TestMultiplyFunction:
         finally:
             sys.setswitchinterval(interval)
         assert products == [x * y for x, y in pairs]
+
+
+class TestClosedFormGateCounts:
+    """Gate counts by formula, so a budget can refuse a circuit before it
+    is built.  The transform on w qubits has w(w+1)/2 gates, the constant
+    adder of -1 one kick per wire, and the register adder from n qubits
+    into m has m - p kicks for the source bit of weight 2^p."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 6, 10, 20])
+    def test_adder_and_decrement(self, w):
+        adder = build_adder(RegisterLayout([("a", w), ("b", w)]))
+        assert len(adder) == 3 * w * (w + 1) // 2
+        assert len(build_decrement(RegisterLayout([("v", w)]), "v")) == w * (w + 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_multiplier(self, n):
+        for m, k in product((2 * n, 2 * n + 3), (0, 1, (1 << n) - 1)):
+            per_iteration = n * m - n * (n - 1) // 2 + n * (n + 2) + 1
+            expected = m * (m + 1) + 1 + k * per_iteration + n * (n + 2)
+            assert len(build_multiplier.__wrapped__(MultiplierSpec(n, m, k))) == expected
+
+    def test_hand_checked_counts(self):
+        assert len(build_multiplier(MultiplierSpec.for_width(5))) == 2502
+        assert len(build_decrement(RegisterLayout([("v", 20)]), "v")) == 440
+        assert len(build_adder(RegisterLayout([("a", 10), ("b", 10)]))) == 165
 
 
 class TestStructure:

@@ -2,8 +2,10 @@
 norm preservation, and readout."""
 
 import cmath
+import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from qftarith.circuit import Gate
 from qftarith.errors import DuplicateQubit, IndexOutOfRange, NotBasisState
 from qftarith.qstate import (
     StateVector,
+    _is_integer,
     amplitude,
     apply_hadamard,
     apply_phase,
@@ -277,3 +280,23 @@ def test_distinct_states_safe_across_threads():
         threaded = list(pool.map(workload, range(16)))
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value, integer", [
+    (3, True), (-(1 << 80), True), (_Level.HIGH, True), (_Count(3), True),
+    (np.int64(3), True), (np.uint8(3), True),
+    (True, False), (np.bool_(True), False), (3.0, False), (Fraction(3), False),
+    (Decimal(3), False), ("3", False), (None, False),
+])
+def test_is_integer_takes_ints_of_any_type_and_no_bool(value, integer):
+    """The plain-int fast path changes no answer: int subclasses and numpy
+    integers are integers, bools and numbers that merely equal one are not."""
+    assert _is_integer(value) is integer

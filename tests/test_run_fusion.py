@@ -29,13 +29,14 @@ from qftarith.circuit import (
     GateKind,
     RegisterLayout,
     concat,
+    decode_registers,
     encode_registers,
     labeled,
     run,
 )
 from qftarith.multiplier import MultiplierSpec, build_multiplier, multiplier_layout
 from qftarith.qft import build_inverse_qft, build_qft
-from qftarith.qstate import StateVector, _phase_table, new_basis_state
+from qftarith.qstate import StateVector, _phase_table, extract_basis_index, new_basis_state
 
 ATOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -294,6 +295,49 @@ class TestBuildAndCompileOnce:
             built_after.append(builds[0])
         assert compiles[0] == 1
         assert built_after[0] > 0 and set(built_after) == {built_after[0]}  # first call only
+
+    def test_a_second_basis_state_run_replays_the_word_path(self, monkeypatch, kernel_calls):
+        """The first basis-state run compiles the circuit and its word path,
+        parsing each distinct step that a held frame meets once, however
+        often the program repeats it.  A second run of the same circuit,
+        from another input, calls none of the parsers; nor does one whose
+        path stops early, at a frame still held at the end."""
+        calls = {name: [] for name in ("_compile", "_frame_rule", "_fourier_block")}
+        for name, found in calls.items():
+            def counting(*args, _real=getattr(circuit_module, name), _found=found):
+                _found.append(args)
+                return _real(*args)
+            monkeypatch.setattr(circuit_module, name, counting)
+
+        def counts():
+            return {name: len(found) for name, found in calls.items()}
+
+        spec = MultiplierSpec.for_width(3)
+        layout = multiplier_layout(spec)
+        circuit = build_multiplier.__wrapped__(spec)  # a fresh object, not yet compiled
+
+        def product(x, y):
+            index = encode_registers(layout, {"x": x, "y": y})
+            state = run(circuit, new_basis_state(layout.num_qubits, index))
+            return decode_registers(layout, extract_basis_index(state))["accumulator"]
+
+        assert product(5, 6) == 30
+        first = counts()
+        # seven adds, then the inverse transform: two distinct steps, each parsed once
+        assert first["_compile"] == 1 and first["_frame_rule"] == 2
+        assert product(7, 3) == 21 and counts() == first
+        assert kernel_calls == []
+
+        register = range(2, 7)
+        held_at_end = labeled(build_qft(register, 10), "qft") + build_fourier_add_constant(
+            register, 11, (), 10)
+        for index in (0b1000101101, 0b0011100110):
+            first = counts()
+            expected = run_gate_by_gate(held_at_end, new_basis_state(10, index)).amplitudes
+            state = run(held_at_end, new_basis_state(10, index))
+            np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
+        assert counts() == first
+        assert [name for name, _ in kernel_calls] == ["_fourier", "_fourier"]
 
     def test_the_fuse_setting_keys_the_compiled_program(self, monkeypatch, kernel_calls):
         """The same memoised circuit runs compiled (shifts, diagonals and FFTs)
