@@ -29,27 +29,31 @@ register adder.  The steps are:
   the product of their phases;
 * *gates* for anything else, one kernel call each.
 
-A state is one of two forms: a basis state, its index one classical
-word in basis-index bit order as ``encode_register`` places registers, or
-the dense vector.  :func:`run` keeps the word while each step is a *word
-step*, which calls no kernel: a shift, one add on the register's field of
-the word, or a block of X and SWAP gates, each exchanging the words of its
-two patterns.  A forward transform on a register is held back as a
-*frame*: the register's field keeps the value v of the state QFT|v>, a
-block of kick groups on it adds their amounts to the field, and the
-inverse transform closes it.  These rules read the steps, never the word,
-so a circuit's *word path* is compiled once and serves every basis input.
-Where it stops, at the first other step or at the end of the run while a
-frame is held, the state is expanded to the full vector once, the held
-transform runs, and every later step runs on the tensor (see :func:`run`).
-So the decrement, the adder, the zero check and the whole multiplier, its
-accumulator a frame from its transform to its inverse, run from a basis
-state as arithmetic on the word and hold one amplitude.  The replay below
-the threshold is a program of one step of all the gates, run through the
-same loop.  Every step calls the trusted private kernels of
-:mod:`qftarith.qstate`: ``Gate`` and ``Circuit`` validated every gate on
-construction.  Steps pass them axes, bits and factors, and this module
-imports no numpy: arrays are built in :mod:`~qftarith.qstate`.
+A state is one of two forms: a basis state, its index an int in
+basis-index bit order as ``encode_register`` places registers, or the
+dense vector.  :func:`run` keeps the index while each step is a *word
+step*, which calls no kernel and maps the index by masked adds (see
+:func:`_shift_bits`): a shift is one add on the register's field of the
+index, and a block of X and SWAP gates is one add of 1 on a one-bit field
+per X, where its controls hold, and three per SWAP.  A forward transform
+on a register is held back as a *frame*: the register's field keeps the
+value v of the state QFT|v>, and a block of kick groups on it adds their
+amounts to the field, as a sandwich does: by Draper's identity
+(arXiv:quant-ph/0008033) a group of amount c maps QFT|v> to QFT|v + c>
+exactly.  The inverse transform closes the frame at no cost.  These rules
+read the steps, never the index, so a circuit's *word path* is compiled
+once and serves every basis input.  Where it stops, at the first other
+step or at the end of the run while a frame is held, the state is
+expanded to the full vector once, the held transform runs, and every
+later step runs on the tensor.  So the decrement, the adder, the zero
+check and the whole multiplier, its accumulator a frame from its
+transform to its inverse, run from a basis state as arithmetic on the
+index and allocate no vector.  The replay below the threshold is a
+program of one step of all the gates, run through the same loop.  Every
+step calls the trusted private kernels of :mod:`qftarith.qstate`:
+``Gate`` and ``Circuit`` validated every gate on construction.  Steps
+pass them axes, bits and factors, and this module imports no numpy:
+arrays are built in :mod:`~qftarith.qstate`.
 
 Text listing format (one gate per line, stable, used by the CLI's
 ``--emit-circuit``)::
@@ -114,10 +118,11 @@ class Gate:
     """One primitive operation: kind, target(s), optional phase and controls.
 
     ``targets`` is stored as a tuple and ``controls`` as a tuple of
-    ``(qubit, polarity)`` tuples, whatever sequences they were given as, so
-    equal gates compare and hash equal.  A ``kind`` that is no
-    :class:`GateKind` raises ValueError, and a ``label`` that is neither
-    None nor a str raises TypeError.
+    ``(qubit, polarity)`` tuples, of Python ints, whatever sequences and
+    integers they were given as, so equal gates compare and hash equal, and
+    a numpy integer cannot overflow the wide masks of a basis-state run.
+    A ``kind`` that is no :class:`GateKind` raises ValueError, and a
+    ``label`` that is neither None nor a str raises TypeError.
     """
 
     kind: GateKind
@@ -129,16 +134,20 @@ class Gate:
     def __post_init__(self):
         if not isinstance(self.kind, GateKind):
             raise ValueError(f"gate kind must be a GateKind, got {self.kind!r}")
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "controls", tuple(map(tuple, self.controls)))
+        targets, controls = tuple(self.targets), tuple(map(tuple, self.controls))
         arity = 2 if self.kind is GateKind.SWAP else 1
-        if len(self.targets) != arity:
-            raise ValueError(f"{self.kind.value} takes {arity} target(s), got {self.targets}")
+        if len(targets) != arity:
+            raise ValueError(f"{self.kind.value} takes {arity} target(s), got {targets}")
         if self.kind is GateKind.PHASE:  # a numpy scalar is keyed and listed as Python's
             object.__setattr__(self, "phase_turns", _validate_turns(self.phase_turns))
         elif self.phase_turns is not None:
             raise ValueError(f"{self.kind.value} takes no phase")
-        _validate_qubits(None, self.targets, self.controls)
+        _validate_qubits(None, targets, controls)
+        if any(type(q) is not int for q in chain(targets, *controls)):
+            targets = tuple(map(int, targets))
+            controls = tuple((int(q), int(pol)) for q, pol in controls)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "controls", controls)
         _check_label(self.label)
 
     # -- constructors ---------------------------------------------------
@@ -189,7 +198,7 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        _validate_count(self.num_qubits)
+        object.__setattr__(self, "num_qubits", _validate_count(self.num_qubits))
         for g in self.gates:
             if not isinstance(g, Gate):
                 raise TypeError(f"a circuit holds Gate objects, got {g!r}")
@@ -268,39 +277,14 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     bitwise equal to it for every input.
 
     From that size up the circuit is compiled once per circuit object (see
-    :func:`_compile`), and the program and word path are kept on the
-    circuit outside its fields, so not in ``==``, the hash, the repr or
-    ``replace``.
-
-    A dense state runs every step on the full ``(2,)*n`` tensor.  A basis
-    state keeps its index as the classical word while each step is a *word
-    step*: a step that permutes basis states (a shift, or X and SWAP gates
-    only) maps the word to a new word and calls no kernel, and so do a
-    frame's open, kicks and close.  The run applies the maps of the word
-    path (see :func:`_word_path`).  Where the path stops the state is
-    expanded to the full vector, the one place where the amplitudes held
-    grow, after the budget check of ``_expand``; that step and every later
-    one run on the tensor.  Each step is resolved to its kernel calls once
-    per run: a gate or kick group acts where a (qubit, bit) pattern holds,
-    its controls with a PHASE gate's target at 1, a sandwich is one shift
-    per group, and a transform is one FFT.
-
-    A forward transform on a register, while the state is a word and no
-    frame is held, opens a *frame*: the transform is held back, and the
-    register's field of the word keeps the value v of the state QFT|v>,
-    the rest of the state untouched.  While it is held, a step that uses
-    none of the register passes by.  A block that parses on the register
-    as kick groups (see :func:`_fourier_block`), possibly ending with the
-    inverse transform, adds the amounts of the groups whose controls hold
-    to the field, as a sandwich does: by Draper's identity
-    (arXiv:quant-ph/0008033) a group of amount c maps QFT|v> to QFT|v + c>
-    exactly.  The inverse transform closes the frame at no cost, and v
-    stays in the word.  Any other step that uses the register, any step
-    that expands the state, and the end of the program first *materialise*
-    the frame: the state is expanded, the held transform makes its one FFT,
-    and the step then runs.  What each step does to a frame is parsed once
-    per circuit object.  From ``new_basis_state`` the multiplier, the adder
-    and the decrement so hold one amplitude and call no kernel.
+    :func:`_compile`), and the program and word path (see
+    :func:`_word_path`) are kept on the circuit outside its fields, so not
+    in ``==``, the hash, the repr or ``replace``.  A basis state runs the
+    path's word maps on its index.  Where the path stops the state is
+    expanded to the full vector, the one place where a state grows, after
+    the budget check of ``_expand``; the held transform, if any, that step
+    and every later one run on the tensor, as a dense state runs every
+    step.  Each step is resolved to its kernel calls once per run.
 
     The compiled run agrees with the replay within rounding: a phase table
     multiplies by a product of factors, a shift moves whole amplitudes that
@@ -320,12 +304,12 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
             steps, program = _compile(n, circuit.gates)
             vars(circuit)["_compiled"] = steps, program, _word_path(n, steps, program)
         steps, program, path = vars(circuit)["_compiled"]
-    (mask, value), todo = state._fixed, program
-    if mask:
+    index, todo = state._index, program
+    if index is not None:
         maps, stop, held = path
-        for word_map in maps:
-            value = word_map(value)
-        state._fixed = (mask, value)
+        for field, groups in maps:
+            index = _shift_bits(field, groups, index)
+        state._index = index
         if stop is None:
             return state
         todo = program[stop:] if held is None else [held, *program[stop:]]
@@ -341,7 +325,7 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
 class _Step(NamedTuple):
     resolve: Callable  # () -> [(kernel, *args), ...] on the full tensor
     used: int          # mask of the qubits a gate targets or is controlled by
-    permute: Callable | None = None  # (value) -> value: the step on the classical word
+    permute: tuple = ()  # word maps, (field, groups) each: the step on a basis index
     key: tuple = ()    # the block's gate keys, which a held frame parses
     opens: tuple[int, int] | None = None  # (first, width) of a forward transform
 
@@ -352,8 +336,8 @@ def _mask(n: int, qubits: Iterable[int]) -> int:
 
 
 def _word(n: int, pattern: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """``(mask, value)`` of a (qubit, bit) pattern, as ``StateVector`` holds
-    its fixed qubits."""
+    """``(mask, want)`` of a (qubit, bit) pattern: a basis index matches it
+    where ``index & mask == want``."""
     return _mask(n, (q for q, _ in pattern)), _mask(n, (q for q, bit in pattern if bit))
 
 
@@ -379,13 +363,13 @@ def _compile(n: int, gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
 
 
 def _word_path(n: int, steps: Sequence[_Step], program: Sequence[int]
-               ) -> tuple[tuple[Callable, ...], int | None, int | None]:
+               ) -> tuple[tuple[tuple, ...], int | None, int | None]:
     """``(maps, stop, held)`` for a run from a basis state: the word maps
-    of the program's steps (see :func:`run`) up to ``stop``, the position
-    of the first step that needs the tensor, None if none does, and the
-    index of the forward transform whose frame is held there, or None.
-    Every decision reads the steps, never the word, so one path serves
-    every input.  A frame held after the last step stops the path at
+    (see :func:`_shift_bits`) of the program's steps up to ``stop``, the
+    position of the first step that needs the tensor, None if none does,
+    and the index of the forward transform whose frame is held there, or
+    None.  Every decision reads the steps, never the index, so one path
+    serves every input.  A frame held after the last step stops the path at
     ``len(program)``: the held transform runs at the end.  A step is parsed
     against a frame once, however often the program repeats it."""
     maps, held, rules = [], None, {}
@@ -401,7 +385,7 @@ def _word_path(n: int, steps: Sequence[_Step], program: Sequence[int]
         elif held is None and step.opens:
             held = i
         elif step.permute:
-            maps.append(step.permute)
+            maps += step.permute
         else:
             return tuple(maps), stop, held
     return tuple(maps), None if held is None else len(program), held
@@ -422,21 +406,25 @@ def _block_step(n: int, key: tuple) -> _Step:
         first, width, head, groups, tail = fourier
         if head and tail:
             return _Step(partial(_shift_kernels, first, width, groups), used,
-                         _shift_word(n, first, width, groups))
+                         (_shift_word(n, first, width, groups),))
         if not groups and width >= 2:
             return _Step(partial(_fourier_kernels, first, width, 1 if head else -1), used,
                          opens=(first, width) if head else None)
     if all(kind is GateKind.PHASE for kind, *_ in key):
         return _Step(partial(_diagonal_kernels, n, key), used)
     if all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key):
-        words = tuple(tuple(_word(n, p) for p in _pair(targets, controls))
-                      for _, targets, _, controls in key)
-        return _Step(partial(_gate_kernels, key), used, partial(_flip_bits, words))
+        # X flips its target where its controls hold; SWAP(a, b) is three
+        # such flips: b where a is 1, a where b is 1, b where a is 1.
+        flips = [flip for _, targets, _, controls in key for flip in (
+            [(targets[0], controls)] if len(targets) == 1 else
+            [(b, ((a, 1), *controls)) for a, b in (targets, targets[::-1], targets)])]
+        return _Step(partial(_gate_kernels, key), used,
+                     tuple(_shift_word(n, t, 1, ((1, c),)) for t, c in flips))
     return _Step(partial(_gate_kernels, key), used)
 
 
-def _frame_rule(n: int, register: tuple[int, int], key: tuple) -> tuple[Callable, bool] | None:
-    """``(permute, closes)`` for a block on a register that a held frame
+def _frame_rule(n: int, register: tuple[int, int], key: tuple) -> tuple[tuple, bool] | None:
+    """``(word map, closes)`` for a block on a register that a held frame
     keeps in Fourier form: the block's kick groups as one add on the
     register's field of the word, and whether the block ends with the
     inverse transform, which closes the frame.  None for a block that is no
@@ -449,36 +437,29 @@ def _frame_rule(n: int, register: tuple[int, int], key: tuple) -> tuple[Callable
     return _shift_word(n, first, width, groups), tail
 
 
-def _shift_word(n: int, first: int, width: int, groups) -> Callable:
-    """Kick groups on the register ``first`` .. ``first + width - 1`` as
-    :func:`_shift_bits` on its field of the word: each amount shifted onto
-    the field, and its controls as a word."""
+def _shift_word(n: int, first: int, width: int, groups) -> tuple[int, tuple]:
+    """Kick groups on the register ``first`` .. ``first + width - 1`` as the
+    word map ``(field, groups)`` that :func:`_shift_bits` applies: the
+    register's field of the index, and per group its amount, reduced
+    modulo 2^width and shifted onto the field, and its controls as a
+    pattern's ``(mask, want)``.  A map holds non-negative ints only."""
     low = n - first - width
-    words = tuple((amount << low, *_word(n, controls)) for amount, controls in groups)
-    return partial(_shift_bits, ((1 << width) - 1) << low, words)
+    return (((1 << width) - 1) << low,
+            tuple(((amount % (1 << width)) << low, *_word(n, controls))
+                  for amount, controls in groups))
 
 
 def _shift_bits(field: int, groups, value: int) -> int:
-    """A sandwich, or kick groups on a held frame, on the classical word:
-    one add, modulo the field's width, on the register's ``field`` of the
-    value.  It adds the amounts of the groups whose controls hold; a group
-    is ``(amount, mask, want)``, its amount shifted onto the field and its
-    controls as a word."""
+    """One word map on a basis index: one add, modulo the field's width, on
+    its ``field``, of the amounts of the groups ``(amount, mask, want)``
+    whose controls hold.  Every word step is such adds: a sandwich or kick
+    groups on a held frame on the register's field, and an X gate an add
+    of 1 on its target's one-bit field."""
     total = 0
     for amount, mask, want in groups:
         if value & mask == want:
             total += amount
     return value & ~field | (value + total) & field
-
-
-def _flip_bits(words: tuple, value: int) -> int:
-    """A block of X and SWAP gates on the classical word, gate by gate:
-    each exchanges the words of the two patterns that
-    :func:`~qftarith.qstate._pair` gives, which share one mask."""
-    for (mask, a), (_, b) in words:
-        if value & mask in (a, b):
-            value ^= a ^ b
-    return value
 
 
 def _qft_key(qs: Sequence[int], sign: int) -> list[tuple]:
@@ -646,6 +627,7 @@ class RegisterLayout:
                 raise ValueError(f"duplicate register name {name!r}")
             if not _is_integer(width) or width < 1:
                 raise ValueError(f"register {name!r} needs an integer width >= 1, got {width!r}")
+            width = int(width)
             if name == "control" and width != 1:
                 raise ValueError(f"control register must have width 1, got {width}")
             self._ranges[name] = range(start, start + width)

@@ -36,19 +36,17 @@ use: ``np`` starts as a stand-in whose first attribute read imports numpy
 and rebinds ``np`` to it, so a process that only runs basis states through
 classical steps never loads numpy, and the kernels read the module itself.
 
-A :class:`StateVector` has one of two forms.  A *compact* basis state,
-as ``new_basis_state`` makes it, is the fixed word ``(mask, value)`` of two
-ints in basis-index bit order (qubit q at bit n-1-q), ``mask`` every qubit
-and ``value`` the index, and its one amplitude as a Python complex, so it
-needs no array at all.  A dense state, as the public constructor makes it,
-has the word ``(0, 0)`` and the full 2^n vector.  ``norm``, ``amplitude``,
-``extract_basis_index`` and ``StateVector.copy`` read either form as it
-is.  ``_expand`` turns a basis state into the dense vector, the one place
-where a state grows, after the budget check; reading ``amplitudes`` and
-every public ``apply_*`` go through it, so they work on the full vector,
-and the state stays dense from then on.  A compiled ``run`` keeps the
-word while each step is arithmetic on the index, and expands the state at
-the first step that is not (see :func:`qftarith.circuit.run`).
+A :class:`StateVector` has one of two forms.  A basis state, as
+``new_basis_state`` makes it, is its index, a Python int: its one nonzero
+amplitude is exactly 1, so it needs no array at all.  A dense state, as
+the public constructor makes it, is the full 2^n vector.  ``norm``,
+``amplitude``, ``extract_basis_index`` and ``StateVector.copy`` read
+either form as it is.  ``_expand`` turns a basis state into the dense
+vector, the one place where a state grows, after the budget check; reading
+``amplitudes`` and every public ``apply_*`` go through it, so they work on
+the full vector, and the state stays dense from then on.  A compiled
+``run`` keeps the index while each step is arithmetic on it, and expands
+the state at the first step that is not (see :func:`qftarith.circuit.run`).
 
 All kernels mutate their amplitudes in place; the public ones return the
 state.  Distinct states may be driven from distinct threads concurrently;
@@ -93,12 +91,11 @@ np = _Numpy()
 class StateVector:
     """2^n complex amplitudes over ``num_qubits`` qubits, unit norm.
 
-    Stored as the fixed word ``(mask, value)``, ints with qubit q at bit
-    n-1-q, and a block, in one of two forms: a basis state, the word
-    ``(all ones, index)`` and its one amplitude as a Python complex, every
-    other amplitude exactly 0; or a dense state, the word ``(0, 0)`` and
-    the full vector as a flat C-contiguous array.  The constructor copies
-    and checks a full vector; ``new_basis_state`` makes a basis state.
+    Stored in one of two forms: a basis state, ``_index`` its index as a
+    Python int and ``_block`` None, its amplitude there exactly 1 and every
+    other exactly 0; or a dense state, ``_index`` None and ``_block`` the
+    full vector as a flat C-contiguous array.  The constructor copies and
+    checks a full vector; ``new_basis_state`` makes a basis state.
 
     ``amplitudes`` is the full vector.  On a basis state the first read
     expands it, allocating 2^n amplitudes once within the qubit budget; the
@@ -106,10 +103,10 @@ class StateVector:
     array, which the caller may modify in place.
     """
 
-    __slots__ = ("num_qubits", "_fixed", "_block")
+    __slots__ = ("num_qubits", "_index", "_block")
 
     def __init__(self, num_qubits: int, amplitudes: Iterable[complex]):
-        _validate_count(num_qubits)
+        num_qubits = _validate_count(num_qubits)
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (1 << num_qubits,):
             raise ValueError(
@@ -122,7 +119,7 @@ class StateVector:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"state must be normalized: sum |amp|^2 = {total!r}")
         self.num_qubits = num_qubits
-        self._fixed = (0, 0)
+        self._index = None
         self._block = amps
 
     @property
@@ -131,33 +128,33 @@ class StateVector:
         return self._block
 
     def copy(self) -> "StateVector":
-        return _compact(self.num_qubits, self._fixed, copy.copy(self._block))
+        return _compact(self.num_qubits, self._index, copy.copy(self._block))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
-def _compact(num_qubits: int, fixed: tuple[int, int], block: np.ndarray | complex) -> StateVector:
+def _compact(num_qubits: int, index: int | None, block: np.ndarray | None) -> StateVector:
     """A state from trusted parts, with no copy and no check: a basis state,
-    ``fixed`` the word ``(all ones, index)`` and ``block`` its amplitude as a
-    Python complex, or a dense one, ``fixed`` ``(0, 0)`` and ``block`` the
-    flat vector."""
+    ``index`` a Python int and ``block`` None, or a dense one, ``index``
+    None and ``block`` the flat vector."""
     state = object.__new__(StateVector)
-    state.num_qubits, state._fixed, state._block = num_qubits, fixed, block
+    state.num_qubits, state._index, state._block = num_qubits, index, block
     return state
 
 
 def _expand(state: StateVector) -> np.ndarray:
     """The state as a ``(2,)*n`` tensor over every qubit.  A basis state
-    becomes the dense vector here, the one place where a state grows, after
-    ``_check_budget``: past the budget it raises QubitBudgetExceeded before
-    anything of size 2^n is allocated.  A dense state is only reshaped."""
-    n, (mask, value) = state.num_qubits, state._fixed
-    if mask:
+    becomes the dense vector here, exactly 1 at its index, the one place
+    where a state grows, after ``_check_budget``: past the budget it raises
+    QubitBudgetExceeded before anything of size 2^n is allocated.  A dense
+    state is only reshaped."""
+    n = state.num_qubits
+    if state._index is not None:
         _check_budget(n)
         block = np.zeros(1 << n, dtype=np.complex128)
-        block[value] = state._block
-        state._fixed, state._block = (0, 0), block
+        block[state._index] = 1
+        state._index, state._block = None, block
     return state._block.reshape((2,) * n)
 
 
@@ -170,27 +167,23 @@ def _check_budget(total_qubits: int) -> None:
 
 
 def new_basis_state(num_qubits: int, index: int) -> StateVector:
-    """Computational-basis state |index> on ``num_qubits`` qubits: compact,
-    with every qubit fixed and one amplitude, a Python complex; the index
-    must be an integer."""
-    _validate_count(num_qubits)
-    index = _check_index(index, num_qubits)
-    return _compact(num_qubits, ((1 << num_qubits) - 1, index), 1 + 0j)
+    """Computational-basis state |index> on ``num_qubits`` qubits, held as
+    its index alone; the index must be an integer."""
+    num_qubits = _validate_count(num_qubits)
+    return _compact(num_qubits, _check_index(index, num_qubits), None)
 
 
 def norm(state: StateVector) -> float:
     """Euclidean norm of the amplitude vector."""
-    block = state._block
-    return abs(block) if isinstance(block, complex) else float(np.linalg.norm(block))
+    return 1.0 if state._index is not None else float(np.linalg.norm(state._block))
 
 
 def amplitude(state: StateVector, index: int) -> complex:
     """Amplitude at one basis index, an integer."""
-    (mask, value), block = state._fixed, state._block
     index = _check_index(index, state.num_qubits)
-    if mask:  # a basis state
-        return block if index == value else 0j
-    return complex(block[index])
+    if state._index is not None:
+        return complex(index == state._index)
+    return complex(state._block[index])
 
 
 def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
@@ -201,13 +194,11 @@ def extract_basis_index(state: StateVector, tol: float = 1e-9) -> int:
     """
     if not 0.0 < tol < 0.5:
         raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
-    (mask, best), block = state._fixed, state._block
-    if mask:  # a basis state
-        prob = abs(block) ** 2
-    else:
-        magnitudes = np.abs(block)
-        best = int(np.argmax(magnitudes))
-        prob = float(magnitudes[best]) ** 2
+    if state._index is not None:
+        return state._index
+    magnitudes = np.abs(state._block)
+    best = int(np.argmax(magnitudes))
+    prob = float(magnitudes[best]) ** 2
     if prob < 1.0 - tol:
         raise NotBasisState(
             f"no dominant basis amplitude: max |amp|^2 = {prob:.6f} "
@@ -224,8 +215,8 @@ def _is_integer(value) -> bool:
 
 
 def _check_index(index: int, num_qubits: int) -> int:
-    """Returns the index as a Python int, so a numpy integer meets the word's
-    wide masks without overflow."""
+    """Returns the index as a Python int, so a numpy integer meets the wide
+    masks of a basis-state run without overflow."""
     if not _is_integer(index) or not 0 <= index < 1 << num_qubits:
         raise IndexOutOfRange(
             f"basis index must be an integer in [0, 2^{num_qubits}), got {index!r}"
@@ -233,9 +224,12 @@ def _check_index(index: int, num_qubits: int) -> int:
     return int(index)
 
 
-def _validate_count(num_qubits: int) -> None:
+def _validate_count(num_qubits: int) -> int:
+    """Returns the count as a Python int, so that ``1 << num_qubits`` and the
+    masks built from it do not overflow."""
     if not _is_integer(num_qubits) or num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits!r}")
+    return int(num_qubits)
 
 
 def _validate_qubits(num_qubits: int | None, targets: Sequence[int], controls: Controls) -> None:

@@ -28,16 +28,25 @@ def bit_of(index: int, qubit: int, num_qubits: int) -> int:
 
 
 def fixed_pairs(state: StateVector) -> tuple[tuple[int, int], ...]:
-    """A state's fixed qubits as ``(qubit, bit)`` pairs in qubit order,
-    decoded from its ``(mask, value)`` word."""
-    n, (mask, value) = state.num_qubits, state._fixed
-    return tuple((q, bit_of(value, q, n)) for q in range(n) if bit_of(mask, q, n))
+    """A state's fixed qubits as ``(qubit, bit)`` pairs in qubit order:
+    every qubit of a basis state, decoded from its index, and none of a
+    dense state."""
+    n, index = state.num_qubits, state._index
+    return () if index is None else tuple((q, bit_of(index, q, n)) for q in range(n))
 
 
 def held_amplitudes(state: StateVector) -> int:
-    """How many amplitudes a state holds: the size of its block, which is
-    one Python complex when every qubit is fixed."""
-    return np.size(state._block)
+    """How many amplitudes a state holds: one for a basis state, whose one
+    nonzero amplitude is the 1 at its index, else the size of its vector."""
+    return 1 if state._index is not None else state._block.size
+
+
+class NoNumpy:
+    """A stand-in for ``qftarith.qstate.np`` that fails on any use: patched
+    in, it shows that a run reads no numpy, as if numpy were not loaded."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
 
 
 def bit_reverse(index: int, width: int) -> int:

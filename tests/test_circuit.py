@@ -52,6 +52,22 @@ from qftarith.qstate import (
     norm,
 )
 
+# Each reads a basis index from a run whose qubits, qubit count or register
+# width are of the integer type given.
+NUMPY_INTEGER_CASES = {
+    "x_target": lambda i: extract_basis_index(
+        run(Circuit(70, [Gate.x(i(0))]), new_basis_state(70, 0))),
+    "x_control": lambda i: extract_basis_index(
+        run(Circuit(70, [Gate.x(1, controls=((i(0), 1),))]), new_basis_state(70, 1 << 69))),
+    "fourier_register": lambda i: extract_basis_index(run(concat([
+        build_qft(list(map(i, range(4))), 12),
+        build_fourier_add_constant(list(map(i, range(4))), 3, num_qubits=12),
+        build_inverse_qft(list(map(i, range(4))), 12)]), new_basis_state(12, 5 << 8))),
+    "basis_state_count": lambda i: extract_basis_index(new_basis_state(i(64), 5)),
+    "layout_width": lambda i: extract_basis_index(run(
+        build_decrement(RegisterLayout([("v", i(70))]), "v"), new_basis_state(70, 0))),
+}
+
 # Each builds one of the package's circuits at register width n, with a
 # float angle in the last.
 BUILDERS = {
@@ -174,6 +190,13 @@ class TestGateModel:
         assert gate == Gate.x(1, ((0, 1),))
         assert format_gate(gate) == "GATE X target=1 controls=0:1"
         assert extract_basis_index(run(Circuit(2, (gate,)), new_basis_state(2, 0b10))) == 0b11
+
+    @pytest.mark.parametrize("case", NUMPY_INTEGER_CASES.values(), ids=NUMPY_INTEGER_CASES)
+    def test_numpy_integers_run_as_the_python_ints_they_hold(self, case):
+        """Qubits, counts and widths are kept as Python ints where they enter:
+        past 64 qubits a numpy integer's shifts overflowed, and a numpy bool
+        broke the Fourier matcher."""
+        assert case(np.int64) == case(int)
 
     @pytest.mark.parametrize("bad", [2.0, 1.5, True, 0, -1], ids=repr)
     @pytest.mark.parametrize("make", [

@@ -1,6 +1,6 @@
-"""Compact states: a basis state held as its ``(mask, value)`` word with
-every qubit fixed and one amplitude, as ``new_basis_state`` makes it and
-``run`` leaves it while every step is a word step.
+"""Compact states: a basis state held as its index alone, as
+``new_basis_state`` makes it and ``run`` leaves it while every step is a
+word step.
 
 ``run`` from a compact basis state must agree with ``run`` from the same
 basis state held densely and with the gate-by-gate reference; reading a
@@ -21,7 +21,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qftarith.circuit as circuit_module
+import qftarith.qstate as qstate_module
 from conftest import (
+    NoNumpy,
+    bit_of,
     circuit_matrix,
     circuits,
     classical_by_rule,
@@ -223,13 +226,14 @@ class TestClassicalQubits:
 
 
 @st.composite
-def flip_blocks(draw):
-    """Blocks of X and SWAP gates on 2..8 qubits, each gate under up to
-    three controls of either polarity, one label per block."""
-    n = draw(st.integers(2, 8))
+def flip_blocks(draw, qubits=(2, 8), blocks=4, per_block=5):
+    """Up to ``blocks`` blocks of up to ``per_block`` X and SWAP gates each, on
+    ``qubits`` (a range) qubits, each gate under up to three controls of
+    either polarity, one label per block."""
+    n = draw(st.integers(*qubits))
     gates = []
-    for block in range(draw(st.integers(1, 4))):
-        for _ in range(draw(st.integers(1, 5))):
+    for block in range(draw(st.integers(1, blocks))):
+        for _ in range(draw(st.integers(1, per_block))):
             swap = draw(st.booleans())
             targets = draw(st.lists(st.integers(0, n - 1), min_size=1 + swap,
                                     max_size=1 + swap, unique=True))
@@ -240,6 +244,19 @@ def flip_blocks(draw):
             make = Gate.swap if swap else Gate.x
             gates.append(make(*targets, controls, f"block {block}"))
     return Circuit(n, tuple(gates))
+
+
+def flipped(circuit: Circuit, index: int) -> int:
+    """The oracle for X and SWAP gates on a basis index, in plain Python:
+    gate by gate, where its controls hold, X flips its target's bit and
+    SWAP exchanges its targets' bits."""
+    n = circuit.num_qubits
+    for gate in circuit.gates:
+        if all(bit_of(index, q, n) == pol for q, pol in gate.controls):
+            bits = [bit_of(index, q, n) for q in gate.targets]
+            if len(bits) == 1 or bits[0] != bits[1]:
+                index ^= sum(1 << (n - 1 - q) for q in gate.targets)
+    return index
 
 
 class TestWordSteps:
@@ -265,6 +282,19 @@ class TestWordSteps:
         monkeypatch.setattr(circuit_module, "_FUSE_FROM_QUBITS", 1)
         self._assert_permutes_like_the_matrix(circuit, kernel_calls)
 
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(circuit=flip_blocks(qubits=(65, 130), blocks=2, per_block=4), data=st.data())
+    def test_wide_x_and_swap_blocks_match_bit_flips(self, monkeypatch, circuit, data):
+        """Past 64 qubits, where no dense state fits and no int64 holds the
+        index: each of 1 to 8 gates flips or exchanges the index's bits as
+        the oracle does, and numpy is never read."""
+        monkeypatch.setattr(qstate_module, "np", NoNumpy())
+        n = circuit.num_qubits
+        for index in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)):
+            state = run(circuit, new_basis_state(n, index))
+            assert extract_basis_index(state) == flipped(circuit, index)
+
     def test_a_negative_shift_wraps_inside_its_field(self, monkeypatch, kernel_calls):
         """v - 5 on qubits 2..5 of 8, where qubit 0 is 0 and qubit 7 is 1:
         below 5 it wraps modulo 16, and no borrow reaches qubits 0 and 1."""
@@ -279,19 +309,18 @@ class TestWordSteps:
 
 @st.composite
 def compact_states(draw):
-    """A basis state, its one amplitude a Python complex of random phase,
-    or a dense state, a random flat vector; and the same state written out
-    index by index."""
+    """A basis state, held as its index, or a dense state, a random flat
+    vector; and the same state written out index by index."""
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     full = np.zeros(1 << n, dtype=complex)
     if draw(st.booleans()):
         index = draw(st.integers(0, (1 << n) - 1))
-        full[index] = complex(np.exp(2j * np.pi * rng.random()))
-        return _compact(n, ((1 << n) - 1, index), complex(full[index])), full
+        full[index] = 1
+        return _compact(n, index, None), full
     full += rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     full /= np.linalg.norm(full)
-    return _compact(n, (0, 0), full.copy()), full
+    return _compact(n, None, full.copy()), full
 
 
 class TestReadingCompactStates:

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NoNumpy,
     bit_reverse,
     circuit_matrix,
     dft_matrix,
@@ -292,11 +293,6 @@ def _held(value):
         yield value
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} used")
-
-
 @pytest.mark.parametrize("circuit", [
     build_multiplier(MultiplierSpec.for_width(3)),
     build_adder(RegisterLayout([("a", 4), ("b", 4)])),
@@ -304,12 +300,17 @@ class _NoNumpy:
 ], ids=["multiplier", "adder", "decrement"])
 def test_compile_keeps_gate_keys_only_and_makes_no_numpy_call(circuit, monkeypatch):
     """A step holds the block's gate keys and what the matcher read from
-    them: no Gate, no precomputed factor table and no permutation array."""
-    monkeypatch.setattr(qstate_module, "np", _NoNumpy())
-    steps, _ = circuit_module._compile(circuit.num_qubits, circuit.gates)
+    them: no Gate, no precomputed factor table and no permutation array.
+    The word path is data: its maps hold ints in tuples, no callable, and
+    it runs to the end."""
+    monkeypatch.setattr(qstate_module, "np", NoNumpy())
+    steps, program = circuit_module._compile(circuit.num_qubits, circuit.gates)
     for step in steps:
-        held = list(_held([step.resolve.args, step.permute.args if step.permute else ()]))
+        held = list(_held([step.resolve.args, step.permute]))
         assert not any(isinstance(item, (Gate, np.ndarray)) for item in held)
+    maps, stop, frame = circuit_module._word_path(circuit.num_qubits, steps, program)
+    assert maps and all(type(item) is int for item in _held(maps))
+    assert (stop, frame) == (None, None)
 
 
 def _from_numpy(value) -> bool:
