@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Sequence
 
 from .arith import build_decrement, build_fourier_add_register
@@ -148,10 +147,9 @@ def multiply(x: int, y: int, n: int) -> int:
     deterministic output, and QuantumArithmeticError, naming the registers
     read, if they break the register contract (either would be a bug).
     """
-    from .cli import _run  # at call time: cli imports this module
+    from .cli import _namespace, _run  # at call time: cli imports this module
 
-    args = SimpleNamespace(command="mul", x=x, y=y, n=n, acc_width=None, iterations=None)
-    report = _run(args)[0]
+    report = _run(_namespace("mul", x=x, y=y, n=n))[0]
     if not report.verified:
         read = ", ".join(f"{name}={value}" for name, value in report.outputs.items())
         raise QuantumArithmeticError(f"mul {x} {y} --n {n} read {read}, "

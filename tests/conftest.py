@@ -5,9 +5,11 @@ on purpose: they share nothing with the view-slicing kernels under test
 except the bit-order convention (qubit 0 = most significant bit), so they
 serve as an independent cross-check.  :func:`run_gate_by_gate` is the
 reference for ``run``: every gate through the public ``apply_*`` kernels on
-the whole state, with no slicing.
+the whole state, with no slicing.  :func:`build_parser` is the argparse
+parser the CLI once used, kept as the reference for ``cli.parse_args``.
 """
 
+import argparse
 import math
 from fractions import Fraction
 from itertools import groupby
@@ -107,6 +109,38 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random normalized amplitude vector."""
     amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
     return amps / np.linalg.norm(amps)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser as it was before ``cli.parse_args`` replaced
+    it: the reference whose values, or exit 2, ``parse_args`` must match."""
+    from qftarith.cli import _COMMANDS
+
+    parser = argparse.ArgumentParser(
+        prog="qftarith",
+        description="Simulate Fourier-transform arithmetic circuits and "
+                    "verify the results against classical arithmetic.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for operand in command.operands:
+            p.add_argument(operand, type=int)
+        p.add_argument("--n", type=int, required=True, metavar="WIDTH",
+                       help="register width in qubits")
+        p.add_argument("--emit-circuit", metavar="PATH",
+                       help="write the executed circuit listing to PATH")
+        p.add_argument("--json", action="store_true",
+                       help="print the run report as JSON")
+
+    p_mul = sub.choices["mul"]
+    p_mul.add_argument("--acc-width", type=int, metavar="M",
+                       help="accumulator width (default 2n)")
+    p_mul.add_argument("--iterations", type=int, metavar="K",
+                       help="unroll count, 0 <= K <= 2^n - 1 (default 2^n - 1); "
+                            "fewer iterations truncate the product to x * min(y, K)")
+
+    return parser
 
 
 def run_gate_by_gate(circuit: Circuit, state: StateVector) -> StateVector:

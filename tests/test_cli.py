@@ -1,9 +1,11 @@
 """Command-line interface: reports, oracle verification, exit codes,
 JSON round-trips, and circuit listings."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -12,9 +14,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import build_parser
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qftarith import errors
-from qftarith.cli import _COMMANDS, RunReport, _run, build_parser, main, oracle
+from qftarith.cli import _COMMANDS, RunReport, _namespace, _run, main, oracle, parse_args
 from qftarith.errors import SpecInvariantViolation, ValueTooWide
 from qftarith.multiplier import multiply
 
@@ -43,7 +48,7 @@ class TestCommands:
     @pytest.mark.parametrize("name", sorted(_COMMANDS))
     def test_positionals_are_the_table_operands_in_order(self, name):
         operands = _COMMANDS[name].operands
-        args = build_parser().parse_args([name, *map(str, range(len(operands))), "--n", "3"])
+        args = parse_args([name, *map(str, range(len(operands))), "--n", "3"])
         assert tuple(getattr(args, operand) for operand in operands) == tuple(range(len(operands)))
 
     def test_dec_worked_example(self, capsys):
@@ -92,7 +97,7 @@ class TestUsageErrors:
 
     def test_operand_error_is_the_type_multiply_raises(self):
         with pytest.raises(ValueTooWide):
-            _run(build_parser().parse_args(["add", "9", "0", "--n", "2"]))
+            _run(parse_args(["add", "9", "0", "--n", "2"]))
         with pytest.raises(ValueTooWide):
             multiply(4, 0, 2)
 
@@ -143,7 +148,7 @@ class TestUsageErrors:
     def test_width_below_one_is_typed_usage_error(self, capsys, argv):
         bad = argv[-1]
         with pytest.raises(SpecInvariantViolation):
-            _run(build_parser().parse_args(argv))
+            _run(parse_args(argv))
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: --n must be at least 1, got {bad}\n"
 
@@ -154,10 +159,32 @@ class TestUsageErrors:
         assert captured.err.startswith("error: ") and str(path) in captured.err
         assert "verified" not in captured.out
 
+    def test_empty_listing_path_is_usage_error(self, capsys):
+        assert main(["dec", "3", "--n", "2", "--emit-circuit", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "verified" not in captured.out
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, err", [
+        ([], "usage: qftarith [-h] {add,dec,mul} ...\n"
+             "qftarith: error: the following arguments are required: command\n"),
+        (["mul", "5", "--n", "3"],
+         "usage: qftarith mul [-h] --n WIDTH [--emit-circuit PATH] [--json] [--acc-width M] "
+         "[--iterations K] x y\nqftarith mul: error: the following arguments are required: y\n"),
+        (["dec", "x", "--n", "3"], "usage: qftarith dec [-h] --n WIDTH [--emit-circuit PATH] "
+         "[--json] v\nqftarith dec: error: argument v: invalid int value: 'x'\n"),
+    ])
+    def test_usage_error_prints_usage_and_the_command(self, capsys, argv, err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == err and captured.out == ""
 
 
 class TestJson:
@@ -192,7 +219,7 @@ class TestJson:
     def test_to_json_is_byte_identical_to_asdict(self, argv):
         """``to_json`` dumps the fields without ``asdict``'s deep copy, and
         the text is the same, key order included."""
-        report, _ = _run(build_parser().parse_args(argv))
+        report, _ = _run(parse_args(argv))
         assert report.to_json() == json.dumps(dataclasses.asdict(report))
 
     def test_json_dec(self, capsys):
@@ -237,7 +264,7 @@ class TestEmitCircuit:
 
 
 class TestParserReuse:
-    """main() parses with one parser per process; no call may see another's
+    """main() keeps no parse state between calls; no call may see another's
     options."""
 
     def test_successive_calls_keep_their_own_options(self, capsys):
@@ -261,8 +288,107 @@ class TestParserReuse:
         assert report["inputs"] == {"v": 0} and report["outputs"] == {"v": 15}
         assert report["widths"] == {"v": 4} and report["verified"] is True
 
-    def test_build_parser_returns_a_fresh_parser(self):
-        assert build_parser() is not build_parser()
+    def test_parse_args_returns_a_fresh_namespace(self):
+        argv = ["mul", "5", "6", "--n", "3"]
+        first, second = parse_args(argv), parse_args(argv)
+        assert first is not second and vars(first) == vars(second)
+
+
+_FLAGS = sorted({flag for command in _COMMANDS.values() for flag in command.options})
+_VALUES = ["3", "-3", "1_0", " 3", "0", "x", "-", ""]
+
+
+def _parsed(parse, argv):
+    """``vars`` of the namespace ``parse`` returns, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@st.composite
+def _argvs(draw):
+    """A command, or an operand-like token in its place, then about as many
+    operands as it takes and options, mostly its own and ``--n`` most often
+    among them, in any order: each option spelled in full or by a prefix,
+    its value (a flag, at times) in the next token or after '=', or
+    missing.  Valid tokens and forms are drawn more often, so that many
+    argvs parse.  Neither ``-h``
+    nor ``--`` is drawn; each has its own test."""
+    head = draw(st.sampled_from([*_COMMANDS] * 6 + _VALUES + _FLAGS))
+    count = len(_COMMANDS[head].operands) if head in _COMMANDS else 1
+    values = st.sampled_from(_VALUES[:5] * 3 + _VALUES)
+    size = draw(st.sampled_from([count] * 4 + [max(count - 1, 0), count + 1]))
+    groups = [[value] for value in draw(st.lists(values, min_size=size, max_size=size))]
+    own = [*_COMMANDS[head].options] if head in _COMMANDS else []
+    flags = draw(st.lists(st.sampled_from(own * 3 + _FLAGS), max_size=3))
+    for flag in flags + ["--n"] * draw(st.sampled_from([0, 1, 1, 1])):
+        spelled = flag[:draw(st.integers(3, len(flag)))]
+        value = draw(st.sampled_from(_VALUES[:5] * 3 + _VALUES + _FLAGS))  # a flag as a value too
+        forms = [[spelled, value], [f"{spelled}={value}"], [spelled]]
+        groups.append(draw(st.sampled_from(forms[2:] * 4 + forms if flag == "--json" else
+                                           forms[:2] * 4 + forms)))
+    return [head, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+class TestParser:
+    """``parse_args`` reads argv as the argparse parser it replaced did
+    (``conftest.build_parser``): the same values, or exit 2 from both."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_argvs())
+    @example(["mul", "5", "6", "--n", "3", "--it", "2", "--acc=8", "--js"])
+    @example(["add", "--n=-2", "1", "2", "--emit", "-3"])
+    @example(["add", "1", "2", "--n", "3", "--e", "--json"])
+    def test_agrees_with_argparse(self, argv):
+        assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+    def test_generated_argvs_often_parse(self):
+        """Enough drawn argvs succeed that the property compares values."""
+        results = []
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(_argvs())
+        def collect(argv):
+            results.append(_parsed(parse_args, argv))
+
+        collect()
+        assert sum(isinstance(result, dict) for result in results) >= 20
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--he"], ["mul", "--help"], ["add", "1", "-h"], ["dec", "--hel"],
+        # help wins over a bad value or an unknown option before it; argparse
+        # stopped at the bad value and exited 2
+        ["dec", "--n", "x", "-h"], ["add", "--bogus", "--help"],
+    ])
+    def test_help_anywhere_prints_help_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        name = argv[0] if argv[0] in _COMMANDS else None
+        if name is None:
+            assert out.startswith("usage: qftarith [-h] {add,dec,mul} ...\n")
+            assert all(f"{n}  {c.help}" in out for n, c in _COMMANDS.items())
+        else:
+            assert out.startswith(f"usage: qftarith {name} [-h] --n WIDTH ")
+            assert "-h, --help" in out
+            assert all(o.help in out for o in _COMMANDS[name].options.values())
+            assert _COMMANDS[name].help in out
+
+    def test_double_dash_makes_every_later_token_an_operand(self):
+        assert parse_args(["dec", "--n", "3", "--", "5"]).v == 5
+        assert parse_args(["dec", "--n", "3", "--", "-1_0"]).v == -10
+        # argparse read this as b == [], through its handling of "--"
+        assert _parsed(parse_args, ["add", "--n=-2", "--", "4", "--"]) == 2
+        # after "--", neither "-h" nor an option is one
+        assert _parsed(parse_args, ["dec", "--", "-h", "--n", "3"]) == 2
+        assert _parsed(parse_args, ["dec", "7", "--", "--n", "3"]) == 2
+
+    def test_multiply_namespace_has_every_option_default(self):
+        parsed = parse_args(["mul", "5", "6", "--n", "3"])
+        assert vars(_namespace("mul", x=5, y=6, n=3)) == vars(parsed)
 
 
 class TestListingsAreStable:
@@ -303,9 +429,11 @@ _NUMPY_FREE = """
 import json, sys
 import qftarith.cli as cli
 assert "numpy" not in sys.modules, "importing qftarith.cli loaded numpy"
+assert "argparse" not in sys.modules, "importing qftarith.cli loaded argparse"
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+    assert "argparse" not in sys.modules, f"{argv} loaded argparse"
 import qftarith.qstate as qstate
 from qftarith import StateVector, apply_hadamard
 state = apply_hadamard(StateVector(1, [0, 1]), 0)  # a dense state imports numpy
