@@ -77,53 +77,6 @@ from .qstate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit",
-    "CircuitStats",
-    "ConstantTooWide",
-    "DuplicateQubit",
-    "Gate",
-    "GateKind",
-    "IndexOutOfRange",
-    "MultiplierSpec",
-    "NotBasisState",
-    "OperandTooWide",
-    "OverlappingRegisters",
-    "QuantumArithmeticError",
-    "QubitBudgetExceeded",
-    "QubitCountMismatch",
-    "RegisterLayout",
-    "SignedConstant",
-    "SpecInvariantViolation",
-    "StateVector",
-    "ValueTooWide",
-    "amplitude",
-    "apply_hadamard",
-    "apply_phase",
-    "apply_swap",
-    "apply_x",
-    "build_adder",
-    "build_decrement",
-    "build_fourier_add_constant",
-    "build_fourier_add_register",
-    "build_inverse_qft",
-    "build_multiplier",
-    "build_qft",
-    "build_zero_check",
-    "circuit_listing",
-    "concat",
-    "decode_register",
-    "decode_registers",
-    "encode_register",
-    "encode_registers",
-    "extract_basis_index",
-    "format_gate",
-    "inverse",
-    "labeled",
-    "multiplier_layout",
-    "multiply",
-    "new_basis_state",
-    "norm",
-    "run",
-    "stats",
-]
+# Every name imported above but the submodules, which the imports bind too.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, type(qstate)))

@@ -6,8 +6,10 @@ phase (v / 2**(w-j)) mod 1, see :mod:`qftarith.qft`), adding a constant c
 is one phase kick of c / 2**(w-j) turns per wire: no carries, the mod-1
 phase arithmetic wraps exactly like mod-2**w integer arithmetic.  Adding
 a register is the constant adder once per source bit: source bit p adds
-the constant 2**p under its own control (Draper, arXiv:quant-ph/0008033),
-which is the form :func:`qftarith.circuit._fourier_block` parses.  All
+the constant 2**p under its own control (Draper, arXiv:quant-ph/0008033).
+:func:`qftarith.circuit._fourier_block` reads the kicks between a
+transform and its inverse as a set, summed per wire and controls, so it
+parses these blocks in any kick order, inverted ones included.  All
 emitted angles are exact dyadic fractions with denominator at most
 2**(destination width).
 
@@ -104,8 +106,8 @@ def build_fourier_add_register(
 
     The destination must be at least as wide as the source; the source is
     treated as zero-extended.  It is the constant adder once per source bit,
-    the form :func:`qftarith.circuit._fourier_block` parses: the bit of
-    weight 2**p adds 2**p under the controls ``((that bit, 1), *controls)``.
+    a kick group that :func:`qftarith.circuit._fourier_block` reads: the bit
+    of weight 2**p adds 2**p under the controls ``((that bit, 1), *controls)``.
     The source register is left unchanged.
     """
     control_qs = [q for q, _ in controls]

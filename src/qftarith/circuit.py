@@ -9,24 +9,24 @@ so "active on |0>" needs no X sandwich.
 Below ``_FUSE_FROM_QUBITS`` qubits :func:`run` is the reference: the
 kernel calls of a gate-by-gate run of the public ``apply_*`` on the full
 vector, bitwise equal to it for every input.  From that size up it cuts
-the gate list into blocks at label changes, compiles each distinct block
-(labels aside) into one step, once per circuit object, and runs the
-program on one tensor, which agrees with the replay within rounding.  One
-matcher finds the paper's Fourier blocks: a transform on a register,
-groups of phase kicks, and the inverse transform, one of the transforms
-possibly missing.  Each group adds a constant c_g under its own controls,
-outside the register: one group is Draper's constant adder, v -> v + c
-mod 2^w, and one group per source qubit, controlled by it, is the
-register adder.  The steps are:
+the gate list into blocks by what the gates are, never by their labels,
+compiles each distinct block into one step, once per circuit object, and
+runs the program on one tensor, which agrees with the replay within
+rounding.  One matcher finds the paper's Fourier blocks: a transform on a
+register, phase kicks read as a set, and the inverse transform.  The kicks
+form groups, each adding a constant c_g under its own controls, outside
+the register: one group is Draper's constant adder, v -> v + c mod 2^w,
+and one group per source qubit, controlled by it, is the register adder.
+The steps are:
 
-* a *shift* for a sandwich, a block with both transforms.  The groups
-  commute, and each one whose classical controls hold is its own cyclic
-  roll of the register's axis, where its other controls hold;
-* a *transform* for a block that is exactly the Fourier transform on a
-  register of two or more qubits, or its inverse, with no controls: one
-  FFT along the register's axis, with the register's axes reversed;
-* a *diagonal* for a block of PHASE gates only: one multiply by a table of
-  the product of their phases;
+* a *shift* for a sandwich, both transforms around kick groups.  Each
+  group whose classical controls hold is its own cyclic roll of the
+  register's axis, where its other controls hold;
+* a *transform* for the Fourier transform on a register of two or more
+  qubits, or its inverse: one FFT along the register's axis, with the
+  register's axes reversed;
+* a *diagonal* for a run of PHASE gates: one multiply by a table of the
+  product of their phases;
 * *gates* for anything else, one kernel call each.
 
 A state is one of two forms: a basis state, its index an int in
@@ -46,11 +46,10 @@ once and serves every basis input.  Where it stops, at the first other
 step or at the end of the run while a frame is held, the state is
 expanded to the full vector once, the held transform runs, and every
 later step runs on the tensor.  So the decrement, the adder, the zero
-check and the whole multiplier, its accumulator a frame from its
-transform to its inverse, run from a basis state as arithmetic on the
-index and allocate no vector.  The replay below the threshold is a
-program of one step of all the gates, run through the same loop.  Every
-step calls the trusted private kernels of :mod:`qftarith.qstate`:
+check, their inverses, and the whole multiplier, its accumulator a frame
+from its transform to its inverse, labelled or not, run from a basis
+state as arithmetic on the index and allocate no vector.  Every step
+calls the trusted private kernels of :mod:`qftarith.qstate`:
 ``Gate`` and ``Circuit`` validated every gate on construction.  Steps
 pass them axes, bits and factors, and this module imports no numpy:
 arrays are built in :mod:`~qftarith.qstate`.
@@ -73,8 +72,8 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain, groupby
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, QubitCountMismatch, ValueTooWide
@@ -240,10 +239,12 @@ def labeled(circuit: Circuit, label: str | None) -> Circuit:
     ``None`` clears them.
 
     The builders emit unlabelled gates, and this is the one way to name a
-    block.  Neither the gates nor the circuit are checked again: a label
-    cannot make a valid gate invalid.  So a builder can make one block and
-    reuse its gates under many labels at the cost of a copy per gate.  A
-    label that is neither None nor a str raises TypeError.
+    block.  A label names gates and never changes a run: :func:`run` cuts
+    blocks by what the gates are.  Neither the gates nor the circuit are
+    checked again: a label cannot make a valid gate invalid.  So a builder
+    can make one block and reuse its gates under many labels at the cost of
+    a copy per gate.  A label that is neither None nor a str raises
+    TypeError.
     """
     _check_label(label)
     gates = []
@@ -342,24 +343,66 @@ def _word(n: int, pattern: Sequence[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _compile(n: int, gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
-    """The distinct steps and the program as indices into them.
-
-    Blocks are runs of gates with one label; two blocks with the same
-    gates, labels aside, compile to one step.  A step holds only the
-    block's gate keys (see :func:`_gate_key`) and what the matcher read
-    from them, so compiling makes no numpy call: phase factors are
-    computed when a step is resolved.
-    """
-    steps: list[_Step] = []
-    seen: dict[tuple, int] = {}
-    program: list[int] = []
-    for _, group in groupby(gates, key=lambda g: g.label):
-        key = tuple(map(_gate_key, group))
+    """The distinct steps and the program as indices into them.  The gates
+    are cut into blocks by what they are (see :func:`_cut`), never by their
+    labels; equal blocks compile to one step, which holds only the block's
+    gate keys (see :func:`_gate_key`) and what the matcher read from them,
+    so compiling makes no numpy call."""
+    steps, seen, program, start = [], {}, [], 0
+    while start < len(gates):
+        key, register = _cut(gates, start)
         index = seen.setdefault(key, len(steps))
         if index == len(steps):
-            steps.append(_block_step(n, key)._replace(key=key))
+            steps.append(_block_step(n, key, register)._replace(key=key))
         program.append(index)
+        start += len(key)
     return steps, program
+
+
+def _cut(gates: Sequence[Gate], start: int) -> tuple[tuple, tuple[int, int] | None]:
+    """``(key, register)`` of the block at ``start``: its gate keys, and
+    the ``(first, width)`` of a Fourier block, else None.  The block is the
+    first that fits of: a sandwich (the transform on a register, a run of
+    PHASE gates that are kick groups on it, the inverse transform); the
+    transform on two or more qubits, or its inverse; a maximal run of PHASE
+    gates, or of X and SWAP gates; the gate alone."""
+    gate, stop = gates[start], start + 1
+    q = gate.targets[0]
+    if gate.kind is GateKind.HADAMARD and not gate.controls:
+        width = 1  # wire q of the transform is kicked from each later wire in turn
+        while _kicks(gates, start + width, q, q + width):
+            width += 1
+        for width in dict.fromkeys((width, 1)):  # a width-1 sandwich's kicks may read wider
+            size = width * (width + 1) // 2
+            middle = _run_end(gates, start + size, GateKind.PHASE)
+            key = tuple(map(_gate_key, gates[start:middle + size]))
+            if key[:size] == _qft_key(q, width, 1):
+                if (key[middle - start:] == _qft_key(q, width, -1)
+                        and _kick_groups(key[size:middle - start], (q, width)) is not None):
+                    return key, (q, width)
+                if width > 1:
+                    return key[:size], (q, width)
+        width = 1  # the inverse starts on its last wire q, whose kick opens each earlier wire
+        while _kicks(gates, stop, q - width, q):
+            width, stop = width + 1, stop + width + 1
+        key = tuple(map(_gate_key, gates[start:stop]))
+        if width > 1 and key == _qft_key(q - width + 1, width, -1):
+            return key, (q - width + 1, width)
+        stop = start + 1
+    elif gate.kind is not GateKind.HADAMARD:
+        stop = _run_end(gates, start, gate.kind)
+    return tuple(map(_gate_key, gates[start:stop])), None
+
+
+def _kicks(gates: Sequence[Gate], i: int, target: int, control: int) -> bool:
+    """Whether gate ``i`` acts on ``target`` under the one control ``control``."""
+    return i < len(gates) and gates[i].targets == (target,) and gates[i].controls == ((control, 1),)
+
+
+def _run_end(gates: Sequence[Gate], start: int, kind: GateKind) -> int:
+    """The end of the run of PHASE gates, or of X and SWAP gates, from ``start``."""
+    kinds = (kind,) if kind is GateKind.PHASE else (GateKind.X, GateKind.SWAP)
+    return next((i for i in range(start, len(gates)) if gates[i].kind not in kinds), len(gates))
 
 
 def _word_path(n: int, steps: Sequence[_Step], program: Sequence[int]
@@ -398,18 +441,17 @@ def _gate_key(g: Gate) -> tuple:
     return g.kind, g.targets, turns, g.controls
 
 
-def _block_step(n: int, key: tuple) -> _Step:
+def _block_step(n: int, key: tuple, register: tuple[int, int] | None) -> _Step:
     used = _mask(n, (q for _, targets, _, controls in key
                      for q in chain(targets, (c for c, _ in controls))))
-    fourier = _fourier_block(key)
-    if fourier is not None:
-        first, width, head, groups, tail = fourier
+    fourier = register and _fourier_block(key, register)
+    if fourier:
+        head, groups, tail = fourier
         if head and tail:
-            return _Step(partial(_shift_kernels, first, width, groups), used,
-                         (_shift_word(n, first, width, groups),))
-        if not groups and width >= 2:
-            return _Step(partial(_fourier_kernels, first, width, 1 if head else -1), used,
-                         opens=(first, width) if head else None)
+            return _Step(partial(_shift_kernels, *register, groups), used,
+                         (_shift_word(n, *register, groups),))
+        return _Step(partial(_fourier_kernels, *register, 1 if head else -1), used,
+                     opens=register if head else None)
     if all(kind is GateKind.PHASE for kind, *_ in key):
         return _Step(partial(_diagonal_kernels, n, key), used)
     if all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key):
@@ -430,11 +472,8 @@ def _frame_rule(n: int, register: tuple[int, int], key: tuple) -> tuple[tuple, b
     inverse transform, which closes the frame.  None for a block that is no
     such Fourier block on the register, or that starts with a transform:
     it needs the amplitudes."""
-    fourier = _fourier_block(key, register)
-    if fourier is None or fourier[2]:
-        return None
-    first, width, _, groups, tail = fourier
-    return _shift_word(n, first, width, groups), tail
+    head, groups, tail = _fourier_block(key, register) or (True, (), False)
+    return None if head else (_shift_word(n, *register, groups), tail)
 
 
 def _shift_word(n: int, first: int, width: int, groups) -> tuple[int, tuple]:
@@ -462,77 +501,62 @@ def _shift_bits(field: int, groups, value: int) -> int:
     return value & ~field | (value + total) & field
 
 
-def _qft_key(qs: Sequence[int], sign: int) -> list[tuple]:
-    """The forward transform on ``qs`` (see :mod:`qftarith.qft`), every
-    angle times ``sign``, as ``(kind, targets, turns, controls)`` tuples."""
+@lru_cache(maxsize=256)
+def _qft_key(first: int, width: int, sign: int) -> tuple[tuple, ...]:
+    """The transform on the register ``first`` .. ``first + width - 1``
+    (see :mod:`qftarith.qft`), or with ``sign`` -1 its inverse, reversed
+    with every angle negated, as ``(kind, targets, turns, controls)``
+    tuples."""
     key = []
-    for j in range(len(qs)):
-        key.append((GateKind.HADAMARD, (qs[j],), None, ()))
-        for k in range(2, len(qs) - j + 1):
-            key.append((GateKind.PHASE, (qs[j],), (sign, 1 << k), ((qs[j + k - 1], 1),)))
-    return key
+    for q in range(first, first + width):
+        key.append((GateKind.HADAMARD, (q,), None, ()))
+        for k in range(2, first + width - q + 1):
+            key.append((GateKind.PHASE, (q,), (sign, 1 << k), ((q + k - 1, 1),)))
+    return tuple(key if sign > 0 else reversed(key))
 
 
-def _fourier_block(key: tuple, register: tuple[int, int] | None = None
-                   ) -> tuple[int, int, bool, tuple, bool] | None:
-    """``(first, width, head, groups, tail)`` when the block is a Fourier
-    block on the register ``first`` .. ``first + width - 1``, else None.
-    The register is ``register`` if given, else the one the block's
-    Hadamards span.
+def _fourier_block(key: tuple, register: tuple[int, int]
+                   ) -> tuple[bool, tuple, bool] | None:
+    """``(head, groups, tail)`` when the block is a Fourier block on the
+    register ``(first, width)``, else None: the transform (``head``; a
+    Hadamard at width 1), kick groups (see :func:`_kick_groups`) and the
+    inverse transform (``tail``), each part possibly missing.  The rules
+    come from the transform's definition, not from the builders, and angles
+    are compared exactly, so a wrong builder angle falls back to the gates
+    and still fails its tests."""
+    first, width = register
+    size = width * (width + 1) // 2
+    head = key[:size] == _qft_key(first, width, 1)
+    tail = len(key) >= size * (1 + head) and key[len(key) - size:] == _qft_key(first, width, -1)
+    groups = _kick_groups(key[size * head:len(key) - size * tail], register)
+    return None if groups is None else (head, groups, tail)
 
-    A Fourier block is the transform on the register (``head``; a lone
-    Hadamard at width 1), a middle of consecutive kick groups, and the
-    inverse transform (``tail``).  Without ``register`` it has at least one
-    of the transforms; on a given register it may have neither, and be
-    kick groups alone.  ``groups`` holds one ``(amount, controls)`` pair
-    per group: one phase kick of amount/2^(width-j) turns (taken mod 1
-    with the amount's sign, zero kicks left out) on each wire j, all under
-    the group's controls, which lie outside the register, for a nonzero
-    integer amount below 2^width in magnitude.  Its kick on wire 0 is never
-    zero, so every group starts there.  One group is Draper's constant
-    adder, v -> v + amount mod 2^width where the controls hold; on the
-    transformed register it maps QFT|v> to QFT|v + amount> exactly.
-    Between the two transforms the groups commute, so the block adds the
-    sum of the amounts whose controls hold: with one group per source
-    qubit, controlled by it, this is the register adder.  An empty middle
-    adds 0.
 
-    The rules are written out here from the transform's definition, not
-    taken from the builders, and angles are compared exactly, so a builder
-    that emits a wrong angle falls back to the gates and still fails its
-    tests.
-    """
-    hs = [targets[0] for kind, targets, _, _ in key if kind is GateKind.HADAMARD]
-    if register is None and not hs:
-        return None
-    first, width = register or (min(hs), max(hs) - min(hs) + 1)
-    qs = list(range(first, first + width))
-    head = hs[:width] == qs
-    tail = len(hs) > width * head
-    if hs != qs * head + qs[::-1] * tail:
-        return None
-    expected = _qft_key(qs, 1) if head else []
-    end = len(key) - tail * width * (width + 1) // 2
-    groups = []
-    while len(expected) < end:
-        kind, targets, turns, controls = key[len(expected)]
-        if kind is not GateKind.PHASE or targets != (first,):
-            return None
-        if any(q in qs for q, _ in controls):
+@lru_cache(maxsize=256)
+def _kick_groups(kicks: tuple, register: tuple[int, int]) -> tuple | None:
+    """The ``(amount, controls)`` groups of the kicks ``kicks`` on the
+    register ``(first, width)``, in order of first appearance, else None.
+    The kicks are diagonal and commute, so they are read as a set: summed
+    per wire under equal controls, outside the register, each controls
+    group must be, exactly modulo 1, amount/2^(width-j) turns on each wire
+    j for one integer amount.  A group is Draper's constant adder, QFT|v>
+    to QFT|v + amount> where its controls hold; groups adding 0 are left
+    out.  Memoised: :func:`_cut` asks it of every sandwich."""
+    first, width = register
+    inside, turns = range(first, first + width), {}
+    for kind, (q, *_), ratio, controls in kicks:
+        if kind is not GateKind.PHASE or q not in inside or any(c in inside for c, _ in controls):
             return None  # a kick controlled from inside the register adds nothing
-        amount = Fraction(*turns) * (1 << width)
-        if amount.denominator != 1 or not 0 < abs(amount) < 1 << width:
+        turns[controls, q] = turns.get((controls, q), 0) + Fraction(*ratio)
+    groups = []
+    for controls in dict.fromkeys(controls for controls, _ in turns):
+        amount = turns.get((controls, first), 0) * (1 << width)
+        if amount % 1 or any((Fraction(amount, 1 << (first + width - q))
+                              - turns.get((controls, q), 0)) % 1 for q in inside):
             return None
-        sign, magnitude = (-1 if amount < 0 else 1), abs(int(amount))
-        wire_turns = [(q, Fraction(magnitude, 1 << (width - j)) % 1) for j, q in enumerate(qs)]
-        expected += [(GateKind.PHASE, (q,), (sign * t).as_integer_ratio(), controls)
-                     for q, t in wire_turns if t]
-        groups.append((int(amount), controls))
-    if tail:
-        expected += reversed(_qft_key(qs, -1))
-    if list(key) != expected:
-        return None
-    return first, width, head, tuple(groups), tail
+        if amount % (1 << width):
+            groups.append((int(amount), controls))
+    return tuple(groups)
 
 
 def _phase_fixed(gate: tuple):

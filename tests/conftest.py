@@ -12,7 +12,6 @@ parser the CLI once used, kept as the reference for ``cli.parse_args``.
 import argparse
 import math
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -172,6 +171,16 @@ def step_kinds(circuit: Circuit) -> list[str]:
     return [steps[i].resolve.func.__name__ for i in program]
 
 
+def step_qubits(circuit: Circuit) -> list[tuple[str, set[int]]]:
+    """``(kind, qubits)`` for each block of ``circuit``'s program: its
+    step's kind as :func:`step_kinds` names it, and the qubits that its
+    gates target or are controlled by."""
+    steps, program = circuit_module._compile(circuit.num_qubits, circuit.gates)
+    return [(steps[i].resolve.func.__name__,
+             {q for _, targets, _, controls in steps[i].key
+              for q in (*targets, *(c for c, _ in controls))}) for i in program]
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """``(kernel name, psi.size)`` for every kernel call ``run`` makes."""
@@ -186,37 +195,38 @@ def kernel_calls(monkeypatch):
 
 def classical_by_rule(circuit: Circuit) -> list[int]:
     """The qubits a compiled ``run`` keeps as bits when it starts from a
-    basis state, found from the circuit's gates: all of them while every
-    label block, walked in order, is a word step, and none from the first
-    block that is not.
+    basis state, found from the gate keys of the compiled blocks: all of
+    them while every block, walked in the program's order, is a word step,
+    and none from the first block that is not.
 
-    A permutation block (X and SWAP gates only, or a Fourier block with
-    both transforms, which ``_fourier_block`` recognises and
-    tests/test_run_fusion.py holds to modular addition) is a word step.  So
-    is a block that is the forward transform alone, on two or more qubits,
-    while no frame is held: it opens a frame on its register.  While the
-    frame is held, a block that uses none of the register passes by, and
-    is a word step if it is a permutation; one that parses on the register
-    as kick groups, possibly followed by the inverse transform, is a word
-    step, and the inverse transform closes the frame.  Any other block that
-    uses the register is not a word step, and a frame still held at the
-    end of the circuit expands the state too."""
+    A block is parsed as a Fourier block on the register its Hadamards
+    span.  A permutation block (X and SWAP gates only, or a Fourier block
+    with both transforms, which tests/test_run_fusion.py holds to modular
+    addition) is a word step.  So is a block that is the forward transform
+    alone, on two or more qubits, while no frame is held: it opens a frame
+    on its register.  While the frame is held, a block that uses none of
+    the register passes by, and is a word step if it is a permutation; one
+    that parses on the register as kick groups, or as the inverse
+    transform, is a word step, and the inverse transform closes the frame.
+    Any other block that uses the register is not a word step, and a frame
+    still held at the end of the circuit expands the state too."""
+    steps, program = circuit_module._compile(circuit.num_qubits, circuit.gates)
     frame = None
-    for _, group in groupby(circuit.gates, key=lambda g: g.label):
-        gates = list(group)
-        used = {q for g in gates for q in (*g.targets, *(c for c, _ in g.controls))}
-        key = tuple(map(circuit_module._gate_key, gates))
-        fourier = circuit_module._fourier_block(key)
+    for key in (steps[i].key for i in program):
+        used = {q for _, targets, _, controls in key for q in (*targets, *(c for c, _ in controls))}
+        hs = [targets[0] for kind, targets, _, _ in key if kind is GateKind.HADAMARD]
+        register = (min(hs), max(hs) - min(hs) + 1) if hs else None
+        fourier = register and circuit_module._fourier_block(key, register)
         if frame is not None and used & set(frame):
             kicks = circuit_module._fourier_block(key, (frame[0], len(frame)))
-            if kicks is None or kicks[2]:
+            if kicks is None or kicks[0]:
                 return []
-            frame = None if kicks[4] else frame
-        elif (frame is None and fourier is not None and fourier[2] and not fourier[3]
-              and not fourier[4] and fourier[1] >= 2):
-            frame = range(fourier[0], fourier[0] + fourier[1])
-        elif not (all(g.kind in (GateKind.X, GateKind.SWAP) for g in gates)
-                  or fourier is not None and fourier[2] and fourier[4]):
+            frame = None if kicks[2] else frame
+        elif (frame is None and fourier and fourier[0] and not fourier[1]
+              and not fourier[2] and register[1] >= 2):
+            frame = range(register[0], register[0] + register[1])
+        elif not (all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key)
+                  or fourier and fourier[0] and fourier[2]):
             return []
     return [] if frame is not None else list(range(circuit.num_qubits))
 
@@ -232,9 +242,9 @@ def circuits(draw):
     """A circuit on 2..7 qubits whose 'static' qubits are only ever controls
     (of either polarity) or PHASE targets; the rest may be moved too.
 
-    Gates carry random labels, so ``run`` cuts the circuit into blocks of
-    one label: some are PHASE-only and run as one diagonal, and repeated
-    blocks share one compiled step."""
+    Gates carry random labels, which cut no block: ``run`` cuts the
+    circuit by what the gates are, so a run of PHASE gates is one
+    diagonal, and repeated blocks share one compiled step."""
     n = draw(st.integers(2, 7))
     static = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     moving = [q for q in range(n) if q not in static]

@@ -284,20 +284,21 @@ class TestRun:
     @pytest.mark.parametrize("angle", [np.int64(1), np.int32(-2), np.uint8(0)], ids=repr)
     def test_numpy_integer_angle_runs_equal_to_the_reference(self, angle):
         """On 10 qubits ``run`` compiles, which keys every angle as an exact
-        ratio; the integer-angle block also equals a block of Python ints,
-        so both compile to one step."""
+        ratio; the integer-angle run of PHASE gates also equals a run of
+        Python ints, so the two runs, cut apart by an X gate, compile to
+        one step."""
         n = 10
         circuit = Circuit(n, (
-            *(Gate.hadamard(q, label="mix") for q in range(n)),
-            Gate.phase(angle, 3, ((0, 1),), "a"), Gate.phase(Fraction(1, 8), 5, (), "a"),
-            Gate.phase(int(angle), 3, ((0, 1),), "b"), Gate.phase(Fraction(1, 8), 5, (), "b"),
-            Gate.phase(angle, 9, ((4, 0),), "c"), Gate.hadamard(9, label="c"),
+            Gate.x(1), Gate.phase(angle, 3, ((0, 1),)), Gate.phase(Fraction(1, 8), 5), Gate.x(1),
+            Gate.phase(int(angle), 3, ((0, 1),)), Gate.phase(Fraction(1, 8), 5), Gate.x(1),
+            Gate.phase(angle, 9, ((4, 0),)), Gate.hadamard(9),
         ))
         amps = random_state(n, np.random.default_rng(3))
         state = run(circuit, StateVector(n, amps))
         expected = run_gate_by_gate(circuit, StateVector(n, amps))
         np.testing.assert_allclose(state.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
-        assert circuit_module._compile(circuit.num_qubits, circuit.gates)[1] == [0, 1, 1, 2]
+        program = circuit_module._compile(circuit.num_qubits, circuit.gates)[1]
+        assert program == [0, 1, 0, 1, 0, 2, 3]
 
     def test_run_is_linear_on_superpositions(self):
         rng = np.random.default_rng(23)

@@ -245,9 +245,9 @@ class TestSliceSizes:
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
 
     def test_all_static_circuit_runs_whole_from_its_first_block(self, kernel_calls):
-        """PHASE gates only: from a basis state the first block, a diagonal,
-        expands the state, so every kernel sees the whole tensor, one
-        diagonal per block."""
+        """PHASE gates only: from a basis state the one block, a diagonal,
+        expands the state, so its kernel sees the whole tensor; the labels
+        cut no block."""
         n = 5
         circuit = Circuit(n, (
             Gate.phase(Fraction(1, 4), 0, ((1, 1),), "a"),
@@ -262,4 +262,4 @@ class TestSliceSizes:
             assert fixed_pairs(state) == ()
             expected = run_gate_by_gate(circuit, new_basis_state(n, index)).amplitudes
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=ATOL)
-        assert kernel_calls == [("_diagonal", 1 << n)] * 5 * 4  # blocks a, b, a, c, b
+        assert kernel_calls == [("_diagonal", 1 << n)] * 4  # one diagonal per input
