@@ -7,11 +7,11 @@ is one phase kick of c / 2**(w-j) turns per wire: no carries, the mod-1
 phase arithmetic wraps exactly like mod-2**w integer arithmetic.  Adding
 a register is the constant adder once per source bit: source bit p adds
 the constant 2**p under its own control (Draper, arXiv:quant-ph/0008033).
-:func:`qftarith.circuit._fourier_block` reads the kicks between a
-transform and its inverse as a set, summed per wire and controls, so it
-parses these blocks in any kick order, inverted ones included.  All
-emitted angles are exact dyadic fractions with denominator at most
-2**(destination width).
+:func:`qftarith.circuit._kick_groups` reads the kicks between a
+transform and its inverse, or on a held frame, as a set, summed per wire
+and controls, so it parses these blocks in any kick order, inverted ones
+included.  All emitted angles are exact dyadic fractions with denominator
+at most 2**(destination width).
 
 All arithmetic is modulo 2**width: wraparound is forced by unitarity, so
 subtracting below zero lands on 2**w - 1.
@@ -106,7 +106,7 @@ def build_fourier_add_register(
 
     The destination must be at least as wide as the source; the source is
     treated as zero-extended.  It is the constant adder once per source bit,
-    a kick group that :func:`qftarith.circuit._fourier_block` reads: the bit
+    a kick group that :func:`qftarith.circuit._kick_groups` reads: the bit
     of weight 2**p adds 2**p under the controls ``((that bit, 1), *controls)``.
     The source register is left unchanged.
     """

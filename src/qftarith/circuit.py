@@ -12,11 +12,12 @@ vector, bitwise equal to it for every input.  From that size up it cuts
 the gate list into blocks by what the gates are, never by their labels,
 compiles each distinct block into one step, once per circuit object, and
 runs the program on one tensor, which agrees with the replay within
-rounding.  One matcher finds the paper's Fourier blocks: a transform on a
-register, phase kicks read as a set, and the inverse transform.  The kicks
-form groups, each adding a constant c_g under its own controls, outside
-the register: one group is Draper's constant adder, v -> v + c mod 2^w,
-and one group per source qubit, controlled by it, is the register adder.
+rounding.  The cut finds the paper's Fourier blocks, a transform on a
+register, phase kicks read as a set, and the inverse transform, and the
+step is built from what it read.  The kicks form groups, each adding a
+constant c_g under its own controls, outside the register: one group is
+Draper's constant adder, v -> v + c mod 2^w, and one group per source
+qubit, controlled by it, is the register adder.
 The steps are:
 
 * a *shift* for a sandwich, both transforms around kick groups.  Each
@@ -40,15 +41,15 @@ on a register is held back as a *frame*: the register's field keeps the
 value v of the state QFT|v>, and a block of kick groups on it adds their
 amounts to the field, as a sandwich does: by Draper's identity
 (arXiv:quant-ph/0008033) a group of amount c maps QFT|v> to QFT|v + c>
-exactly.  The inverse transform closes the frame at no cost.  These rules
-read the steps, never the index, so a circuit's *word path* is compiled
-once and serves every basis input.  Where it stops, at the first other
-step or at the end of the run while a frame is held, the state is
-expanded to the full vector once, the held transform runs, and every
-later step runs on the tensor.  So the decrement, the adder, the zero
-check, their inverses, and the whole multiplier, its accumulator a frame
-from its transform to its inverse, labelled or not, run from a basis
-state as arithmetic on the index and allocate no vector.  Every step
+exactly.  The inverse transform closes the frame and adds no map.
+These rules read the steps, never the index, so a circuit's *word path*
+is compiled once and serves every basis input.  Where it stops, at the
+first other step or at the end of the run while a frame is held, the
+state is expanded to the full vector once, the held transform runs, and
+every later step runs on the tensor.  So the decrement, the adder, the
+zero check, their inverses, and the whole multiplier, its accumulator a
+frame from its transform to its inverse, labelled or not, run from a
+basis state as arithmetic on the index and allocate no vector.  Every step
 calls the trusted private kernels of :mod:`qftarith.qstate`:
 ``Gate`` and ``Circuit`` validated every gate on construction.  Steps
 pass them axes, bits and factors, and this module imports no numpy:
@@ -345,27 +346,32 @@ def _word(n: int, pattern: Sequence[tuple[int, int]]) -> tuple[int, int]:
 def _compile(n: int, gates: Sequence[Gate]) -> tuple[list[_Step], list[int]]:
     """The distinct steps and the program as indices into them.  The gates
     are cut into blocks by what they are (see :func:`_cut`), never by their
-    labels; equal blocks compile to one step, which holds only the block's
-    gate keys (see :func:`_gate_key`) and what the matcher read from them,
-    so compiling makes no numpy call."""
+    labels; equal blocks compile to one step, built from what the cut read
+    from them.  A step holds only the block's gate keys (see
+    :func:`_gate_key`) and that reading, so compiling makes no numpy
+    call."""
     steps, seen, program, start = [], {}, [], 0
     while start < len(gates):
-        key, register = _cut(gates, start)
+        key, fourier = _cut(gates, start)
         index = seen.setdefault(key, len(steps))
         if index == len(steps):
-            steps.append(_block_step(n, key, register)._replace(key=key))
+            steps.append(_block_step(n, key, fourier)._replace(key=key))
         program.append(index)
         start += len(key)
     return steps, program
 
 
-def _cut(gates: Sequence[Gate], start: int) -> tuple[tuple, tuple[int, int] | None]:
-    """``(key, register)`` of the block at ``start``: its gate keys, and
-    the ``(first, width)`` of a Fourier block, else None.  The block is the
-    first that fits of: a sandwich (the transform on a register, a run of
-    PHASE gates that are kick groups on it, the inverse transform); the
-    transform on two or more qubits, or its inverse; a maximal run of PHASE
-    gates, or of X and SWAP gates; the gate alone."""
+def _cut(gates: Sequence[Gate], start: int) -> tuple[tuple, tuple | None]:
+    """``(key, fourier)`` of the block at ``start``: its gate keys, and what
+    the match read from them for a Fourier block, ``(first, width, sign,
+    groups)``, else None.  The block is the first that fits of: a sandwich
+    (the transform on a register, a run of PHASE gates that are kick groups
+    on it, the inverse transform; ``sign`` 0, as the transforms cancel); the
+    transform on two or more qubits (``sign`` 1) or its inverse (-1), with
+    no groups; a maximal run of PHASE gates, or of X and SWAP gates; the
+    gate alone.  A transform's width is read from the shapes of its kicks,
+    so a kick-shaped gate after an inverse makes the scan read one wire too
+    many: the inverse is matched at the widest width its gates complete."""
     gate, stop = gates[start], start + 1
     q = gate.targets[0]
     if gate.kind is GateKind.HADAMARD and not gate.controls:
@@ -377,17 +383,19 @@ def _cut(gates: Sequence[Gate], start: int) -> tuple[tuple, tuple[int, int] | No
             middle = _run_end(gates, start + size, GateKind.PHASE)
             key = tuple(map(_gate_key, gates[start:middle + size]))
             if key[:size] == _qft_key(q, width, 1):
-                if (key[middle - start:] == _qft_key(q, width, -1)
-                        and _kick_groups(key[size:middle - start], (q, width)) is not None):
-                    return key, (q, width)
+                if (key[middle - start:] == _qft_key(q, width, -1) and (groups := _kick_groups(
+                        key[size:middle - start], (q, width))) is not None):
+                    return key, (q, width, 0, groups)
                 if width > 1:
-                    return key[:size], (q, width)
+                    return key[:size], (q, width, 1, ())
         width = 1  # the inverse starts on its last wire q, whose kick opens each earlier wire
         while _kicks(gates, stop, q - width, q):
             width, stop = width + 1, stop + width + 1
         key = tuple(map(_gate_key, gates[start:stop]))
-        if width > 1 and key == _qft_key(q - width + 1, width, -1):
-            return key, (q - width + 1, width)
+        for width in range(width, 1, -1):  # each narrower inverse is a prefix of the wider
+            size = width * (width + 1) // 2
+            if key[:size] == _qft_key(q - width + 1, width, -1):
+                return key[:size], (q - width + 1, width, -1, ())
         stop = start + 1
     elif gate.kind is not GateKind.HADAMARD:
         stop = _run_end(gates, start, gate.kind)
@@ -423,7 +431,7 @@ def _word_path(n: int, steps: Sequence[_Step], program: Sequence[int]
             if rule is None:
                 return tuple(maps), stop, held
             rules[held, i] = rule
-            maps.append(rule[0])
+            maps += rule[0]
             held = None if rule[1] else held
         elif held is None and step.opens:
             held = i
@@ -441,17 +449,16 @@ def _gate_key(g: Gate) -> tuple:
     return g.kind, g.targets, turns, g.controls
 
 
-def _block_step(n: int, key: tuple, register: tuple[int, int] | None) -> _Step:
+def _block_step(n: int, key: tuple, fourier: tuple | None) -> _Step:
     used = _mask(n, (q for _, targets, _, controls in key
                      for q in chain(targets, (c for c, _ in controls))))
-    fourier = register and _fourier_block(key, register)
     if fourier:
-        head, groups, tail = fourier
-        if head and tail:
-            return _Step(partial(_shift_kernels, *register, groups), used,
-                         (_shift_word(n, *register, groups),))
-        return _Step(partial(_fourier_kernels, *register, 1 if head else -1), used,
-                     opens=register if head else None)
+        first, width, sign, groups = fourier
+        if sign:
+            return _Step(partial(_fourier_kernels, first, width, sign), used,
+                         opens=(first, width) if sign > 0 else None)
+        return _Step(partial(_shift_kernels, first, width, groups), used,
+                     (_shift_word(n, first, width, groups),))
     if all(kind is GateKind.PHASE for kind, *_ in key):
         return _Step(partial(_diagonal_kernels, n, key), used)
     if all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key):
@@ -466,14 +473,15 @@ def _block_step(n: int, key: tuple, register: tuple[int, int] | None) -> _Step:
 
 
 def _frame_rule(n: int, register: tuple[int, int], key: tuple) -> tuple[tuple, bool] | None:
-    """``(word map, closes)`` for a block on a register that a held frame
-    keeps in Fourier form: the block's kick groups as one add on the
-    register's field of the word, and whether the block ends with the
-    inverse transform, which closes the frame.  None for a block that is no
-    such Fourier block on the register, or that starts with a transform:
-    it needs the amplitudes."""
-    head, groups, tail = _fourier_block(key, register) or (True, (), False)
-    return None if head else (_shift_word(n, *register, groups), tail)
+    """``(word maps, closes)`` for a block on a register that a held frame
+    keeps in Fourier form: the inverse transform on the register closes the
+    frame and adds no map, and kick groups (see :func:`_kick_groups`) add
+    one, on the register's field of the word.  None for any other block: it
+    needs the amplitudes."""
+    if key == _qft_key(*register, -1):
+        return (), True
+    groups = _kick_groups(key, register)
+    return None if groups is None else ((_shift_word(n, *register, groups),), False)
 
 
 def _shift_word(n: int, first: int, width: int, groups) -> tuple[int, tuple]:
@@ -506,30 +514,15 @@ def _qft_key(first: int, width: int, sign: int) -> tuple[tuple, ...]:
     """The transform on the register ``first`` .. ``first + width - 1``
     (see :mod:`qftarith.qft`), or with ``sign`` -1 its inverse, reversed
     with every angle negated, as ``(kind, targets, turns, controls)``
-    tuples."""
+    tuples.  It comes from the transform's definition, not from the
+    builders, and keys compare angles exactly, so a wrong builder angle
+    falls back to the gates and still fails its tests."""
     key = []
     for q in range(first, first + width):
         key.append((GateKind.HADAMARD, (q,), None, ()))
         for k in range(2, first + width - q + 1):
             key.append((GateKind.PHASE, (q,), (sign, 1 << k), ((q + k - 1, 1),)))
     return tuple(key if sign > 0 else reversed(key))
-
-
-def _fourier_block(key: tuple, register: tuple[int, int]
-                   ) -> tuple[bool, tuple, bool] | None:
-    """``(head, groups, tail)`` when the block is a Fourier block on the
-    register ``(first, width)``, else None: the transform (``head``; a
-    Hadamard at width 1), kick groups (see :func:`_kick_groups`) and the
-    inverse transform (``tail``), each part possibly missing.  The rules
-    come from the transform's definition, not from the builders, and angles
-    are compared exactly, so a wrong builder angle falls back to the gates
-    and still fails its tests."""
-    first, width = register
-    size = width * (width + 1) // 2
-    head = key[:size] == _qft_key(first, width, 1)
-    tail = len(key) >= size * (1 + head) and key[len(key) - size:] == _qft_key(first, width, -1)
-    groups = _kick_groups(key[size * head:len(key) - size * tail], register)
-    return None if groups is None else (head, groups, tail)
 
 
 @lru_cache(maxsize=256)
@@ -541,7 +534,8 @@ def _kick_groups(kicks: tuple, register: tuple[int, int]) -> tuple | None:
     group must be, exactly modulo 1, amount/2^(width-j) turns on each wire
     j for one integer amount.  A group is Draper's constant adder, QFT|v>
     to QFT|v + amount> where its controls hold; groups adding 0 are left
-    out.  Memoised: :func:`_cut` asks it of every sandwich."""
+    out.  Memoised: :func:`_cut` asks it of every sandwich, and
+    :func:`_frame_rule` of every block that meets a held frame."""
     first, width = register
     inside, turns = range(first, first + width), {}
     for kind, (q, *_), ratio, controls in kicks:

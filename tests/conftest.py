@@ -199,34 +199,37 @@ def classical_by_rule(circuit: Circuit) -> list[int]:
     them while every block, walked in the program's order, is a word step,
     and none from the first block that is not.
 
-    A block is parsed as a Fourier block on the register its Hadamards
-    span.  A permutation block (X and SWAP gates only, or a Fourier block
-    with both transforms, which tests/test_run_fusion.py holds to modular
-    addition) is a word step.  So is a block that is the forward transform
-    alone, on two or more qubits, while no frame is held: it opens a frame
-    on its register.  While the frame is held, a block that uses none of
-    the register passes by, and is a word step if it is a permutation; one
-    that parses on the register as kick groups, or as the inverse
-    transform, is a word step, and the inverse transform closes the frame.
-    Any other block that uses the register is not a word step, and a frame
-    still held at the end of the circuit expands the state too."""
+    A block is parsed on the register its Hadamards span, with the
+    transform's keys (``_qft_key``) and kick groups (``_kick_groups``).  A
+    permutation block (X and SWAP gates only, or a sandwich: the transform,
+    kick groups and the inverse transform, which tests/test_run_fusion.py
+    holds to modular addition) is a word step.  So is a block that is the
+    forward transform alone, on two or more qubits, while no frame is held:
+    it opens a frame on its register.  While the frame is held, a block
+    that uses none of the register passes by, and is a word step if it is a
+    permutation; one that parses on the register as kick groups, or as the
+    inverse transform, is a word step, and the inverse transform closes the
+    frame.  Any other block that uses the register is not a word step, and
+    a frame still held at the end of the circuit expands the state too."""
+    qft, kick_groups = circuit_module._qft_key, circuit_module._kick_groups
     steps, program = circuit_module._compile(circuit.num_qubits, circuit.gates)
     frame = None
     for key in (steps[i].key for i in program):
         used = {q for _, targets, _, controls in key for q in (*targets, *(c for c, _ in controls))}
         hs = [targets[0] for kind, targets, _, _ in key if kind is GateKind.HADAMARD]
-        register = (min(hs), max(hs) - min(hs) + 1) if hs else None
-        fourier = register and circuit_module._fourier_block(key, register)
-        if frame is not None and used & set(frame):
-            kicks = circuit_module._fourier_block(key, (frame[0], len(frame)))
-            if kicks is None or kicks[0]:
+        first, width = (min(hs), max(hs) - min(hs) + 1) if hs else (0, 0)
+        size = width * (width + 1) // 2
+        sandwich = (hs and len(key) >= 2 * size and key[:size] == qft(first, width, 1)
+                    and key[len(key) - size:] == qft(first, width, -1)
+                    and kick_groups(key[size:len(key) - size], (first, width)) is not None)
+        if frame is not None and used & set(range(frame[0], sum(frame))):
+            if key == qft(*frame, -1):
+                frame = None
+            elif kick_groups(key, frame) is None:
                 return []
-            frame = None if kicks[2] else frame
-        elif (frame is None and fourier and fourier[0] and not fourier[1]
-              and not fourier[2] and register[1] >= 2):
-            frame = range(register[0], register[0] + register[1])
-        elif not (all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key)
-                  or fourier and fourier[0] and fourier[2]):
+        elif frame is None and width >= 2 and key == qft(first, width, 1):
+            frame = (first, width)
+        elif not (all(kind in (GateKind.X, GateKind.SWAP) for kind, *_ in key) or sandwich):
             return []
     return [] if frame is not None else list(range(circuit.num_qubits))
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import qftarith.circuit as circuit_module
 import qftarith.qstate as qstate_module
-from conftest import NoNumpy, circuits, run_gate_by_gate
+from conftest import NoNumpy, circuits, run_gate_by_gate, step_kinds
 from qftarith.arith import (
     build_adder,
     build_decrement,
@@ -277,4 +277,35 @@ def test_a_wrong_kick_angle_is_no_group():
         wrong[position] = Gate.phase(kick.phase_turns + Fraction(1, 16), kick.targets[0],
                                      kick.controls)
         key = tuple(map(circuit_module._gate_key, wrong[::-1]))
-        assert circuit_module._fourier_block(key, (1, 4)) is None
+        assert circuit_module._kick_groups(key, (1, 4)) is None
+
+
+def _kick_shaped_phase(n: int) -> Circuit:
+    """A 1/3-turn PHASE on qubit 0 under qubit 3: right after an inverse
+    transform on qubits 1 .. 3, it has the shape of the kick that would
+    open one more wire of a wider inverse."""
+    return Circuit(n, (Gate.phase(Fraction(1, 3), 0, ((3, 1),)),))
+
+
+def test_an_inverse_transform_matches_at_its_widest_complete_width():
+    """The inverse's width is read from its kicks' shapes, so the gate after
+    it reads as a fourth wire; the match tries each narrower width, and the
+    three-wire inverse is one FFT."""
+    circuit = build_inverse_qft(range(1, 4), 5) + _kick_shaped_phase(5)
+    assert step_kinds(circuit) == ["_fourier_kernels", "_diagonal_kernels"]
+
+
+def test_an_inverse_before_a_kick_shaped_gate_closes_its_frame(kernel_calls):
+    """A frame on qubits 1 .. 3, with an X elsewhere and a controlled
+    constant adder inside, is closed by its inverse transform: the word
+    path stops only at the PHASE gate, which is the one kernel call."""
+    n, register = 10, range(1, 4)
+    circuit = concat([build_qft(register, n), Circuit(n, (Gate.x(7),)),
+                      build_fourier_add_constant(register, 3, ((5, 1),), n),
+                      build_inverse_qft(register, n), _kick_shaped_phase(n)])
+    for index in (0b0101010000, 0b1001110101, 0b0000000000):
+        expected = run_gate_by_gate(circuit, new_basis_state(n, index)).amplitudes
+        kernel_calls.clear()
+        state = run(circuit, new_basis_state(n, index))
+        assert [name for name, _ in kernel_calls] == ["_diagonal"]
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)

@@ -452,7 +452,10 @@ class TestNumpyFree:
     multiplier's run bitwise equal to that replay."""
 
     COMMANDS = (["add", "5", "9", "--n", "10"], ["dec", "5", "--n", "12"],
-                ["mul", "5", "6", "--n", "3"], ["mul", "31", "31", "--n", "5"])
+                ["mul", "5", "6", "--n", "3"], ["mul", "31", "31", "--n", "5"],
+                # at and just past the threshold: 10, 10 and 11 qubits
+                ["add", "3", "4", "--n", "5"], ["dec", "5", "--n", "10"],
+                ["mul", "1", "1", "--n", "2", "--acc-width", "6"])
 
     def test_basis_state_commands_never_import_numpy(self, tmp_path):
         argvs = [[*argv, *flags] for argv in self.COMMANDS

@@ -307,23 +307,32 @@ def _held(value):
         yield value
 
 
-@pytest.mark.parametrize("circuit", [
-    build_multiplier(MultiplierSpec.for_width(3)),
-    build_adder(RegisterLayout([("a", 4), ("b", 4)])),
-    build_decrement(RegisterLayout([("v", 5)]), "v"),
-], ids=["multiplier", "adder", "decrement"])
-def test_compile_keeps_gate_keys_only_and_makes_no_numpy_call(circuit, monkeypatch):
+@pytest.mark.parametrize("circuit, count", [
+    (build_multiplier(MultiplierSpec.for_width(3)), 3 * 8 - 1),
+    (build_adder(RegisterLayout([("a", 4), ("b", 4)])), 1),
+    (build_decrement(RegisterLayout([("v", 5)]), "v"), 1),
+    (build_multiplier(MultiplierSpec.for_width(4)), 3 * 16 - 1),
+    (build_multiplier(MultiplierSpec.for_width(5)), 3 * 32 - 1),
+    (build_adder(RegisterLayout([("a", 10), ("b", 10)])), 1),
+    (build_decrement(RegisterLayout([("v", 20)]), "v"), 1),
+], ids=["multiplier", "adder", "decrement", "multiplier-n4", "multiplier-n5",
+        "adder-n10", "decrement-n20"])
+def test_compile_keeps_gate_keys_only_and_makes_no_numpy_call(circuit, count, monkeypatch):
     """A step holds the block's gate keys and what the matcher read from
     them: no Gate, no precomputed factor table and no permutation array.
     The word path is data: its maps hold ints in tuples, no callable, and
-    it runs to the end."""
+    it runs to the end.  A sandwich, an X block and the kicks on a held
+    frame are one map each, and the inverse that closes the frame adds
+    none.  So the n-bit multiplier has 3 * 2^n - 1: its first zero check,
+    the kicks, decrement and check of each of its 2^n - 1 iterations, and
+    the decrement that restores y."""
     monkeypatch.setattr(qstate_module, "np", NoNumpy())
     steps, program = circuit_module._compile(circuit.num_qubits, circuit.gates)
     for step in steps:
         held = list(_held([step.resolve.args, step.permute]))
         assert not any(isinstance(item, (Gate, np.ndarray)) for item in held)
     maps, stop, frame = circuit_module._word_path(circuit.num_qubits, steps, program)
-    assert maps and all(type(item) is int for item in _held(maps))
+    assert len(maps) == count and all(type(item) is int for item in _held(maps))
     assert (stop, frame) == (None, None)
 
 

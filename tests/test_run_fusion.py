@@ -302,7 +302,7 @@ class TestBuildAndCompileOnce:
         often the program repeats it.  A second run of the same circuit,
         from another input, calls none of the parsers; nor does one whose
         path stops early, at a frame still held at the end."""
-        calls = {name: [] for name in ("_compile", "_frame_rule", "_fourier_block")}
+        calls = {name: [] for name in ("_compile", "_frame_rule", "_kick_groups")}
         for name, found in calls.items():
             def counting(*args, _real=getattr(circuit_module, name), _found=found):
                 _found.append(args)
