@@ -33,8 +33,9 @@ The steps are:
 A state is one of two forms: a basis state, its index an int in
 basis-index bit order as ``encode_register`` places registers, or the
 dense vector.  :func:`run` keeps the index while each step is a *word
-step*, which calls no kernel and maps the index by masked adds (see
-:func:`_shift_bits`): a shift is one add on the register's field of the
+step*, which calls no kernel and maps the index by *word maps*, each one
+masked add that :func:`run` makes in its own loop (see
+:func:`_shift_word`): a shift is one add on the register's field of the
 index, and a block of X and SWAP gates is one add of 1 on a one-bit field
 per X, where its controls hold, and three per SWAP.  A forward transform
 on a register is held back as a *frame*: the register's field keeps the
@@ -309,8 +310,12 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     index, todo = state._index, program
     if index is not None:
         maps, stop, held = path
-        for field, groups in maps:
-            index = _shift_bits(field, groups, index)
+        for field, groups in maps:  # one add, modulo the field, of the groups whose controls hold
+            total = 0
+            for amount, mask, want in groups:
+                if index & mask == want:
+                    total += amount
+            index = index & ~field | (index + total) & field
         state._index = index
         if stop is None:
             return state
@@ -416,7 +421,7 @@ def _run_end(gates: Sequence[Gate], start: int, kind: GateKind) -> int:
 def _word_path(n: int, steps: Sequence[_Step], program: Sequence[int]
                ) -> tuple[tuple[tuple, ...], int | None, int | None]:
     """``(maps, stop, held)`` for a run from a basis state: the word maps
-    (see :func:`_shift_bits`) of the program's steps up to ``stop``, the
+    (see :func:`_shift_word`) of the program's steps up to ``stop``, the
     position of the first step that needs the tensor, None if none does,
     and the index of the forward transform whose frame is held there, or
     None.  Every decision reads the steps, never the index, so one path
@@ -486,27 +491,19 @@ def _frame_rule(n: int, register: tuple[int, int], key: tuple) -> tuple[tuple, b
 
 def _shift_word(n: int, first: int, width: int, groups) -> tuple[int, tuple]:
     """Kick groups on the register ``first`` .. ``first + width - 1`` as the
-    word map ``(field, groups)`` that :func:`_shift_bits` applies: the
-    register's field of the index, and per group its amount, reduced
-    modulo 2^width and shifted onto the field, and its controls as a
-    pattern's ``(mask, want)``.  A map holds non-negative ints only."""
+    word map ``(field, groups)``: the register's field of the index, and
+    per group its amount, reduced modulo 2^width and shifted onto the
+    field, and its controls as a pattern's ``(mask, want)``.  A map holds
+    non-negative ints only.  :func:`run` applies it to a basis index as
+    one add, modulo the field's width, on the field, of the amounts of the
+    groups whose controls hold, ``index & mask == want``.  Every word step
+    is such adds: a sandwich or kick groups on a held frame on the
+    register's field, and an X gate an add of 1 on its target's one-bit
+    field."""
     low = n - first - width
     return (((1 << width) - 1) << low,
             tuple(((amount % (1 << width)) << low, *_word(n, controls))
                   for amount, controls in groups))
-
-
-def _shift_bits(field: int, groups, value: int) -> int:
-    """One word map on a basis index: one add, modulo the field's width, on
-    its ``field``, of the amounts of the groups ``(amount, mask, want)``
-    whose controls hold.  Every word step is such adds: a sandwich or kick
-    groups on a held frame on the register's field, and an X gate an add
-    of 1 on its target's one-bit field."""
-    total = 0
-    for amount, mask, want in groups:
-        if value & mask == want:
-            total += amount
-    return value & ~field | (value + total) & field
 
 
 @lru_cache(maxsize=256)

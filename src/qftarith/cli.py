@@ -9,9 +9,15 @@ Each command is declared once, in ``_COMMANDS``: its operands, options,
 help line, oracle, layout and builder.  :func:`parse_args` and
 :func:`oracle` read that table, and one runner, ``_run``, checks and
 simulates every command for both :func:`main` and
-:func:`qftarith.multiplier.multiply`: the width, then the qubit budget
-before anything of size 2^n, then the operands before the build, then
-build, run, read out and compare with the oracle.
+:func:`qftarith.multiplier.multiply`: the width, then the layout and the
+qubit budget before anything of size 2^n, then the operands, then the
+sizing (``--acc-width``, ``--iterations``) before the build, then build,
+run, read out and compare with the command's oracle.
+What the shape of a command fixes (its name, width, ``--acc-width`` and
+``--iterations``) is kept per shape in a bounded plan, ``_plan``: the
+layout after its budget check, the multiplier spec and the register
+widths.  A repeated shape skips that work but keeps the checks' order and
+messages, and nothing that depends on an operand's value is kept.
 Operands are checked once, by :func:`~qftarith.circuit.encode_registers`,
 which raises :class:`~qftarith.errors.ValueTooWide`;
 :class:`~qftarith.errors.OperandTooWide` is its alias.
@@ -48,6 +54,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn
 
@@ -137,7 +144,8 @@ class _Command(NamedTuple):
     ends: dict[str, int]       # required end values of the remaining registers
 
 
-# _run reads this table for both main() and multiplier.multiply().  The
+# _run reads this table for both main() and multiplier.multiply(), and
+# _plan keeps what its layout and spec columns give per shape.  The
 # builders are called through this module's globals, not bound here, so
 # perfbench/worker.py can wrap them by name.  The multiplier's memo sits
 # behind that name, inside build_multiplier, so every call still reaches it.
@@ -162,17 +170,38 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=32, typed=True)
+def _plan(name: str, n: int, acc_width: int | None, iterations: int | None
+          ) -> tuple[RegisterLayout, MultiplierSpec | None, dict[str, int]]:
+    """``(layout, spec, widths)`` of a command's shape, made by the table's
+    columns and kept for the 32 keys last used: its layout once the qubit
+    budget holds, then its sizing.  A shape that fails a check raises and
+    is not kept.  Typed, so an argument of another type, such as a float or
+    a bool that hashes equal to an int, never reads another's plan."""
+    command = _COMMANDS[name]
+    args = SimpleNamespace(n=n, acc_width=acc_width, iterations=iterations)
+    layout = command.layout(args)
+    _check_budget(layout.num_qubits)  # before anything computes 1 << n
+    return layout, command.spec(args), layout.widths()
+
+
 def _run(args) -> tuple[RunReport, Circuit]:
+    """Check, build, run and verify one command.  What its shape fixes comes
+    from :func:`_plan`, asked first with 0 iterations, which every valid
+    layout admits, so the checks keep their order: the width, the layout
+    and budget, the operands, the sizing.  Operands are never memoised, and
+    the builder, state, run and readout are reached through this module's
+    globals on every call."""
     command = _COMMANDS[args.command]
     values = {name: getattr(args, name) for name in command.operands}
     if not _is_integer(args.n):  # parse_args gives an int; multiply() may not
         raise SpecInvariantViolation(f"n must be an integer, got {args.n!r}")
     if args.n < 1:
         raise SpecInvariantViolation(f"--n must be at least 1, got {args.n}")
-    layout = command.layout(args)
-    _check_budget(layout.num_qubits)  # before anything computes 1 << n
-    index = encode_registers(layout, values)  # checks every operand, before the build
-    spec = command.spec(args)
+    shape = args.command, args.n, getattr(args, "acc_width", None)
+    index = encode_registers(_plan(*shape, 0)[0], values)  # every operand, before the sizing
+    # add and dec have no unroll count, so their two lookups are one key
+    layout, spec, widths = _plan(*shape, getattr(args, "iterations", 0))
     start = time.perf_counter()
     circuit = command.build(layout, spec)
     state = new_basis_state(layout.num_qubits, index)
@@ -180,11 +209,11 @@ def _run(args) -> tuple[RunReport, Circuit]:
     outputs = decode_registers(layout, extract_basis_index(state, tol=1e-9))
     elapsed = time.perf_counter() - start
     expected = {**values, **command.ends,
-                command.output: oracle(args.command, tuple(values.values()), args.n)}
+                command.output: command.oracle(*values.values(), args.n)}
     report = RunReport(
         operation=args.command,
         inputs=values if spec is None else {**values, "iterations": spec.iterations},
-        widths=layout.widths(),
+        widths=widths.copy(),  # the report's own: a caller may change it
         outputs=outputs,
         gate_count=len(circuit),
         wall_time=elapsed,

@@ -78,10 +78,10 @@ class MultiplierSpec:
         return cls(n=n, m=2 * n, iterations=(1 << n) - 1)
 
 
-@lru_cache(maxsize=8)
 def multiplier_layout(spec: MultiplierSpec) -> RegisterLayout:
-    """The spec's registers, memoised per spec as :func:`build_multiplier` is:
-    equal specs share one layout, which has no mutator."""
+    """The spec's registers, a new layout per call.  Its hot callers keep
+    theirs: :func:`build_multiplier` behind its memo, and the CLI in the
+    plan it keeps per command shape."""
     return RegisterLayout(
         [("accumulator", spec.m), ("x", spec.n), ("y", spec.n), ("control", 1)]
     )
@@ -143,9 +143,12 @@ def multiply(x: int, y: int, n: int) -> int:
     not fit in n bits, all before anything is built.  The circuit is the
     standard one (accumulator width 2n, 2**n - 1 iterations) from
     :func:`build_multiplier`, whose memo builds and compiles it once per
-    width.  Raises NotBasisState if the circuit ever fails to produce a
-    deterministic output, and QuantumArithmeticError, naming the registers
-    read, if they break the register contract (either would be a bug).
+    width, and the runner keeps the layout, spec and widths per width too,
+    so a repeated width does only the work that the operands need; the
+    width is still checked on every call, before either memo.  Raises
+    NotBasisState if the circuit ever fails to produce a deterministic
+    output, and QuantumArithmeticError, naming the registers read, if they
+    break the register contract (either would be a bug).
     """
     from .cli import _namespace, _run  # at call time: cli imports this module
 

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qftarith import errors
-from qftarith.cli import _COMMANDS, RunReport, _namespace, _run, main, oracle, parse_args
+from qftarith.cli import (_COMMANDS, RunReport, _namespace, _plan, _run, main, oracle,
+                          parse_args)
 from qftarith.errors import SpecInvariantViolation, ValueTooWide
 from qftarith.multiplier import multiply
 
@@ -294,6 +295,98 @@ class TestParserReuse:
         assert first is not second and vars(first) == vars(second)
 
 
+class TestShapePlan:
+    """``_run`` keeps what a command's shape fixes in ``_plan``, keyed by the
+    command, n, ``--acc-width`` and ``--iterations`` and never by an
+    operand.  On a kept shape every check still fires, in its order, with
+    its message."""
+
+    WARM = ["mul", "5", "7", "--n", "3", "--json"]
+
+    @pytest.fixture
+    def warm(self, capsys):
+        _plan.cache_clear()  # so that no other test's shape is kept
+        assert main(self.WARM) == 0
+        capsys.readouterr()
+        return _plan.cache_info().misses
+
+    def run_json(self, capsys, argv):
+        rc = main([*argv, "--json"])
+        return rc, json.loads(capsys.readouterr().out)
+
+    def test_operands_are_not_in_the_key(self, capsys):
+        _plan.cache_clear()
+        for x in range(8):
+            for y in range(8):
+                assert main(["mul", str(x), str(y), "--n", "3", "--json"]) == 0
+        capsys.readouterr()
+        info = _plan.cache_info()
+        assert info.currsize == info.misses == 2  # the layout's lookup and the sizing's
+        assert info.hits == 2 * 64 - 2
+
+    @pytest.mark.parametrize("argv", [
+        ["mul", "3", "2", "--n", "3", "--iterations", "2"],
+        ["mul", "3", "2", "--n", "3", "--acc-width", "7"],
+        ["mul", "3", "2", "--n", "2"],
+        ["add", "3", "2", "--n", "3"],
+    ], ids=["iterations", "acc-width", "n", "command"])
+    def test_each_part_of_the_shape_is_in_the_key(self, capsys, warm, argv):
+        """A shape that differs from the kept one in one part misses; asked
+        again, it hits and gives the same report."""
+        first = self.run_json(capsys, argv)
+        missed = _plan.cache_info().misses
+        assert missed > warm
+        assert self.run_json(capsys, argv)[1] | {"wall_time": 0} == first[1] | {"wall_time": 0}
+        assert _plan.cache_info().misses == missed
+
+    @pytest.mark.parametrize("bad", [3.0, True], ids=repr)
+    def test_a_width_that_hashes_like_a_kept_one_still_fails(self, capsys, warm, bad):
+        assert main(["mul", "1", "1", "--n", "1"]) == 0  # keeps n=1, which True hashes as
+        with pytest.raises(SpecInvariantViolation, match="n must be an integer"):
+            multiply(5, 7, bad)
+        with pytest.raises(SpecInvariantViolation, match="n must be an integer"):
+            multiply(1, 1, bad)
+
+    @pytest.mark.parametrize("argv, err", [
+        (["mul", "8", "7", "--n", "3"],
+         "value 8 does not fit in register 'x': it is no integer in [0, 2^3)"),
+        (["mul", "5", "7", "--n", "3", "--iterations", "8"],
+         "iterations must lie in 0 <= K <= 2**3 - 1, got 8"),
+        # the operands before the sizing, and the layout before the operands
+        (["mul", "8", "7", "--n", "3", "--iterations", "8"],
+         "value 8 does not fit in register 'x': it is no integer in [0, 2^3)"),
+        (["mul", "9", "7", "--n", "3", "--acc-width", "5"],
+         "accumulator width 5 cannot hold every 3-bit product; need at least 6"),
+    ], ids=["operand", "iterations", "operand-first", "layout-first"])
+    def test_checks_fire_in_order_on_a_kept_shape(self, capsys, warm, argv, err):
+        for _ in range(2):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {err}\n" and captured.out == ""
+
+    def test_alternating_shapes_keep_their_own_reports(self, capsys):
+        """One process alternates three shapes of n=3: the accumulator holds
+        x * min(y, K) after K iterations, and the y counter, decremented
+        K + 1 times, ends at y - K - 1 mod 8, latching the stop qubit only
+        if it passed 0."""
+        shapes = [([], 6, 7, 275), (["--iterations", "2"], 6, 2, 120),
+                  (["--acc-width", "7"], 7, 7, 310)]  # flags, m, K, gates
+        for x, y in [(5, 7), (3, 1), (6, 2), (7, 5), (0, 0), (7, 7)]:
+            for flags, m, k, gates in shapes:
+                rc, report = self.run_json(capsys, ["mul", str(x), str(y), "--n", "3", *flags])
+                assert report["inputs"] == {"x": x, "y": y, "iterations": k}
+                assert report["widths"] == {"accumulator": m, "x": 3, "y": 3, "control": 1}
+                assert report["gate_count"] == gates
+                assert report["outputs"] == {"accumulator": x * min(y, k), "x": x,
+                                             "y": (y - k - 1) % 8, "control": int(y <= k)}
+                assert rc == (0 if k == 7 else 1) and report["verified"] is (k == 7)
+
+    def test_a_report_owns_its_widths(self):
+        first = _run(parse_args(self.WARM))[0]
+        first.widths["x"] = 99
+        assert _run(parse_args(self.WARM))[0].widths["x"] == 3
+
+
 _FLAGS = sorted({flag for command in _COMMANDS.values() for flag in command.options})
 _VALUES = ["3", "-3", "1_0", " 3", "0", "x", "-", ""]
 
@@ -423,6 +516,22 @@ class TestBenchmarkHooks:
     ])
     def test_worker_reaches_every_hook(self, worker, mode, argv):
         assert worker.serve({"mode": mode, "argv": argv})["rc"] == 0
+
+    def test_a_kept_shape_still_reaches_every_hook(self, worker):
+        """The second trace of a shape reads its plan, and a plain request
+        between the two leaves the CLI's names as shipped; both traces
+        record every span."""
+        argv = ["mul", "5", "6", "--n", "3", "--json"]
+        _plan.cache_clear()
+        replies = [worker.serve({"mode": mode, "argv": argv})
+                   for mode in ("trace", "plain", "trace")]
+        assert _plan.cache_info().hits >= 4
+        assert [reply["rc"] for reply in replies] == [0, 0, 0]
+        spans = [{span["name"] for span in reply["spans"]} for reply in replies[::2]]
+        assert spans[0] == spans[1]
+        assert spans[0] >= {"cli.main", "multiplier.build", "qstate.alloc", "qstate.readout",
+                            "circuit.run", *(f"circuit.run.{stage}" for stage in
+                                             ("qft", "add", "dec", "check", "iqft"))}
 
 
 _NUMPY_FREE = """

@@ -219,7 +219,8 @@ class TestMultiplyFunction:
 
     def test_multiply_runs_through_the_cli_runner(self, monkeypatch):
         """One simulate-and-read path: the run goes through the name that
-        the CLI's runner calls, once."""
+        the CLI's runner calls, once, also when the runner keeps the
+        shape's plan from an earlier call."""
         import qftarith.cli as cli_module
 
         calls = []
@@ -229,9 +230,12 @@ class TestMultiplyFunction:
             calls.append(circuit)
             return real_run(circuit, state)
 
+        assert multiply(3, 2, 2) == 6  # keeps the n=2 plan
+        hits = cli_module._plan.cache_info().hits
         monkeypatch.setattr(cli_module, "run", counting_run)
         assert multiply(3, 2, 2) == 6
         assert len(calls) == 1
+        assert cli_module._plan.cache_info().hits == hits + 2
 
     def test_a_wrong_product_raises_and_names_the_registers_read(self, monkeypatch):
         """With the simulation skipped the registers still hold the input,
@@ -264,9 +268,12 @@ class TestMultiplyFunction:
         assert serial == threaded == [x * y for x, y in pairs]
 
     def test_threads_racing_to_build_and_compile_agree(self):
-        """More threads than cores start on an empty memo with a short
-        switch interval; a lost race may build or compile twice, but every
-        product is right."""
+        """More threads than cores start on empty memos with a short
+        switch interval; a lost race may plan, build or compile twice, but
+        every product is right."""
+        import qftarith.cli as cli_module
+
+        cli_module._plan.cache_clear()
         build_multiplier.cache_clear()
         pairs = [(x, y) for x in range(8) for y in range(8)]
         interval = sys.getswitchinterval()
